@@ -27,15 +27,13 @@
 //! 4 threads — skipped with a notice on degraded machines, where the gate
 //! cannot be meaningful.
 //!
-//! A second report, `BENCH_kernels.json` (`--kernels-out`), benchmarks the
-//! **single-core kernel engine** at 1 thread: each entry warms up once,
+//! A second report, `BENCH_kernels.json` (`--kernels-out`), times the
+//! **single-core kernel engine** at 1 thread: each entry warms up once and
 //! reports the minimum of k reps (the right estimator for a fixed
-//! single-thread workload under external interference), times the frozen
-//! pre-plan implementation (`snapea::exec::baseline`,
-//! `profile_layer_kernels_baseline`, scalar GEMM loops) against the current
-//! kernels (resolved-tap window plans, batched walks, the k-blocked axpy
-//! microkernel) and asserts the results are bit-identical. These are the
-//! speedups that hold on a single core, independent of the pool.
+//! single-thread workload under external interference) as `kernel_ms`.
+//! Speedups are `snapea-tool perf-diff` of this file against the previous
+//! commit's; bit identity is asserted elsewhere — the oracle selfcheck, the
+//! oracle integration test, and the lane/GEMM property tests.
 //!
 //! `--kernels-only` runs and writes *only* the kernels report: the scaling
 //! curves, strict gate, and GEMM comparison are skipped, and `--out` is not
@@ -43,15 +41,13 @@
 //!
 //! Usually invoked through `scripts/bench.sh`.
 
-use snapea::exec::{
-    baseline, execute_conv, execute_conv_q16, execute_conv_stats, ExecResult, LayerConfig,
-};
-use snapea::optimizer::profiling::{profile_layer_kernels, profile_layer_kernels_baseline};
+use snapea::exec::{execute_conv, execute_conv_q16, execute_conv_stats, ExecResult, LayerConfig};
+use snapea::optimizer::profiling::profile_layer_kernels;
 use snapea::KernelParams;
 use snapea_nn::ops::Conv2d;
 use snapea_obs::Json;
 use snapea_tensor::im2col::ConvGeom;
-use snapea_tensor::lane::{lane_axpy8, lane_dot, pinned_dot_ref, LANES};
+use snapea_tensor::lane::{lane_axpy8, lane_dot, LANES};
 use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{init, par, Shape2, Shape4, Tensor2, Tensor4};
 use std::time::Instant;
@@ -262,91 +258,18 @@ fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out)
 }
 
-/// Times a frozen-baseline implementation against the current kernel at
-/// **1 thread**, checks bit-identity via `same`, and returns the JSON record
-/// for the kernels report.
-fn bench_kernel<R>(
-    name: &str,
-    detail: &str,
-    reps: usize,
-    mut base: impl FnMut() -> R,
-    mut new: impl FnMut() -> R,
-    same: impl Fn(&R, &R) -> bool,
-) -> Json {
+/// Times the current kernel `f` at **1 thread** and returns the JSON record
+/// for the kernels report. Every result passes through `black_box`, so no
+/// rep's work can be optimised away.
+fn bench_kernel<R>(name: &str, detail: &str, reps: usize, mut f: impl FnMut() -> R) -> Json {
     par::set_threads(1);
-    let (baseline_ms, base_out) = time_min(reps, &mut base);
-    let (kernel_ms, new_out) = time_min(reps, &mut new);
-    let identical = same(&base_out, &new_out);
-    let speedup = baseline_ms / kernel_ms;
-    println!(
-        "kernel {name:<22} {detail:<34} before {baseline_ms:8.2} ms   after {kernel_ms:8.2} ms   \
-         speedup {speedup:4.2}x   bit-identical: {identical}"
-    );
-    assert!(identical, "{name}: optimised kernel deviates from baseline");
+    let (kernel_ms, _) = time_min(reps, || std::hint::black_box(f()));
+    println!("kernel {name:<22} {detail:<34} {kernel_ms:8.2} ms");
     Json::Obj(vec![
         ("name".to_string(), name.into()),
         ("detail".to_string(), detail.into()),
-        ("baseline_ms".to_string(), baseline_ms.into()),
         ("kernel_ms".to_string(), kernel_ms.into()),
-        ("speedup".to_string(), speedup.into()),
-        ("bit_identical".to_string(), identical.into()),
     ])
-}
-
-/// The pre-microkernel scalar GEMM loop (`out[i,j] += lhs[i,p] * rhs[p,j]`,
-/// ascending `p` per element — the same accumulation order as the `axpy`
-/// path, so results must match bitwise).
-fn matmul_scalar(lhs: &Tensor2, rhs: &Tensor2) -> Tensor2 {
-    let (m, k, n) = (lhs.shape().rows, lhs.shape().cols, rhs.shape().cols);
-    let mut out = Tensor2::zeros(Shape2::new(m, n));
-    let (l, r, o) = (lhs.as_slice(), rhs.as_slice(), out.as_mut_slice());
-    for i in 0..m {
-        let out_row = &mut o[i * n..(i + 1) * n];
-        for p in 0..k {
-            let a = l[i * k + p];
-            for (oj, &b) in out_row.iter_mut().zip(&r[p * n..(p + 1) * n]) {
-                *oj += a * b;
-            }
-        }
-    }
-    out
-}
-
-/// The pre-microkernel scalar `lhsᵀ × rhs` loop.
-fn t_matmul_scalar(lhs: &Tensor2, rhs: &Tensor2) -> Tensor2 {
-    let (k, m, n) = (lhs.shape().rows, lhs.shape().cols, rhs.shape().cols);
-    let mut out = Tensor2::zeros(Shape2::new(m, n));
-    let (l, r, o) = (lhs.as_slice(), rhs.as_slice(), out.as_mut_slice());
-    for p in 0..k {
-        let a_row = &l[p * m..(p + 1) * m];
-        let b_row = &r[p * n..(p + 1) * n];
-        for (i, &a) in a_row.iter().enumerate() {
-            let out_row = &mut o[i * n..(i + 1) * n];
-            for (oj, &b) in out_row.iter_mut().zip(b_row) {
-                *oj += a * b;
-            }
-        }
-    }
-    out
-}
-
-/// Signatures of the lane micro-kernels and their scalar references, so the
-/// bench passes can take either side as a parameter.
-type DotFn = dyn Fn(&[f32], &[f32], usize) -> f32;
-type AxpyFn = dyn Fn(&mut [f32], &[f32; LANES], [&[f32]; LANES]);
-
-/// Frozen baseline for [`lane_axpy8`]: eight separate rank-1 row updates —
-/// the pre-microkernel GEMM structure, which streams `out` through the cache
-/// once per row instead of once per block. Every output element still
-/// receives its eight products in ascending `q` order, so the result is
-/// bit-identical to the fused kernel and the bench isolates the memory
-/// traffic the eight-row fusion removes.
-fn axpy8_rowwise(out: &mut [f32], a: &[f32; LANES], b: [&[f32]; LANES]) {
-    for (aq, bq) in a.iter().zip(b) {
-        for (oj, &bv) in out.iter_mut().zip(bq.iter()) {
-            *oj += aq * bv;
-        }
-    }
 }
 
 /// Deterministic LHS with `zero_frac` of its entries exactly zero —
@@ -383,8 +306,7 @@ fn main() {
     // `bench_scaling`) gives every grid point the same number of visits to
     // every within-round position. 32 rounds is what min-of-rounds needs to
     // reliably catch a clean window per point on a shared container; the
-    // kernels section (which times the slow frozen baselines too) stays at a
-    // smaller count via `kernel_reps`.
+    // kernels section keeps its own count, `kernel_reps`.
     let reps = if args.smoke { 4 } else { 32 };
     let kernel_reps = if args.smoke { 3 } else { 5 };
     let avail = std::thread::available_parallelism()
@@ -413,8 +335,8 @@ fn main() {
         eprintln!(
             "perfbench: WARNING: available_parallelism is 1 — the scaling curves below \
              measure pool overhead under oversubscription, not scaling (reports carry \
-             \"degraded\": true); trust the kernels section (single-thread before/after), \
-             which is core-count independent"
+             \"degraded\": true); trust the kernels section (single-thread), which is \
+             core-count independent"
         );
     }
 
@@ -591,9 +513,8 @@ fn main() {
         Some((benches, gemm_rows))
     };
 
-    // --- Kernels section: frozen pre-plan baselines vs the single-core
-    // kernel engine, all at 1 thread, bit-identity asserted per entry. ---
-    println!("kernels (1 thread, frozen scalar baseline vs current):");
+    // --- Kernels section: the single-core kernel engine at 1 thread. ---
+    println!("kernels (1 thread, min of {kernel_reps} reps):");
     let (gm2, gk2, gn2) = if args.smoke {
         (32, 64, 128)
     } else {
@@ -603,109 +524,64 @@ fn main() {
     let mm_rhs = sparse_lhs(Shape2::new(gk2, gn2), 0.0, 17);
     let tm_lhs = sparse_lhs(Shape2::new(gk2, gm2), 0.0, 19);
     let prof_detail = format!("n{prof_images} c{c_in}->{c_out} {hw}x{hw} k3");
-    // Lane micro-kernels: the eight-wide primitives against their scalar
-    // pinned-order references (same reduction tree, so identity is by
-    // construction — the entries measure throughput; `scripts/asm_check.sh`
-    // separately proves the vector bodies are actually vectorized).
+    // Lane micro-kernels (`scripts/asm_check.sh` separately proves their
+    // bodies are actually vectorized).
     let (ld_win, ld_calls) = if args.smoke { (1024, 64) } else { (8192, 512) };
     let ld_n = ld_win * 4;
     let ld_vals = sparse_lhs(Shape2::new(1, ld_n), 0.0, 29);
     let ld_wts = sparse_lhs(Shape2::new(1, ld_n), 0.0, 31);
-    let lane_dot_pass = |dot: &DotFn| -> Vec<f32> {
-        let (v, w) = (ld_vals.as_slice(), ld_wts.as_slice());
-        (0..ld_calls)
-            .map(|c| {
-                let off = (c * 64) % (ld_n - ld_win);
-                dot(&v[off..off + ld_win], &w[off..off + ld_win], ld_win)
-            })
-            .collect()
-    };
     let (ax_n, ax_calls) = if args.smoke { (4096, 32) } else { (32768, 128) };
     let ax_b = sparse_lhs(Shape2::new(LANES, ax_n), 0.0, 37);
     let ax_a: [f32; LANES] = [0.11, -0.07, 0.05, 0.21, -0.13, 0.02, 0.17, -0.19];
     let ax_rows: [&[f32]; LANES] =
         std::array::from_fn(|q| &ax_b.as_slice()[q * ax_n..(q + 1) * ax_n]);
-    let lane_axpy_pass = |axpy: &AxpyFn| -> Vec<f32> {
-        let mut out = vec![0.0f32; ax_n];
-        for _ in 0..ax_calls {
-            axpy(&mut out, &ax_a, ax_rows);
-        }
-        out
-    };
-    let f32_bits_eq =
-        |a: &Vec<f32>, b: &Vec<f32>| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
     let kernels = vec![
         bench_kernel(
             "lane_dot",
             &format!("{ld_calls} windows of {ld_win}"),
             kernel_reps,
-            || lane_dot_pass(&pinned_dot_ref),
-            || lane_dot_pass(&lane_dot),
-            f32_bits_eq,
+            || {
+                let (v, w) = (ld_vals.as_slice(), ld_wts.as_slice());
+                (0..ld_calls)
+                    .map(|c| {
+                        let off = (c * 64) % (ld_n - ld_win);
+                        lane_dot(&v[off..off + ld_win], &w[off..off + ld_win], ld_win)
+                    })
+                    .collect::<Vec<f32>>()
+            },
         ),
         bench_kernel(
             "lane_axpy8",
             &format!("8x{ax_n}, {ax_calls} passes"),
             kernel_reps,
-            || lane_axpy_pass(&axpy8_rowwise),
-            || lane_axpy_pass(&lane_axpy8),
-            f32_bits_eq,
-        ),
-        bench_kernel(
-            "executor_exact",
-            &detail,
-            kernel_reps,
-            || baseline::execute_conv(&conv, &input, &exact_cfg, false),
-            || execute_conv(&conv, &input, &exact_cfg),
-            exec_results_identical,
-        ),
-        bench_kernel(
-            "executor_predictive",
-            &detail,
-            kernel_reps,
-            || baseline::execute_conv(&conv, &input, &pred_cfg, true),
-            || execute_conv_stats(&conv, &input, &pred_cfg),
-            exec_results_identical,
-        ),
-        bench_kernel(
-            "executor_q16",
-            &detail,
-            kernel_reps,
-            || baseline::execute_conv_q16(&conv, &input, &exact_cfg, fmt),
-            || execute_conv_q16(&conv, &input, &exact_cfg, fmt),
-            exec_results_identical,
-        ),
-        bench_kernel(
-            "optimizer_profiling",
-            &prof_detail,
-            kernel_reps,
             || {
-                profile_layer_kernels_baseline(
-                    &conv,
-                    &prof_input,
-                    &[1, 2, 4, 8],
-                    &[0.25, 0.5, 0.9],
-                    1.0,
-                )
+                let mut out = vec![0.0f32; ax_n];
+                for _ in 0..ax_calls {
+                    lane_axpy8(&mut out, &ax_a, ax_rows);
+                }
+                out
             },
-            || profile_layer_kernels(&conv, &prof_input, &[1, 2, 4, 8], &[0.25, 0.5, 0.9], 1.0),
-            |a, b| a == b,
         ),
-        bench_kernel(
-            "matmul",
-            &format!("{gm2}x{gk2}x{gn2}"),
-            kernel_reps,
-            || matmul_scalar(&mm_lhs, &mm_rhs),
-            || mm_lhs.matmul(&mm_rhs).unwrap(),
-            |a: &Tensor2, b: &Tensor2| a.as_slice() == b.as_slice(),
-        ),
+        bench_kernel("executor_exact", &detail, kernel_reps, || {
+            execute_conv(&conv, &input, &exact_cfg)
+        }),
+        bench_kernel("executor_predictive", &detail, kernel_reps, || {
+            execute_conv_stats(&conv, &input, &pred_cfg)
+        }),
+        bench_kernel("executor_q16", &detail, kernel_reps, || {
+            execute_conv_q16(&conv, &input, &exact_cfg, fmt)
+        }),
+        bench_kernel("optimizer_profiling", &prof_detail, kernel_reps, || {
+            profile_layer_kernels(&conv, &prof_input, &[1, 2, 4, 8], &[0.25, 0.5, 0.9], 1.0)
+        }),
+        bench_kernel("matmul", &format!("{gm2}x{gk2}x{gn2}"), kernel_reps, || {
+            mm_lhs.matmul(&mm_rhs).unwrap()
+        }),
         bench_kernel(
             "t_matmul",
             &format!("{gk2}x{gm2}ᵀx{gn2}"),
             kernel_reps,
-            || t_matmul_scalar(&tm_lhs, &mm_rhs),
             || tm_lhs.t_matmul(&mm_rhs).unwrap(),
-            |a: &Tensor2, b: &Tensor2| a.as_slice() == b.as_slice(),
         ),
     ];
     par::set_threads(args.threads);

@@ -9,7 +9,11 @@ use crate::reorder::{predictive_reorder, sign_reorder, ReorderedKernel};
 use serde::{Deserialize, Serialize};
 use snapea_nn::ops::Conv2d;
 use snapea_tensor::im2col::ConvGeom;
+use snapea_tensor::lane;
+use snapea_tensor::q16::{quantize_slice, Q16Format, QAcc, Q16};
 use snapea_tensor::{Shape4, Tensor4};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Per-kernel execution state: the reordered weights (weight buffer + index
 /// buffer), the PAU configuration, and the lane-major packed weight copy
@@ -725,15 +729,253 @@ fn unconditional_prefix_len(pau: &Pau, len: usize) -> usize {
 }
 
 #[inline(always)]
-fn terminated(ops: usize, acc: f32, kind: TerminationKind) -> WindowResult {
+fn terminated(ops: usize, probed: f32, kind: TerminationKind) -> WindowResult {
     let output = match kind {
         TerminationKind::Predicted => 0.0, // early ReLU fired
-        TerminationKind::SignCheck => acc,
+        TerminationKind::SignCheck => probed,
     };
     WindowResult {
         ops: snapea_tensor::num::ops_u32(ops),
         output,
         termination: Some(kind),
+    }
+}
+
+/// Interior windows processed per batch by the executor. Eight lanes give
+/// the FPU eight independent accumulator chains, hiding the `fadd` latency
+/// that bounds a single window's strictly-ordered walk.
+const BATCH: usize = 8;
+
+/// Where one window's operands come from.
+#[derive(Debug, Clone, Copy)]
+enum Taps<'a> {
+    /// An interior window of a [`WindowPlan`]: walk position `p` reads
+    /// `item[base + resolved[p]]` ([`WindowPlan::resolve`]).
+    Resolved { resolved: &'a [i32], base: i32 },
+    /// Any window, through its gather taps: walk position `p` reads
+    /// `item[taps[order[p]]]`. A negative offset is a padding tap, which
+    /// still occupies a MAC slot in the hardware walk (the weight is
+    /// broadcast and the lane multiplies by zero) but adds nothing.
+    Gather { order: &'a [u32], taps: &'a [i32] },
+}
+
+/// The arithmetic of one PE lane: everything the window walk needs to know
+/// about a precision. The walk itself — probe placement, termination,
+/// eight-window batching, prediction accounting — is written once over this
+/// trait; the `f32` model and the paper's 16-bit fixed-point PE (Table II)
+/// are its two impls.
+trait Datapath: Sync {
+    /// An activation or weight as the lane multiplies it.
+    type Operand: Copy + Sync;
+    /// The lane's accumulator register.
+    type Acc: Copy;
+
+    /// A kernel's walk-order weights as operands.
+    fn weights<'k>(&self, kernel: &'k KernelExec) -> Cow<'k, [Self::Operand]>;
+
+    /// One image's activations as operands.
+    fn activations<'a>(&self, item: &'a [f32]) -> Cow<'a, [Self::Operand]>;
+
+    /// The accumulator a walk starts from: the bias.
+    fn seed(&self, bias: f32) -> Self::Acc;
+
+    /// One MAC.
+    fn mac(acc: Self::Acc, x: Self::Operand, w: Self::Operand) -> Self::Acc;
+
+    /// The partial sum as the PAU probes it — also the value a window
+    /// stores.
+    fn probe(&self, acc: Self::Acc) -> f32;
+
+    /// One window's lane-blocked region `0..m8` (the pinned lane order of
+    /// the `snapea_tensor::lane` module docs) on top of `seed`. `mac(p, acc)`
+    /// performs the MAC at position `p`; a datapath whose accumulation is
+    /// exact may simply fold it.
+    fn lane_prefix(
+        &self,
+        seed: Self::Acc,
+        weights: &[Self::Operand],
+        taps: Taps<'_>,
+        item: &[Self::Operand],
+        m8: usize,
+        mac: impl FnMut(usize, Self::Acc) -> Self::Acc,
+    ) -> Self::Acc;
+
+    /// The probe-free prefix `0..stop1` of [`BATCH`] interior windows at
+    /// once, each from `seed` and in the same per-window order as a single
+    /// window's walk.
+    fn prefix8(
+        &self,
+        seed: Self::Acc,
+        weights: &[Self::Operand],
+        resolved: &[i32],
+        bases: &[i32; BATCH],
+        item: &[Self::Operand],
+        stop1: usize,
+    ) -> [Self::Acc; BATCH];
+}
+
+/// The `f32` datapath: the walk every accuracy experiment runs.
+struct F32Datapath;
+
+impl Datapath for F32Datapath {
+    type Operand = f32;
+    type Acc = f32;
+
+    fn weights<'k>(&self, kernel: &'k KernelExec) -> Cow<'k, [f32]> {
+        Cow::Borrowed(&kernel.packed()[..kernel.reordered.len()])
+    }
+
+    fn activations<'a>(&self, item: &'a [f32]) -> Cow<'a, [f32]> {
+        Cow::Borrowed(item)
+    }
+
+    #[inline(always)]
+    fn seed(&self, bias: f32) -> f32 {
+        bias
+    }
+
+    #[inline(always)]
+    fn mac(acc: f32, x: f32, w: f32) -> f32 {
+        acc + x * w
+    }
+
+    #[inline(always)]
+    fn probe(&self, acc: f32) -> f32 {
+        acc
+    }
+
+    #[inline(always)]
+    fn lane_prefix(
+        &self,
+        seed: f32,
+        weights: &[f32],
+        taps: Taps<'_>,
+        item: &[f32],
+        m8: usize,
+        _mac: impl FnMut(usize, f32) -> f32,
+    ) -> f32 {
+        // An empty lane region leaves the bias bit-untouched (`-0.0` too).
+        if m8 == 0 {
+            return seed;
+        }
+        seed + match taps {
+            Taps::Resolved { resolved, base } => {
+                lane::lane_dot_resolved(weights, resolved, base, item, m8)
+            }
+            Taps::Gather { order, taps } => lane::lane_dot_gather(weights, order, taps, item, m8),
+        }
+    }
+
+    #[inline]
+    fn prefix8(
+        &self,
+        seed: f32,
+        weights: &[f32],
+        resolved: &[i32],
+        bases: &[i32; BATCH],
+        item: &[f32],
+        stop1: usize,
+    ) -> [f32; BATCH] {
+        let m8 = lane::lane_prefix_len(stop1);
+        let mut acc = [seed; BATCH];
+        if m8 > 0 {
+            for (a, &b) in acc.iter_mut().zip(bases) {
+                *a = seed + lane::lane_dot_resolved(weights, resolved, b, item, m8);
+            }
+        }
+        span8::<Self>(&mut acc, weights, resolved, bases, item, m8..stop1);
+        acc
+    }
+}
+
+/// The paper's 16-bit fixed-point PE (Table II): operands quantised to the
+/// format, products summed at full width in a [`QAcc`], and the PAU probing
+/// the dequantised partial sum. Termination decisions may differ from the
+/// `f32` walk by at most the quantisation error of the partial sums.
+struct Q16Datapath(Q16Format);
+
+impl Datapath for Q16Datapath {
+    type Operand = Q16;
+    type Acc = QAcc;
+
+    fn weights<'k>(&self, kernel: &'k KernelExec) -> Cow<'k, [Q16]> {
+        Cow::Owned(quantize_slice(self.0, kernel.reordered.weights()))
+    }
+
+    fn activations<'a>(&self, item: &'a [f32]) -> Cow<'a, [Q16]> {
+        Cow::Owned(quantize_slice(self.0, item))
+    }
+
+    /// The bias enters the accumulator pre-scaled to the product width.
+    #[inline(always)]
+    fn seed(&self, bias: f32) -> QAcc {
+        let mut acc = QAcc::new();
+        acc.mac(self.0.quantize(bias), self.0.quantize(1.0));
+        acc
+    }
+
+    #[inline(always)]
+    fn mac(mut acc: QAcc, x: Q16, w: Q16) -> QAcc {
+        acc.mac(x, w);
+        acc
+    }
+
+    #[inline(always)]
+    fn probe(&self, acc: QAcc) -> f32 {
+        acc.to_f32(self.0)
+    }
+
+    /// Integer accumulation is exact and associative, so the lane region
+    /// needs no pinned order: a sequential fold gives the same bits.
+    #[inline(always)]
+    fn lane_prefix(
+        &self,
+        seed: QAcc,
+        _weights: &[Q16],
+        _taps: Taps<'_>,
+        _item: &[Q16],
+        m8: usize,
+        mut mac: impl FnMut(usize, QAcc) -> QAcc,
+    ) -> QAcc {
+        (0..m8).fold(seed, |acc, p| mac(p, acc))
+    }
+
+    #[inline]
+    fn prefix8(
+        &self,
+        seed: QAcc,
+        weights: &[Q16],
+        resolved: &[i32],
+        bases: &[i32; BATCH],
+        item: &[Q16],
+        stop1: usize,
+    ) -> [QAcc; BATCH] {
+        let mut raw = [seed.raw(); BATCH];
+        lane::lane_q16_span(&mut raw, weights, resolved, bases, item, 0, stop1);
+        raw.map(QAcc::from_raw)
+    }
+}
+
+/// Accumulates the positions in `span` for [`BATCH`] interior windows at
+/// once: each position loads its resolved tap and weight once and feeds all
+/// eight accumulator chains. Each window's own accumulation order is
+/// unchanged (ascending `p`), so per-window results stay bit-identical to a
+/// single window's walk.
+#[inline]
+// lint:allow(P2) p < weights.len() = resolved.len(); interior bases keep base+delta in bounds
+fn span8<D: Datapath>(
+    acc: &mut [D::Acc; BATCH],
+    weights: &[D::Operand],
+    resolved: &[i32],
+    bases: &[i32; BATCH],
+    item: &[D::Operand],
+    span: Range<usize>,
+) {
+    for p in span {
+        let (d, w) = (resolved[p], weights[p]);
+        for (a, &b) in acc.iter_mut().zip(bases) {
+            *a = D::mac(*a, item[(b + d) as usize], w);
+        }
     }
 }
 
@@ -749,12 +991,13 @@ fn terminated(ops: usize, acc: f32, kind: TerminationKind) -> WindowResult {
 /// every MAC, because [`Pau::probe`] returns `Continue` unconditionally at
 /// every skipped position.
 #[inline(always)]
-fn walk_window_from(
+fn walk_from<D: Datapath>(
+    dp: &D,
     pau: &Pau,
     len: usize,
-    mut acc: f32,
+    mut acc: D::Acc,
     start: usize,
-    mut mac: impl FnMut(usize, f32) -> f32,
+    mut mac: impl FnMut(usize, D::Acc) -> D::Acc,
 ) -> WindowResult {
     debug_assert_eq!(start, unconditional_prefix_len(pau, len));
     let spec_probe = spec_probe_pos(pau);
@@ -763,8 +1006,9 @@ fn walk_window_from(
     if p < len && p == spec_probe {
         // The full probe also covers the spec_len == neg_start tie, where a
         // prediction outranks the sign check.
-        if let PauAction::Terminate(kind) = pau.probe(p, acc) {
-            return terminated(p, acc, kind);
+        let probed = dp.probe(acc);
+        if let PauAction::Terminate(kind) = pau.probe(p, probed) {
+            return terminated(p, probed, kind);
         }
         acc = mac(p, acc);
         p += 1;
@@ -775,43 +1019,213 @@ fn walk_window_from(
         }
     }
     while p < len {
-        if let PauAction::Terminate(kind) = pau.probe(p, acc) {
-            return terminated(p, acc, kind);
+        let probed = dp.probe(acc);
+        if let PauAction::Terminate(kind) = pau.probe(p, probed) {
+            return terminated(p, probed, kind);
         }
         acc = mac(p, acc);
         p += 1;
     }
     WindowResult {
         ops: snapea_tensor::num::ops_u32(len),
-        output: acc,
+        output: dp.probe(acc),
         termination: None,
     }
 }
 
-/// Runs a full window walk (lane prefix + sequential remainder + probed
-/// phases) through `mac`, in the pinned lane order (`snapea_tensor::lane`
-/// module docs): `lane_prefix(m8)` must return the lane-tree sum of
-/// positions `0..m8` (called only when `m8 > 0`, so an empty lane region
-/// leaves the bias bit-untouched), and positions `m8..` run sequentially
-/// through `mac`.
-#[inline(always)]
-fn walk_window(
-    pau: &Pau,
-    len: usize,
-    bias: f32,
-    lane_prefix: impl FnOnce(usize) -> f32,
-    mut mac: impl FnMut(usize, f32) -> f32,
-) -> WindowResult {
-    let stop1 = unconditional_prefix_len(pau, len);
-    let m8 = snapea_tensor::lane::lane_prefix_len(stop1);
-    let mut acc = bias;
-    if m8 > 0 {
-        acc = bias + lane_prefix(m8);
+/// One `(image, kernel)` pair's walk inputs, in a datapath's operands.
+struct PairWalk<'a, D: Datapath> {
+    dp: &'a D,
+    pau: &'a Pau,
+    order: &'a [u32],
+    weights: &'a [D::Operand],
+    resolved: &'a [i32],
+    item: &'a [D::Operand],
+    seed: D::Acc,
+    /// The probe-free prefix length ([`unconditional_prefix_len`]).
+    stop1: usize,
+}
+
+impl<'a, D: Datapath> PairWalk<'a, D> {
+    /// `weights` must be `dp.weights(kernel)` and `resolved` the kernel's
+    /// resolved taps (empty when only [`PairWalk::border`] is used).
+    fn new(
+        dp: &'a D,
+        kernel: &'a KernelExec,
+        weights: &'a [D::Operand],
+        resolved: &'a [i32],
+        item: &'a [D::Operand],
+        bias: f32,
+    ) -> Self {
+        Self {
+            dp,
+            pau: &kernel.pau,
+            order: kernel.reordered.order(),
+            weights,
+            resolved,
+            item,
+            seed: dp.seed(bias),
+            stop1: unconditional_prefix_len(&kernel.pau, weights.len()),
+        }
     }
-    for p in m8..stop1 {
-        acc = mac(p, acc);
+
+    /// The MAC of the interior window at `base`.
+    #[inline(always)]
+    fn interior_mac(&self, base: i32) -> impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a {
+        let (weights, resolved, item) = (self.weights, self.resolved, self.item);
+        move |p, acc| D::mac(acc, item[(base + resolved[p]) as usize], weights[p])
     }
-    walk_window_from(pau, len, acc, stop1, mac)
+
+    /// Walks one window alone: lane prefix, the rest of the probe-free
+    /// prefix, then the probed remainder, with `mac` performing the MAC at
+    /// each position of `taps`. Folds the window into `st` when collecting
+    /// stats, completing its dot product from the end of the prefix.
+    #[inline(always)]
+    fn walk(
+        &self,
+        taps: Taps<'_>,
+        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
+        st: Option<&mut PredictionStats>,
+    ) -> WindowResult {
+        let (len, stop1) = (self.weights.len(), self.stop1);
+        let m8 = lane::lane_prefix_len(stop1);
+        let mut acc = self
+            .dp
+            .lane_prefix(self.seed, self.weights, taps, self.item, m8, mac);
+        for p in m8..stop1 {
+            acc = mac(p, acc);
+        }
+        let full = st
+            .is_some()
+            .then(|| (stop1..len).fold(acc, |a, p| mac(p, a)));
+        let r = walk_from(self.dp, self.pau, len, acc, stop1, mac);
+        if let (Some(st), Some(full)) = (st, full) {
+            account_window(st, self.dp.probe(full), r.termination);
+        }
+        r
+    }
+
+    /// Walks the interior window at `base` alone.
+    #[inline]
+    fn interior(&self, base: i32, st: Option<&mut PredictionStats>) -> WindowResult {
+        let taps = Taps::Resolved {
+            resolved: self.resolved,
+            base,
+        };
+        self.walk(taps, self.interior_mac(base), st)
+    }
+
+    /// Walks a window through its gather taps (any window; border windows
+    /// need it).
+    #[inline]
+    fn border(&self, taps: &[i32], st: Option<&mut PredictionStats>) -> WindowResult {
+        let (weights, order, item) = (self.weights, self.order, self.item);
+        let mac = move |p: usize, acc| {
+            let off = taps[order[p] as usize];
+            if off >= 0 {
+                D::mac(acc, item[off as usize], weights[p])
+            } else {
+                acc
+            }
+        };
+        self.walk(Taps::Gather { order, taps }, mac, st)
+    }
+
+    /// Walks a full batch of interior windows: their probe-free prefixes
+    /// through the datapath's eight-window kernel, then each probed
+    /// remainder on its own.
+    #[inline]
+    // lint:allow(P2) lane window ids are < windows = out/ops slice length by construction
+    fn batch(
+        &self,
+        lanes: &[(usize, i32); BATCH],
+        out: &mut [f32],
+        ops: &mut [u32],
+        mut st: Option<&mut PredictionStats>,
+    ) {
+        let len = self.weights.len();
+        let bases = lanes.map(|(_, b)| b);
+        let accs = self.dp.prefix8(
+            self.seed,
+            self.weights,
+            self.resolved,
+            &bases,
+            self.item,
+            self.stop1,
+        );
+        // Each lane's full value continues its own prefix in the same order
+        // as a single window's walk; only the folds below are
+        // order-sensitive, and they run ascending.
+        let fulls = st.is_some().then(|| {
+            let mut f = accs;
+            let span = self.stop1..len;
+            span8::<D>(&mut f, self.weights, self.resolved, &bases, self.item, span);
+            f
+        });
+        for (l, &(w, base)) in lanes.iter().enumerate() {
+            let r = walk_from(
+                self.dp,
+                self.pau,
+                len,
+                accs[l],
+                self.stop1,
+                self.interior_mac(base),
+            );
+            out[w] = r.output;
+            ops[w] = r.ops;
+            if let (Some(st), Some(f)) = (st.as_deref_mut(), &fulls) {
+                account_window(st, self.dp.probe(f[l]), r.termination);
+            }
+        }
+    }
+
+    /// Walks every window of the pair into `out`/`ops`, folding the stats
+    /// into `st` when collecting them. Interior windows gather into
+    /// [`BATCH`]-wide groups; border windows take the gather path. Any
+    /// pending batch is drained one window at a time before a border window
+    /// (and at the end), so per-window results and the order-sensitive stats
+    /// folds still happen in ascending window order.
+    // lint:allow(P2) w < windows = out/ops length; lane fills bounded by BATCH; taps validated by the plan
+    fn walk_windows(
+        &self,
+        plan: &WindowPlan,
+        out: &mut [f32],
+        ops: &mut [u32],
+        mut st: Option<&mut PredictionStats>,
+    ) -> LaneCounts {
+        let windows = plan.windows();
+        let mut lc = LaneCounts::default();
+        let mut lanes = [(0usize, 0i32); BATCH];
+        let mut nl = 0usize;
+        for w in 0..windows {
+            let base = plan.window_base(w);
+            if base >= 0 {
+                lanes[nl] = (w, base);
+                nl += 1;
+                if nl == BATCH {
+                    nl = 0;
+                    lc.lane += BATCH as u64;
+                    self.batch(&lanes, out, ops, st.as_deref_mut());
+                }
+            }
+            if base < 0 || w + 1 == windows {
+                lc.scalar += nl as u64;
+                for &(lw, lb) in &lanes[..nl] {
+                    let r = self.interior(lb, st.as_deref_mut());
+                    out[lw] = r.output;
+                    ops[lw] = r.ops;
+                }
+                nl = 0;
+            }
+            if base < 0 {
+                lc.scalar += 1;
+                let r = self.border(plan.gather().window(w), st.as_deref_mut());
+                out[w] = r.output;
+                ops[w] = r.ops;
+            }
+        }
+        lc
+    }
 }
 
 /// Walks a single convolution window: probes the PAU exactly as the hardware
@@ -819,100 +1233,10 @@ fn walk_window(
 /// image's contiguous `c*h*w` slice; `taps` maps original weight indices to
 /// offsets (−1 = padding). Padding taps still occupy a MAC slot in the
 /// hardware walk: the weight is broadcast and the lane multiplies by zero.
-#[inline]
 pub fn run_window(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> WindowResult {
-    let weights = kernel.reordered.weights();
-    let order = kernel.reordered.order();
-    walk_window(
-        &kernel.pau,
-        weights.len(),
-        bias,
-        |m8| snapea_tensor::lane::lane_dot_gather(kernel.packed(), order, taps, item, m8),
-        |p, acc| {
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc + item[off as usize] * weights[p]
-            } else {
-                acc
-            }
-        },
-    )
+    let weights = F32Datapath.weights(kernel);
+    PairWalk::new(&F32Datapath, kernel, &weights, &[], item, bias).border(taps, None)
 }
-
-/// [`run_window`] over an interior window of a [`WindowPlan`]: `resolved`
-/// holds the kernel's taps already permuted into walk order
-/// ([`WindowPlan::resolve`]), so the hot loop is a branch-free
-/// gather-multiply-add.
-#[inline]
-pub fn run_window_resolved(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    base: i32,
-    item: &[f32],
-    bias: f32,
-) -> WindowResult {
-    let weights = kernel.reordered.weights();
-    walk_window(
-        &kernel.pau,
-        weights.len(),
-        bias,
-        |m8| snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, base, item, m8),
-        |p, acc| acc + item[(base + resolved[p]) as usize] * weights[p],
-    )
-}
-
-/// Completes a window's dot product regardless of termination (used for
-/// prediction-quality accounting). Accumulates in the same pinned lane
-/// order as the walk — lane prefix over `m8` (derived from the *walk's*
-/// probe-free prefix, so a never-terminating walk produces these exact
-/// bits), then sequential to the end.
-// lint:allow(P2) p < weights.len(); order/taps sized to window_len and off >= 0 checked before use
-fn full_window_value(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> f32 {
-    let weights = kernel.reordered.weights();
-    let order = kernel.reordered.order();
-    let len = weights.len();
-    let m8 = snapea_tensor::lane::lane_prefix_len(unconditional_prefix_len(&kernel.pau, len));
-    let mut acc = bias;
-    if m8 > 0 {
-        acc = bias + snapea_tensor::lane::lane_dot_gather(kernel.packed(), order, taps, item, m8);
-    }
-    for p in m8..len {
-        let off = taps[order[p] as usize];
-        if off >= 0 {
-            acc += item[off as usize] * weights[p];
-        }
-    }
-    acc
-}
-
-/// [`full_window_value`] for an interior window via resolved taps.
-#[inline]
-// lint:allow(P2) p < weights.len() = resolved.len(); base+delta proven in-bounds by WindowPlan::build
-fn full_window_value_resolved(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    base: i32,
-    item: &[f32],
-    bias: f32,
-) -> f32 {
-    let weights = kernel.reordered.weights();
-    let len = weights.len();
-    let m8 = snapea_tensor::lane::lane_prefix_len(unconditional_prefix_len(&kernel.pau, len));
-    let mut acc = bias;
-    if m8 > 0 {
-        acc = bias
-            + snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, base, item, m8);
-    }
-    for p in m8..len {
-        acc += item[(base + resolved[p]) as usize] * weights[p];
-    }
-    acc
-}
-
-/// Interior windows processed per batch by the executor. Eight lanes give
-/// the FPU eight independent accumulator chains, hiding the `fadd` latency
-/// that bounds a single window's strictly-ordered walk.
-const BATCH: usize = 8;
 
 /// How many windows took the eight-wide batched interior path (`lane`)
 /// versus the scalar gather/partial-drain path (`scalar`) — surfaced as
@@ -931,91 +1255,9 @@ impl LaneCounts {
     }
 }
 
-/// Accumulates positions `m8..hi` for [`BATCH`] interior windows at once:
-/// each position loads its resolved tap and weight once and feeds all
-/// eight accumulator chains. Each window's own accumulation order is
-/// unchanged (ascending `p`), so per-window results stay bit-identical to
-/// the scalar walk's sequential remainder.
-#[inline]
-// lint:allow(P2) p < hi <= weights.len() = resolved.len(); interior bases keep base+delta in bounds
-fn batch_span(
-    weights: &[f32],
-    resolved: &[i32],
-    item: &[f32],
-    bases: &[i32; BATCH],
-    acc: &mut [f32; BATCH],
-    m8: usize,
-    hi: usize,
-) {
-    for p in m8..hi {
-        let d = resolved[p];
-        let w = weights[p];
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a += item[(b + d) as usize] * w;
-        }
-    }
-}
-
-/// Runs the unconditional prefix (positions `0..stop1`, where no PAU probe
-/// can fire — [`unconditional_prefix_len`]) for [`BATCH`] interior windows
-/// at once in the pinned lane order: each window's lane-blocked region
-/// `0..m8` goes through the SIMD lane kernel, the remainder `m8..stop1`
-/// through the eight-chain batched span.
-#[inline]
-fn prefix_batch(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    item: &[f32],
-    bases: &[i32; BATCH],
-    bias: f32,
-    m8: usize,
-    stop1: usize,
-) -> [f32; BATCH] {
-    let mut acc = [bias; BATCH];
-    if m8 > 0 {
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a = bias
-                + snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, b, item, m8);
-        }
-    }
-    batch_span(
-        kernel.reordered.weights(),
-        resolved,
-        item,
-        bases,
-        &mut acc,
-        m8,
-        stop1,
-    );
-    acc
-}
-
-/// Full dot products of [`BATCH`] interior windows (stats accounting), in
-/// the same pinned order as [`prefix_batch`] continued to the window end.
-#[inline]
-fn full_values_batch(
-    kernel: &KernelExec,
-    resolved: &[i32],
-    item: &[f32],
-    bases: &[i32; BATCH],
-    bias: f32,
-    m8: usize,
-) -> [f32; BATCH] {
-    let weights = kernel.reordered.weights();
-    let mut acc = [bias; BATCH];
-    if m8 > 0 {
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a = bias
-                + snapea_tensor::lane::lane_dot_resolved(kernel.packed(), resolved, b, item, m8);
-        }
-    }
-    batch_span(weights, resolved, item, bases, &mut acc, m8, weights.len());
-    acc
-}
-
 /// Folds one window's outcome into the prediction-quality accounting. Must
 /// be called in ascending window order within a pair — the f64 mass sums are
-/// order-sensitive and pinned bit-identical to the scalar executor.
+/// order-sensitive and pinned bit-identical to the oracle's re-derivation.
 #[inline]
 fn account_window(st: &mut PredictionStats, full: f32, termination: Option<TerminationKind>) {
     if full < 0.0 {
@@ -1043,44 +1285,30 @@ fn account_window(st: &mut PredictionStats, full: f32, termination: Option<Termi
 /// Executes a convolution layer through SnaPEA (no prediction accounting —
 /// the fast path used inside the optimizer's accuracy simulations).
 pub fn execute_conv(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> ExecResult {
-    execute_conv_inner(conv, input, cfg, false)
+    execute(&F32Datapath, conv, input, cfg, false)
 }
 
 /// Like [`execute_conv`] but additionally completes every window's dot
 /// product to fill [`PredictionStats`] (paper Table V).
 pub fn execute_conv_stats(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> ExecResult {
-    execute_conv_inner(conv, input, cfg, true)
+    execute(&F32Datapath, conv, input, cfg, true)
 }
 
-/// Drains `lanes` pending interior windows one at a time (used for the
-/// partial batch at a flush boundary). Lane order is ascending-window, so
-/// stats accounting order is preserved.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(P2) lane window ids are < windows = out/ops slice length by construction
-fn drain_interior_lanes(
-    kexec: &KernelExec,
-    resolved: &[i32],
-    item: &[f32],
-    bias: f32,
-    lanes: &[(usize, i32)],
-    collect_stats: bool,
-    out_slice: &mut [f32],
-    ops_slice: &mut [u32],
-    st: &mut PredictionStats,
-) {
-    for &(w, base) in lanes {
-        let r = run_window_resolved(kexec, resolved, base, item, bias);
-        out_slice[w] = r.output;
-        ops_slice[w] = r.ops;
-        if collect_stats {
-            let full = full_window_value_resolved(kexec, resolved, base, item, bias);
-            account_window(st, full, r.termination);
-        }
-    }
+/// Executes a convolution layer with 16-bit fixed-point arithmetic in the
+/// lanes (quantised inputs and weights, wide accumulator), mirroring
+/// [`execute_conv`]. No prediction accounting.
+pub fn execute_conv_q16(
+    conv: &Conv2d,
+    input: &Tensor4,
+    cfg: &LayerConfig,
+    fmt: Q16Format,
+) -> ExecResult {
+    execute(&Q16Datapath(fmt), conv, input, cfg, false)
 }
 
-// lint:allow(P2) w < windows = chunk length; lane fills bounded by BATCH; taps validated by the plan
-fn execute_conv_inner(
+/// The layer executor, once for every datapath.
+fn execute<D: Datapath>(
+    dp: &D,
     conv: &Conv2d,
     input: &Tensor4,
     cfg: &LayerConfig,
@@ -1097,19 +1325,23 @@ fn execute_conv_inner(
     let trace_kernels = snapea_obs::enabled() && snapea_obs::detail_enabled();
     let layer_clock = snapea_obs::Stopwatch::start();
     let s = input.shape();
-    let geom = conv.geom();
-    let (plan, cache_hit) = layer_plan_entry(s, geom, conv.c_in());
+    let (plan, cache_hit) = layer_plan_entry(s, conv.geom(), conv.c_in());
     let out_shape = conv.out_shape(s);
     let windows = plan.windows();
     debug_assert_eq!(windows, out_shape.plane_len());
 
-    // Resolved taps (walk-order tap deltas) once per kernel, shared by every
-    // image's tasks.
+    // Resolved taps (walk-order tap deltas) and operand weights once per
+    // kernel, operand activations once per image, shared by every pair's
+    // task. Quantisation is deterministic, so hoisting it out of the
+    // per-MAC loop changes nothing numerically.
     let resolved: Vec<Vec<i32>> = cfg
         .kernels
         .iter()
         .map(|k| plan.resolve(&k.reordered))
         .collect();
+    let weights: Vec<Cow<'_, [D::Operand]>> = cfg.kernels.iter().map(|k| dp.weights(k)).collect();
+    let items: Vec<Cow<'_, [D::Operand]>> =
+        (0..s.n).map(|n| dp.activations(input.item(n))).collect();
 
     let mut output = Tensor4::zeros(out_shape);
     let mut ops = vec![0u32; s.n * conv.c_out() * windows];
@@ -1129,17 +1361,10 @@ fn execute_conv_inner(
     // ascending pair order — the same grouping for any thread count and any
     // block size, so the f64 masses are bit-identical whether the pairs ran
     // on one worker or eight.
-    //
-    // Within a pair, interior windows are gathered into [`BATCH`]-wide
-    // groups walked through the resolved-tap batch kernels; border windows
-    // take the general gather path. Any pending batch is drained before a
-    // border window (and at the end), so per-window results and the
-    // order-sensitive stats folds still happen in ascending window order.
     if windows > 0 {
-        let pair_cost = windows * conv.window_len();
         let chunk = snapea_tensor::par::chunk_for(
             s.n * conv.c_out(),
-            pair_cost,
+            windows * conv.window_len(),
             snapea_tensor::par::WALK_TASK_FLOOR_OPS,
         );
         let blocks: Vec<(&mut [f32], &mut [u32])> = output
@@ -1156,95 +1381,26 @@ fn execute_conv_inner(
                     .map(|(pi, (out_slice, ops_slice))| {
                         let pair = bi * chunk + pi;
                         let (n, k) = (pair / conv.c_out(), pair % conv.c_out());
-                        let _kernel_span = if trace_kernels {
-                            Some(snapea_obs::span::enter_detail(
+                        let _kernel_span = trace_kernels.then(|| {
+                            snapea_obs::span::enter_detail(
                                 "exec/kernel",
                                 Some(format!("image {n} kernel {k}")),
-                            ))
-                        } else {
-                            None
-                        };
-                        let item = input.item(n);
-                        let kexec = &cfg.kernels[k];
-                        let rt = &resolved[k][..];
-                        let weights = kexec.reordered.weights();
-                        let len = weights.len();
-                        let stop1 = unconditional_prefix_len(&kexec.pau, len);
-                        let m8 = snapea_tensor::lane::lane_prefix_len(stop1);
-                        let bias = conv.bias()[k];
+                            )
+                        });
+                        let walk = PairWalk::new(
+                            dp,
+                            &cfg.kernels[k],
+                            &weights[k],
+                            &resolved[k],
+                            &items[n],
+                            conv.bias()[k],
+                        );
                         let mut st = PredictionStats::default();
-                        let mut lc = LaneCounts::default();
-                        let mut lanes = [(0usize, 0i32); BATCH];
-                        let mut nl = 0usize;
-                        for w in 0..windows {
-                            let base = plan.window_base(w);
-                            if base >= 0 {
-                                lanes[nl] = (w, base);
-                                nl += 1;
-                                if nl < BATCH {
-                                    continue;
-                                }
-                                nl = 0;
-                                lc.lane += BATCH as u64;
-                                let bases = lanes.map(|(_, b)| b);
-                                let accs = prefix_batch(kexec, rt, item, &bases, bias, m8, stop1);
-                                // Each lane's full value accumulates in the same
-                                // per-lane order as the scalar walk; only the folds
-                                // below are order-sensitive, and they run ascending.
-                                let fulls = if collect_stats {
-                                    Some(full_values_batch(kexec, rt, item, &bases, bias, m8))
-                                } else {
-                                    None
-                                };
-                                for (l, &(lw, lb)) in lanes.iter().enumerate() {
-                                    let r = walk_window_from(
-                                        &kexec.pau,
-                                        len,
-                                        accs[l],
-                                        stop1,
-                                        |p, acc| acc + item[(lb + rt[p]) as usize] * weights[p],
-                                    );
-                                    out_slice[lw] = r.output;
-                                    ops_slice[lw] = r.ops;
-                                    if let Some(f) = &fulls {
-                                        account_window(&mut st, f[l], r.termination);
-                                    }
-                                }
-                            } else {
-                                lc.scalar += nl as u64 + 1;
-                                drain_interior_lanes(
-                                    kexec,
-                                    rt,
-                                    item,
-                                    bias,
-                                    &lanes[..nl],
-                                    collect_stats,
-                                    out_slice,
-                                    ops_slice,
-                                    &mut st,
-                                );
-                                nl = 0;
-                                let taps = plan.gather().window(w);
-                                let r = run_window(kexec, taps, item, bias);
-                                out_slice[w] = r.output;
-                                ops_slice[w] = r.ops;
-                                if collect_stats {
-                                    let full = full_window_value(kexec, taps, item, bias);
-                                    account_window(&mut st, full, r.termination);
-                                }
-                            }
-                        }
-                        lc.scalar += nl as u64;
-                        drain_interior_lanes(
-                            kexec,
-                            rt,
-                            item,
-                            bias,
-                            &lanes[..nl],
-                            collect_stats,
+                        let lc = walk.walk_windows(
+                            &plan,
                             out_slice,
                             ops_slice,
-                            &mut st,
+                            collect_stats.then_some(&mut st),
                         );
                         (st, lc)
                     })
@@ -1265,7 +1421,7 @@ fn execute_conv_inner(
     };
     record_layer_execution(
         &profile,
-        if collect_stats { Some(&stats) } else { None },
+        collect_stats.then_some(&stats),
         lane_counts,
         cache_hit,
         layer_clock.elapsed_ms(),
@@ -1410,526 +1566,6 @@ pub fn combined_profile(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> La
         }
     }
     LayerProfile::from_ops(s.n, conv.c_out(), windows, conv.window_len(), ops)
-}
-
-/// Walks a single convolution window in 16-bit fixed point, as the paper's
-/// PEs do (Table II): operands are quantised to `fmt`, products accumulate in
-/// a 32-bit-style register ([`QAcc`]), and the PAU probes the dequantised
-/// partial sum. Termination decisions may differ from the `f32` walk by at
-/// most the quantisation error of the partial sums.
-pub fn run_window_q16(
-    kernel: &KernelExec,
-    taps: &[i32],
-    item_q: &[snapea_tensor::q16::Q16],
-    bias: f32,
-    fmt: snapea_tensor::q16::Q16Format,
-) -> WindowResult {
-    let weights = kernel.reordered.weights();
-    let order = kernel.reordered.order();
-    walk_window_q16(&kernel.pau, weights.len(), bias, fmt, |p, acc| {
-        let off = taps[order[p] as usize];
-        if off >= 0 {
-            acc.mac(item_q[off as usize], fmt.quantize(weights[p]));
-        }
-    })
-}
-
-/// The fixed-point accumulator seeded with the bias pre-scaled to the
-/// product width (how every q16 walk begins).
-#[inline(always)]
-fn q16_bias_acc(bias: f32, fmt: snapea_tensor::q16::Q16Format) -> snapea_tensor::q16::QAcc {
-    let mut acc = snapea_tensor::q16::QAcc::new();
-    acc.mac(fmt.quantize(bias), fmt.quantize(1.0));
-    acc
-}
-
-/// Continues a fixed-point window walk from position `start` (which must
-/// be the walk's unconditional-prefix length) with partial sum `acc` — the
-/// q16 twin of [`walk_window_from`]. Integer accumulation is exact, so any
-/// batching of the prefix that hands the same raw sum in here is
-/// bit-identical to the sequential walk.
-#[inline(always)]
-fn walk_window_q16_from(
-    pau: &Pau,
-    len: usize,
-    mut acc: snapea_tensor::q16::QAcc,
-    start: usize,
-    fmt: snapea_tensor::q16::Q16Format,
-    mut mac: impl FnMut(usize, &mut snapea_tensor::q16::QAcc),
-) -> WindowResult {
-    debug_assert_eq!(start, unconditional_prefix_len(pau, len));
-    let spec_probe = spec_probe_pos(pau);
-    let ns = pau.neg_start();
-    let mut p = start;
-    if p < len && p == spec_probe {
-        if let PauAction::Terminate(kind) = pau.probe(p, acc.to_f32(fmt)) {
-            return terminated(p, acc.to_f32(fmt), kind);
-        }
-        mac(p, &mut acc);
-        p += 1;
-        let stop = ns.min(len);
-        while p < stop {
-            mac(p, &mut acc);
-            p += 1;
-        }
-    }
-    while p < len {
-        if let PauAction::Terminate(kind) = pau.probe(p, acc.to_f32(fmt)) {
-            return terminated(p, acc.to_f32(fmt), kind);
-        }
-        mac(p, &mut acc);
-        p += 1;
-    }
-    WindowResult {
-        ops: snapea_tensor::num::ops_u32(len),
-        output: acc.to_f32(fmt),
-        termination: None,
-    }
-}
-
-/// Phase-split fixed-point window walk (the q16 twin of [`walk_window`]):
-/// probes only where [`Pau::probe`] can fire, dequantising the partial sum
-/// per probe instead of per MAC. `mac(p, acc)` performs the MAC at position
-/// `p` in place.
-#[inline(always)]
-fn walk_window_q16(
-    pau: &Pau,
-    len: usize,
-    bias: f32,
-    fmt: snapea_tensor::q16::Q16Format,
-    mut mac: impl FnMut(usize, &mut snapea_tensor::q16::QAcc),
-) -> WindowResult {
-    let mut acc = q16_bias_acc(bias, fmt);
-    let stop1 = unconditional_prefix_len(pau, len);
-    let mut p = 0usize;
-    while p < stop1 {
-        mac(p, &mut acc);
-        p += 1;
-    }
-    walk_window_q16_from(pau, len, acc, stop1, fmt, mac)
-}
-
-/// Executes a convolution layer with 16-bit fixed-point arithmetic in the
-/// lanes (quantised inputs and weights, wide accumulator), mirroring
-/// [`execute_conv`]. No prediction accounting.
-// lint:allow(P2) k < c_out and w < windows index per-kernel tables sized by the asserts above
-pub fn execute_conv_q16(
-    conv: &Conv2d,
-    input: &Tensor4,
-    cfg: &LayerConfig,
-    fmt: snapea_tensor::q16::Q16Format,
-) -> ExecResult {
-    assert_eq!(cfg.kernels.len(), conv.c_out(), "config kernel count");
-    let _layer_span = snapea_obs::hot_span!("exec/layer");
-    let layer_clock = snapea_obs::Stopwatch::start();
-    let s = input.shape();
-    let (plan, cache_hit) = layer_plan_entry(s, conv.geom(), conv.c_in());
-    let out_shape = conv.out_shape(s);
-    let windows = plan.windows();
-
-    // Resolved taps and pre-quantised weights once per kernel —
-    // `fmt.quantize` is deterministic, so hoisting it out of the per-MAC
-    // loop changes nothing numerically.
-    let resolved: Vec<Vec<i32>> = cfg
-        .kernels
-        .iter()
-        .map(|k| plan.resolve(&k.reordered))
-        .collect();
-    let weights_q: Vec<Vec<snapea_tensor::q16::Q16>> = cfg
-        .kernels
-        .iter()
-        .map(|k| {
-            k.reordered
-                .weights()
-                .iter()
-                .map(|&w| fmt.quantize(w))
-                .collect()
-        })
-        .collect();
-
-    // Every image quantised once up front (the serial loop quantised per
-    // image too — same values, same count), so the parallel pair blocks
-    // below can read any image without re-quantising per kernel.
-    let items_q: Vec<Vec<snapea_tensor::q16::Q16>> = (0..s.n)
-        .map(|n| snapea_tensor::q16::quantize_slice(fmt, input.item(n)))
-        .collect();
-
-    let mut output = Tensor4::zeros(out_shape);
-    let mut ops = vec![0u32; s.n * conv.c_out() * windows];
-    let mut lane_counts = LaneCounts::default();
-
-    // Same (image, kernel) pair-block dispatch as `execute_conv_inner`:
-    // flat pair index `n * c_out + k` addresses both layouts, blocks are
-    // sized by the walk floor (q16 has no stats to merge — windows are
-    // pure writes into the block's disjoint slices), and each block walks
-    // its pairs and windows in ascending order, so the quantised outputs
-    // are bit-identical to the serial loop at any thread count.
-    //
-    // Interior windows are gathered into [`BATCH`]-wide groups whose
-    // unconditional prefixes run through the integer lane kernel
-    // ([`snapea_tensor::lane::lane_q16_span`]); i64 accumulation is exact,
-    // so the batched prefix hands each window the same raw sum as its
-    // sequential walk and the probed remainder continues bit-identically.
-    if windows > 0 {
-        let chunk = snapea_tensor::par::chunk_for(
-            s.n * conv.c_out(),
-            windows * conv.window_len(),
-            snapea_tensor::par::WALK_TASK_FLOOR_OPS,
-        );
-        let blocks: Vec<(&mut [f32], &mut [u32])> = output
-            .as_mut_slice()
-            .chunks_mut(chunk * windows)
-            .zip(ops.chunks_mut(chunk * windows))
-            .collect();
-        let per_block: Vec<LaneCounts> =
-            snapea_tensor::par::run_tasks(blocks, |bi, (out_blk, ops_blk)| {
-                let mut lc = LaneCounts::default();
-                for (pi, (out_slice, ops_slice)) in out_blk
-                    .chunks_mut(windows)
-                    .zip(ops_blk.chunks_mut(windows))
-                    .enumerate()
-                {
-                    let pair = bi * chunk + pi;
-                    let (n, k) = (pair / conv.c_out(), pair % conv.c_out());
-                    let kexec = &cfg.kernels[k];
-                    let bias = conv.bias()[k];
-                    let len = kexec.reordered.weights().len();
-                    let stop1 = unconditional_prefix_len(&kexec.pau, len);
-                    let rt = &resolved[k][..];
-                    let wq = &weights_q[k][..];
-                    let item_q = &items_q[n][..];
-                    let bias_raw = q16_bias_acc(bias, fmt).raw();
-                    let mut lanes = [(0usize, 0i32); BATCH];
-                    let mut nl = 0usize;
-                    for w in 0..windows {
-                        let base = plan.window_base(w);
-                        if base >= 0 {
-                            lanes[nl] = (w, base);
-                            nl += 1;
-                            if nl < BATCH {
-                                continue;
-                            }
-                            nl = 0;
-                            lc.lane += BATCH as u64;
-                            let bases = lanes.map(|(_, b)| b);
-                            let mut accs = [bias_raw; BATCH];
-                            snapea_tensor::lane::lane_q16_span(
-                                &mut accs, wq, rt, &bases, item_q, 0, stop1,
-                            );
-                            for (l, &(lw, lb)) in lanes.iter().enumerate() {
-                                let r = walk_window_q16_from(
-                                    &kexec.pau,
-                                    len,
-                                    snapea_tensor::q16::QAcc::from_raw(accs[l]),
-                                    stop1,
-                                    fmt,
-                                    |p, acc| {
-                                        acc.mac(item_q[(lb + rt[p]) as usize], wq[p]);
-                                    },
-                                );
-                                out_slice[lw] = r.output;
-                                ops_slice[lw] = r.ops;
-                            }
-                        } else {
-                            lc.scalar += nl as u64 + 1;
-                            for &(lw, lb) in &lanes[..nl] {
-                                let r = walk_window_q16(&kexec.pau, len, bias, fmt, |p, acc| {
-                                    acc.mac(item_q[(lb + rt[p]) as usize], wq[p]);
-                                });
-                                out_slice[lw] = r.output;
-                                ops_slice[lw] = r.ops;
-                            }
-                            nl = 0;
-                            let r =
-                                run_window_q16(kexec, plan.gather().window(w), item_q, bias, fmt);
-                            out_slice[w] = r.output;
-                            ops_slice[w] = r.ops;
-                        }
-                    }
-                    lc.scalar += nl as u64;
-                    for &(lw, lb) in &lanes[..nl] {
-                        let r = walk_window_q16(&kexec.pau, len, bias, fmt, |p, acc| {
-                            acc.mac(item_q[(lb + rt[p]) as usize], wq[p]);
-                        });
-                        out_slice[lw] = r.output;
-                        ops_slice[lw] = r.ops;
-                    }
-                }
-                lc
-            });
-        for lc in &per_block {
-            lane_counts.merge(lc);
-        }
-    }
-
-    let profile = LayerProfile {
-        images: s.n,
-        kernels: conv.c_out(),
-        windows,
-        window_len: conv.window_len(),
-        ops,
-    };
-    record_layer_execution(
-        &profile,
-        None,
-        lane_counts,
-        cache_hit,
-        layer_clock.elapsed_ms(),
-    );
-    ExecResult {
-        output,
-        profile,
-        stats: PredictionStats::default(),
-    }
-}
-
-pub mod baseline {
-    //! Frozen pre-plan scalar executor: the window walk exactly as it stood
-    //! before the single-core kernel engine (resolved-tap window plans,
-    //! phase-split probes, batched interior walks, plan caching).
-    //!
-    //! This is the *reference implementation* the regression tests pin the
-    //! optimised paths against bit-for-bit, and the *before* side of
-    //! `perfbench`'s kernels section. The issue suggested keeping it behind
-    //! `#[cfg(test)]`, but the benchmark binary needs it at runtime, so it
-    //! lives here as a public module instead (see DESIGN.md §6). It is
-    //! serial, builds its gather table from scratch on every call, probes
-    //! the PAU before every MAC, and charges no metrics — do not optimise
-    //! or hook it up to the plan cache.
-    //!
-    //! Re-frozen for the lane engine (DESIGN.md §11): the accumulation
-    //! order is the *pinned lane order* — a hand-written scalar
-    //! eight-accumulator prefix over `0..m8` with select semantics for
-    //! padding taps, deliberately independent of `snapea_tensor::lane` —
-    //! followed by the historical probe-before-every-MAC walk from `m8`.
-    //! Skipping the probes below `m8` is observationally identical: every
-    //! position there is below both the speculative boundary and
-    //! `neg_start`, where [`Pau::probe`] returns `Continue` unconditionally.
-
-    use super::*;
-
-    /// Scalar reference for the pinned lane prefix: positions `0..m8` of
-    /// the gathered walk summed into eight named accumulators (padding taps
-    /// contributing a literal `0.0` operand), collapsed through the pinned
-    /// tree, added to the bias only when `m8 > 0`.
-    // lint:allow(P2) frozen reference walk: p < m8 <= weights.len(), off >= 0 checked before indexing
-    fn pinned_prefix(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32, m8: usize) -> f32 {
-        if m8 == 0 {
-            return bias;
-        }
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let mut lanes = [0.0f32; 8];
-        for p in 0..m8 {
-            let off = taps[order[p] as usize];
-            let v = if off >= 0 { item[off as usize] } else { 0.0 };
-            lanes[p % 8] += v * weights[p];
-        }
-        bias + (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-    }
-
-    /// The lane-blocked prefix length of a kernel's walk: the largest
-    /// multiple of eight not exceeding the probe-free prefix.
-    fn lane_m8(kernel: &KernelExec, len: usize) -> usize {
-        let stop1 = unconditional_prefix_len(&kernel.pau, len);
-        stop1 - stop1 % 8
-    }
-
-    /// Pre-plan [`run_window`](super::run_window): pinned lane prefix, then
-    /// probes before every MAC.
-    // lint:allow(P2) frozen reference walk: p < weights.len(), off >= 0 checked before indexing
-    pub fn run_window(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> WindowResult {
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let m8 = lane_m8(kernel, weights.len());
-        let mut acc = pinned_prefix(kernel, taps, item, bias, m8);
-        for p in m8..weights.len() {
-            match kernel.pau.probe(p, acc) {
-                PauAction::Terminate(kind) => {
-                    let output = match kind {
-                        TerminationKind::Predicted => 0.0, // early ReLU fired
-                        TerminationKind::SignCheck => acc,
-                    };
-                    return WindowResult {
-                        ops: snapea_tensor::num::ops_u32(p),
-                        output,
-                        termination: Some(kind),
-                    };
-                }
-                PauAction::Continue => {}
-            }
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc += item[off as usize] * weights[p];
-            }
-            // Padding taps still occupy a MAC slot in the hardware walk: the
-            // weight is broadcast and the lane multiplies by zero.
-        }
-        WindowResult {
-            ops: snapea_tensor::num::ops_u32(weights.len()),
-            output: acc,
-            termination: None,
-        }
-    }
-
-    /// Pre-plan full dot product (stats accounting reference): pinned lane
-    /// prefix over the walk's `m8`, sequential to the end.
-    // lint:allow(P2) frozen reference walk: p < weights.len(), off >= 0 checked before indexing
-    pub fn full_window_value(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> f32 {
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let m8 = lane_m8(kernel, weights.len());
-        let mut acc = pinned_prefix(kernel, taps, item, bias, m8);
-        for p in m8..weights.len() {
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc += item[off as usize] * weights[p];
-            }
-        }
-        acc
-    }
-
-    /// Pre-plan serial executor: per-window scalar walks over a freshly
-    /// built gather table, stats folded in ascending `(image, kernel,
-    /// window)` order — the order the optimised executor must reproduce.
-    // lint:allow(P2) frozen reference executor: k < c_out, w < windows by the geometry asserts
-    pub fn execute_conv(
-        conv: &Conv2d,
-        input: &Tensor4,
-        cfg: &LayerConfig,
-        collect_stats: bool,
-    ) -> ExecResult {
-        assert_eq!(cfg.kernels().len(), conv.c_out(), "config kernel count");
-        let s = input.shape();
-        let gather = GatherTable::build(s, conv.geom(), conv.c_in());
-        let out_shape = conv.out_shape(s);
-        let windows = gather.windows();
-
-        let mut output = Tensor4::zeros(out_shape);
-        let mut ops = vec![0u32; s.n * conv.c_out() * windows];
-        let mut stats = PredictionStats::default();
-
-        for n in 0..s.n {
-            let item = input.item(n);
-            for (k, kexec) in cfg.kernels().iter().enumerate() {
-                let bias = conv.bias()[k];
-                let out_base = out_shape.offset(n, k, 0, 0);
-                let ops_base = (n * conv.c_out() + k) * windows;
-                for w in 0..windows {
-                    let taps = gather.window(w);
-                    let r = run_window(kexec, taps, item, bias);
-                    output.as_mut_slice()[out_base + w] = r.output;
-                    ops[ops_base + w] = r.ops;
-                    if collect_stats {
-                        let full = full_window_value(kexec, taps, item, bias);
-                        account_window(&mut stats, full, r.termination);
-                    }
-                }
-            }
-        }
-
-        let profile = LayerProfile {
-            images: s.n,
-            kernels: conv.c_out(),
-            windows,
-            window_len: conv.window_len(),
-            ops,
-        };
-        ExecResult {
-            output,
-            profile,
-            stats,
-        }
-    }
-
-    /// Pre-plan [`run_window_q16`](super::run_window_q16): probes (and
-    /// dequantises) before every MAC, quantises the weight per MAC.
-    // lint:allow(P2) frozen reference walk: p < weights.len(), off >= 0 checked before indexing
-    pub fn run_window_q16(
-        kernel: &KernelExec,
-        taps: &[i32],
-        item_q: &[snapea_tensor::q16::Q16],
-        bias: f32,
-        fmt: snapea_tensor::q16::Q16Format,
-    ) -> WindowResult {
-        use snapea_tensor::q16::QAcc;
-        let weights = kernel.reordered.weights();
-        let order = kernel.reordered.order();
-        let mut acc = QAcc::new();
-        // Bias enters the accumulator pre-scaled to the product width.
-        acc.mac(fmt.quantize(bias), fmt.quantize(1.0));
-        for p in 0..weights.len() {
-            match kernel.pau.probe(p, acc.to_f32(fmt)) {
-                PauAction::Terminate(kind) => {
-                    let output = match kind {
-                        TerminationKind::Predicted => 0.0,
-                        TerminationKind::SignCheck => acc.to_f32(fmt),
-                    };
-                    return WindowResult {
-                        ops: snapea_tensor::num::ops_u32(p),
-                        output,
-                        termination: Some(kind),
-                    };
-                }
-                PauAction::Continue => {}
-            }
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                acc.mac(item_q[off as usize], fmt.quantize(weights[p]));
-            }
-        }
-        WindowResult {
-            ops: snapea_tensor::num::ops_u32(weights.len()),
-            output: acc.to_f32(fmt),
-            termination: None,
-        }
-    }
-
-    /// Pre-plan serial fixed-point executor.
-    // lint:allow(P2) frozen reference executor: k < c_out, w < windows by the geometry asserts
-    pub fn execute_conv_q16(
-        conv: &Conv2d,
-        input: &Tensor4,
-        cfg: &LayerConfig,
-        fmt: snapea_tensor::q16::Q16Format,
-    ) -> ExecResult {
-        assert_eq!(cfg.kernels().len(), conv.c_out(), "config kernel count");
-        let s = input.shape();
-        let gather = GatherTable::build(s, conv.geom(), conv.c_in());
-        let out_shape = conv.out_shape(s);
-        let windows = gather.windows();
-
-        let mut output = Tensor4::zeros(out_shape);
-        let mut ops = vec![0u32; s.n * conv.c_out() * windows];
-
-        for n in 0..s.n {
-            let item_q = snapea_tensor::q16::quantize_slice(fmt, input.item(n));
-            for (k, kexec) in cfg.kernels().iter().enumerate() {
-                let bias = conv.bias()[k];
-                let out_base = out_shape.offset(n, k, 0, 0);
-                let ops_base = (n * conv.c_out() + k) * windows;
-                for w in 0..windows {
-                    let r = run_window_q16(kexec, gather.window(w), &item_q, bias, fmt);
-                    output.as_mut_slice()[out_base + w] = r.output;
-                    ops[ops_base + w] = r.ops;
-                }
-            }
-        }
-
-        let profile = LayerProfile {
-            images: s.n,
-            kernels: conv.c_out(),
-            windows,
-            window_len: conv.window_len(),
-            ops,
-        };
-        ExecResult {
-            output,
-            profile,
-            stats: PredictionStats::default(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2150,7 +1786,6 @@ mod tests {
 
     #[test]
     fn q16_exact_mode_matches_f32_within_quantisation() {
-        use snapea_tensor::q16::Q16Format;
         let mut rng = init::rng(21);
         let conv = Conv2d::new(3, 4, ConvGeom::square(3, 1, 1), &mut rng);
         let input = nonneg_input(Shape4::new(1, 3, 8, 8), 22);
@@ -2181,7 +1816,6 @@ mod tests {
 
     #[test]
     fn q16_predictive_mode_zeroes_predicted_windows() {
-        use snapea_tensor::q16::Q16Format;
         let mut rng = init::rng(31);
         let conv = Conv2d::new(2, 3, ConvGeom::square(3, 1, 0), &mut rng);
         let input = nonneg_input(Shape4::new(1, 2, 6, 6), 32);
@@ -2247,89 +1881,35 @@ mod tests {
         }
     }
 
-    /// The optimised executor (resolved-tap plans, phase-split probes,
-    /// batched interior walks) must be bit-identical to the frozen pre-plan
-    /// scalar walk — outputs, op counts, and the order-sensitive f64 stats.
+    /// Interior windows walk through resolved taps; any window can also
+    /// walk through its gather taps. On an interior window both must give
+    /// the same result, on either datapath.
     #[test]
-    fn executor_is_bit_identical_to_baseline() {
-        for (seed, geom) in [
-            (50, ConvGeom::square(3, 1, 1)), // borders on every edge
-            (51, ConvGeom::square(3, 1, 0)), // all interior
-            (52, ConvGeom::square(3, 2, 1)), // strided
-            (53, ConvGeom::square(1, 1, 0)), // 1x1
-            (54, ConvGeom::square(5, 1, 2)), // wide borders
-        ] {
-            let mut rng = init::rng(seed);
-            let conv = Conv2d::new(3, 5, geom, &mut rng);
-            let input = nonneg_input(Shape4::new(2, 3, 9, 9), seed + 100);
-            let groups = 4.min(conv.window_len());
-            for cfg in [
-                LayerConfig::exact(&conv),
-                LayerConfig::predictive_uniform(&conv, KernelParams::new(0.05, groups)),
-                LayerConfig::predictive_uniform(&conv, KernelParams::new(f32::INFINITY, 2)),
-            ] {
-                for collect_stats in [false, true] {
-                    let new = execute_conv_inner(&conv, &input, &cfg, collect_stats);
-                    let old = baseline::execute_conv(&conv, &input, &cfg, collect_stats);
-                    assert_eq!(new.output.as_slice(), old.output.as_slice(), "seed {seed}");
-                    assert_eq!(new.profile.ops, old.profile.ops, "seed {seed}");
-                    assert_eq!(new.stats, old.stats, "seed {seed}");
-                    assert_eq!(
-                        new.stats.positive_mass.to_bits(),
-                        old.stats.positive_mass.to_bits(),
-                        "seed {seed}: f64 mass must match bitwise"
-                    );
-                    assert_eq!(
-                        new.stats.squashed_mass.to_bits(),
-                        old.stats.squashed_mass.to_bits(),
-                        "seed {seed}"
-                    );
+    fn resolved_walk_matches_gather_walk_on_interior_windows() {
+        fn check<D: Datapath>(dp: &D, conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) {
+            let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
+            let item = dp.activations(input.item(0));
+            for (k, kexec) in cfg.kernels().iter().enumerate() {
+                let rt = plan.resolve(&kexec.reordered);
+                let weights = dp.weights(kexec);
+                let walk = PairWalk::new(dp, kexec, &weights, &rt, &item, conv.bias()[k]);
+                for w in 0..plan.windows() {
+                    let base = plan.window_base(w);
+                    if base < 0 {
+                        continue;
+                    }
+                    let gather = walk.border(plan.gather().window(w), None);
+                    let resolved = walk.interior(base, None);
+                    assert_eq!(gather, resolved, "kernel {k} window {w}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn q16_executor_is_bit_identical_to_baseline() {
-        use snapea_tensor::q16::Q16Format;
-        for seed in [60, 61] {
-            let mut rng = init::rng(seed);
-            let conv = Conv2d::new(2, 4, ConvGeom::square(3, 1, 1), &mut rng);
-            let input = nonneg_input(Shape4::new(1, 2, 8, 8), seed + 7);
-            for cfg in [
-                LayerConfig::exact(&conv),
-                LayerConfig::predictive_uniform(&conv, KernelParams::new(0.05, 3)),
-            ] {
-                let fmt = Q16Format::new(10);
-                let new = execute_conv_q16(&conv, &input, &cfg, fmt);
-                let old = baseline::execute_conv_q16(&conv, &input, &cfg, fmt);
-                assert_eq!(new.output.as_slice(), old.output.as_slice(), "seed {seed}");
-                assert_eq!(new.profile.ops, old.profile.ops, "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_window_resolved_matches_generic_on_interior_windows() {
         let mut rng = init::rng(70);
         let conv = Conv2d::new(2, 3, ConvGeom::square(3, 1, 1), &mut rng);
         let input = nonneg_input(Shape4::new(1, 2, 7, 7), 71);
-        let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
         let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.1, 4));
-        let item = input.item(0);
-        for (k, kexec) in cfg.kernels().iter().enumerate() {
-            let rt = plan.resolve(&kexec.reordered);
-            let bias = conv.bias()[k];
-            for w in 0..plan.windows() {
-                let base = plan.window_base(w);
-                if base < 0 {
-                    continue;
-                }
-                let generic = run_window(kexec, plan.gather().window(w), item, bias);
-                let resolved = run_window_resolved(kexec, &rt, base, item, bias);
-                assert_eq!(generic, resolved, "kernel {k} window {w}");
-            }
-        }
+        check(&F32Datapath, &conv, &input, &cfg);
+        check(&Q16Datapath(Q16Format::new(10)), &conv, &input, &cfg);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! measure *real* network accuracy, exactly as in the paper, so surrogate
 //! mis-rankings are corrected before any parameter is adopted.
 
-use crate::exec::{layer_plan, GatherTable, WindowPlan};
+use crate::exec::{layer_plan, WindowPlan};
 use crate::params::KernelMode;
 use crate::reorder::{predictive_reorder, sign_reorder, ReorderedKernel};
 use snapea_nn::ops::Conv2d;
@@ -355,108 +355,6 @@ pub fn profile_layer_kernels(
     })
 }
 
-/// Frozen pre-plan [`profile_layer_kernels`]: rebuilds the gather table,
-/// scans every window with the scalar [`scan_window`], and pushes scans in
-/// ascending `(img, w)` order — exactly the code that ran before the
-/// single-core kernel engine. It is the reference the regression tests pin
-/// the batched path against bit-for-bit and the *before* side of
-/// `perfbench`'s kernels section; do not optimise.
-pub fn profile_layer_kernels_baseline(
-    conv: &Conv2d,
-    input: &Tensor4,
-    group_candidates: &[usize],
-    threshold_quantiles: &[f64],
-    budget: f64,
-) -> Vec<KernelTable> {
-    let s = input.shape();
-    let gather = GatherTable::build(s, conv.geom(), conv.c_in());
-    let windows = gather.windows();
-    let images = s.n;
-    let window_len = conv.window_len();
-
-    snapea_tensor::par::parallel_map(conv.c_out(), 1, |k| {
-        let mut scans: Vec<WindowScan> = Vec::with_capacity(images * windows);
-        let weights = conv.weight().item(k);
-        let bias = conv.bias()[k];
-        let mut candidates: Vec<KernelCandidate> = Vec::new();
-
-        // Exact-mode candidate.
-        let exact = sign_reorder(weights);
-        let mut exact_ops = 0u64;
-        for img in 0..images {
-            let item = input.item(img);
-            for w in 0..windows {
-                exact_ops += scan_window(&exact, gather.window(w), item, bias).term_ops as u64;
-            }
-        }
-        candidates.push(KernelCandidate {
-            mode: KernelMode::Exact,
-            ops: exact_ops,
-            surrogate_err: 0.0,
-        });
-
-        // Predictive candidates.
-        for &n in group_candidates {
-            if n == 0 || n >= window_len {
-                continue;
-            }
-            let r = predictive_reorder(weights, n);
-            scans.clear();
-            for img in 0..images {
-                let item = input.item(img);
-                for w in 0..windows {
-                    scans.push(scan_window(&r, gather.window(w), item, bias));
-                }
-            }
-            // Threshold grid: quantiles of the speculative partial sums of
-            // truly-negative windows. No negative windows → nothing for this
-            // kernel to gain from speculating at this N.
-            let mut neg_partials: Vec<f32> = scans
-                .iter()
-                .filter(|sc| sc.full < 0.0)
-                .map(|sc| sc.spec_partial)
-                .collect();
-            if neg_partials.is_empty() {
-                continue;
-            }
-            neg_partials.sort_by(f32::total_cmp);
-            let positive_mass: f64 = scans.iter().map(|sc| sc.full.max(0.0) as f64).sum();
-
-            for &q in threshold_quantiles {
-                let idx = ((neg_partials.len() as f64 - 1.0) * q).round() as usize;
-                let th = neg_partials[idx.min(neg_partials.len() - 1)];
-                let mut ops = 0u64;
-                let mut squashed = 0.0f64;
-                for sc in &scans {
-                    if sc.spec_partial < th {
-                        ops += n as u64;
-                        if sc.full >= 0.0 {
-                            squashed += sc.full as f64;
-                        }
-                    } else {
-                        ops += sc.term_ops as u64;
-                    }
-                }
-                let surrogate_err = if positive_mass > 0.0 {
-                    squashed / positive_mass
-                } else {
-                    0.0
-                };
-                if surrogate_err <= budget {
-                    candidates.push(KernelCandidate {
-                        mode: KernelMode::spec(th, n),
-                        ops,
-                        surrogate_err,
-                    });
-                }
-            }
-        }
-
-        candidates.sort_by_key(|c| c.ops);
-        KernelTable { candidates }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,7 +438,7 @@ mod tests {
 
     #[test]
     fn scan_window_agrees_with_executor() {
-        use crate::exec::{run_window, KernelExec};
+        use crate::exec::{run_window, GatherTable, KernelExec};
         use crate::pau::Pau;
         let (conv, input) = setup();
         let gather = GatherTable::build(input.shape(), conv.geom(), conv.c_in());
@@ -559,11 +457,13 @@ mod tests {
         }
     }
 
-    /// The batched resolved-tap profiling path must reproduce the frozen
-    /// pre-plan scalar pass bit-for-bit: same candidates, same op counts,
-    /// same (order-sensitive, f64) surrogate errors.
+    /// The batched resolved-tap scan must reproduce the scalar gather scan
+    /// bit-for-bit on every window: interior windows go through
+    /// `scan_windows_batch`, border windows and partial tails through
+    /// `scan_window`, and the candidates' order-sensitive f64 folds consume
+    /// both.
     #[test]
-    fn profiling_is_bit_identical_to_baseline() {
+    fn batched_scans_match_scalar_scans_on_every_window() {
         for geom in [
             ConvGeom::square(3, 1, 1),
             ConvGeom::square(3, 1, 0),
@@ -572,18 +472,34 @@ mod tests {
             let mut rng = init::rng(77);
             let conv = Conv2d::new(3, 4, geom, &mut rng);
             let input = init::uniform4(Shape4::new(2, 3, 8, 8), 1.0, &mut rng).map(f32::abs);
-            let grid = [1usize, 2, 4, 8];
-            let quantiles = [0.25, 0.5, 0.9];
-            let new = profile_layer_kernels(&conv, &input, &grid, &quantiles, 1.0);
-            let old = profile_layer_kernels_baseline(&conv, &input, &grid, &quantiles, 1.0);
-            assert_eq!(new, old, "geom {geom:?}");
-            for (a, b) in new.iter().zip(old.iter()) {
-                for (ca, cb) in a.candidates().iter().zip(b.candidates()) {
-                    assert_eq!(
-                        ca.surrogate_err.to_bits(),
-                        cb.surrogate_err.to_bits(),
-                        "surrogate error must match bitwise"
-                    );
+            let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
+            let windows = plan.windows();
+            for k in 0..conv.c_out() {
+                let weights = conv.weight().item(k);
+                let bias = conv.bias()[k];
+                let mut reorders = vec![sign_reorder(weights)];
+                reorders.extend([1, 2, 4, 8].map(|n| predictive_reorder(weights, n)));
+                for r in &reorders {
+                    let rt = plan.resolve(r);
+                    let blank = WindowScan {
+                        spec_partial: 0.0,
+                        term_ops: 0,
+                        full: 0.0,
+                    };
+                    let mut scans = vec![blank; input.shape().n * windows];
+                    scan_layer(r, &plan, &rt, &input, bias, &mut scans);
+                    for (i, got) in scans.iter().enumerate() {
+                        let (img, w) = (i / windows, i % windows);
+                        let want = scan_window(r, plan.gather().window(w), input.item(img), bias);
+                        let at = format!("geom {geom:?} kernel {k} image {img} window {w}");
+                        assert_eq!(got.term_ops, want.term_ops, "{at}");
+                        assert_eq!(
+                            got.spec_partial.to_bits(),
+                            want.spec_partial.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(got.full.to_bits(), want.full.to_bits(), "{at}");
+                    }
                 }
             }
         }

@@ -1,24 +1,29 @@
 //! The executor's trace wiring: every layer call opens an `exec/layer`
-//! span and emits an `exec/layer` event (with its wall time and plan-cache
-//! outcome), the `exec/layer_ms` latency histogram accumulates, and — only
-//! under the `SNAPEA_TRACE_DETAIL` opt-in — each `(image, kernel)` task
-//! additionally records an `exec/kernel` span.
+//! span and emits an `exec/layer` event (with its wall time, plan-cache
+//! outcome and lane/scalar window split), the `exec/layer_ms` latency
+//! histogram accumulates, and — only under the `SNAPEA_TRACE_DETAIL`
+//! opt-in — each `(image, kernel)` task additionally records an
+//! `exec/kernel` span, on every datapath.
 //!
 //! This is one test function (not several) because the obs sink is a
 //! process-wide global and the crate's other integration suites run in
 //! their own binaries; a single test serialises sink installation without
 //! needing a cross-crate lock.
 
-use snapea::exec::{execute_conv, LayerConfig};
+use snapea::exec::{execute_conv, execute_conv_q16, execute_conv_stats, LayerConfig};
 use snapea_nn::ops::Conv2d;
 use snapea_obs::Json;
+use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{im2col::ConvGeom, init, Shape4};
 
 #[test]
 fn executor_emits_layer_spans_events_and_kernel_detail() {
+    // Padded and multi-image: 2 images × 4 kernels × 144 windows; each
+    // output row holds 10 interior windows between two border windows, so
+    // both the batched and the one-at-a-time paths run.
     let mut rng = init::rng(9);
     let conv = Conv2d::new(3, 4, ConvGeom::square(3, 1, 1), &mut rng);
-    let input = init::uniform4(Shape4::new(2, 3, 7, 7), 1.0, &mut rng).map(f32::abs);
+    let input = init::uniform4(Shape4::new(2, 3, 12, 12), 1.0, &mut rng).map(f32::abs);
     let cfg = LayerConfig::exact(&conv);
 
     let mem = snapea_obs::MemorySink::new();
@@ -26,7 +31,14 @@ fn executor_emits_layer_spans_events_and_kernel_detail() {
     snapea_obs::set_detail_enabled(false);
     let baseline = execute_conv(&conv, &input, &cfg);
     snapea_obs::set_detail_enabled(true);
+    // The event-log offset where each detailed call's events begin.
+    let mut starts = vec![mem.events().len()];
     let detailed = execute_conv(&conv, &input, &cfg);
+    starts.push(mem.events().len());
+    execute_conv_stats(&conv, &input, &cfg);
+    starts.push(mem.events().len());
+    execute_conv_q16(&conv, &input, &cfg, Q16Format::new(10));
+    starts.push(mem.events().len());
     snapea_obs::set_detail_enabled(false);
     snapea_obs::sink::clear();
 
@@ -47,19 +59,35 @@ fn executor_emits_layer_spans_events_and_kernel_detail() {
             })
             .count()
     };
-    assert_eq!(spans_named("exec/layer"), 2, "one span per layer call");
-    // Detail spans only for the opted-in call: 2 images × 4 kernels.
+    assert_eq!(spans_named("exec/layer"), 4, "one span per layer call");
+    // Detail spans only for the opted-in calls — f32, f32 with stats, and
+    // q16 alike: one per (image, kernel), 2 images × 4 kernels each.
+    let kernel_spans = |call: &[Json]| {
+        let mut details: Vec<String> = call
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("exec/kernel"))
+            .filter_map(|e| e.get("detail").and_then(Json::as_str).map(str::to_string))
+            .collect();
+        details.sort();
+        details
+    };
+    let calls: Vec<&[Json]> = starts.windows(2).map(|w| &events[w[0]..w[1]]).collect();
     assert_eq!(
-        spans_named("exec/kernel"),
+        kernel_spans(calls[0]).len(),
         8,
         "one span per (image, kernel)"
     );
+    for call in &calls[1..] {
+        assert_eq!(kernel_spans(call), kernel_spans(calls[0]));
+    }
+    assert_eq!(spans_named("exec/kernel"), 24);
 
     let layer_events: Vec<&Json> = events
         .iter()
         .filter(|e| e.get("kind").and_then(Json::as_str) == Some("exec/layer"))
         .collect();
-    assert_eq!(layer_events.len(), 2, "one exec/layer event per call");
+    assert_eq!(layer_events.len(), 4, "one exec/layer event per call");
+    let count = |e: &Json, field: &str| e.get(field).and_then(Json::as_u64).expect(field);
     for e in &layer_events {
         let ms = e
             .get("elapsed_ms")
@@ -70,11 +98,22 @@ fn executor_emits_layer_spans_events_and_kernel_detail() {
             e.get("gather_cache_hit").is_some(),
             "plan-cache outcome is part of the event"
         );
+        // Every window is walked exactly once, batched or alone.
+        assert_eq!(
+            count(e, "lane_windows") + count(e, "scalar_windows"),
+            2 * 4 * 144,
+            "lane + scalar windows = images × kernels × windows"
+        );
+        // The batching is a property of the plan, not of the datapath.
+        for field in ["lane_windows", "scalar_windows"] {
+            assert_eq!(count(e, field), count(layer_events[0], field), "{field}");
+        }
     }
+    assert!(count(layer_events[0], "lane_windows") > 0);
 
-    // The latency histogram saw both calls (≥, not ==: other layer calls in
+    // The latency histogram saw every call (≥, not ==: other layer calls in
     // this process would also be charged — there are none today, but the
     // histogram is a process-global).
     let snap = snapea_obs::log_histogram("exec/layer_ms").snapshot();
-    assert!(snap.count() >= 2, "exec/layer_ms recorded both calls");
+    assert!(snap.count() >= 4, "exec/layer_ms recorded every call");
 }

@@ -3,7 +3,7 @@
 //!
 //! The workspace's headline guarantees are *determinism* claims: the same
 //! inputs produce bit-identical outputs at any `SNAPEA_THREADS`, the
-//! optimised kernels reproduce the frozen baselines `.to_bits`-exactly,
+//! optimised kernels reproduce the oracle's naive walks `.to_bits`-exactly,
 //! and the oracle harness replays any case from a seed. Those guarantees
 //! are enforced dynamically by tests — which must happen to exercise the
 //! offending path. This crate enforces the *preconditions* statically, at

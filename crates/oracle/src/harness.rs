@@ -20,7 +20,10 @@
 //!    cross-checked against the cycle-stepped reference on the case's data;
 //! 6. max/avg pooling and the fully-connected layer match their naive
 //!    references (max bit-for-bit including argmax, the rest within
-//!    tolerance).
+//!    tolerance);
+//! 7. the q16 executor, under the case's modes and a fixed-point format
+//!    drawn from the case seed, is bit-identical to the oracle's
+//!    fixed-point walk, with identical per-window op counts.
 //!
 //! A failing case is re-run on every single-image / single-kernel
 //! sub-problem to find a minimal reproduction, and reported with its seed
@@ -32,12 +35,15 @@ use crate::cycle_model::pe_array_bounds;
 use crate::gen::CaseConfig;
 use crate::reference::{self, OracleTermination};
 use crate::rng::{mix, OracleRng};
-use snapea::exec::{execute_conv, execute_conv_stats, LayerConfig, LayerProfile, PredictionStats};
+use snapea::exec::{
+    execute_conv, execute_conv_q16, execute_conv_stats, LayerConfig, LayerProfile, PredictionStats,
+};
 use snapea::params::{KernelMode, LayerParams};
 use snapea_accel::sim::map_layer;
 use snapea_accel::{engine, AccelConfig, LayerWorkload};
 use snapea_nn::ops::{AvgPool, Conv2d, Linear, MaxPool, PoolGeom};
 use snapea_obs::Json;
+use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{Shape2, Shape4, Tensor2, Tensor4};
 use std::fmt::Write as _;
 
@@ -217,6 +223,7 @@ fn check_conv(
     input: &Tensor4,
     modes: &[KernelMode],
     signed_inputs: bool,
+    q16: Q16Format,
     inject: bool,
 ) -> ConvCheck {
     let geom = conv.geom();
@@ -375,8 +382,7 @@ fn check_conv(
             }
             checks += 1;
         }
-        let ostats = oracle_stats(&po, s.n, kernels, windows);
-        if let Some(m) = compare_stats(&pr.stats, &ostats) {
+        if let Some(m) = compare_stats(&pr.stats, &po.stats()) {
             messages.push(m);
         }
         checks += 1;
@@ -392,6 +398,25 @@ fn check_conv(
         predictive_profile = Some(pr.profile);
     }
 
+    // 7. The q16 executor under the case's modes.
+    let params = LayerParams::Predictive(modes.to_vec());
+    let qr = execute_conv_q16(conv, input, &LayerConfig::from_params(conv, &params), q16);
+    let qo = reference::execute_layer_q16(conv.weight(), conv.bias(), geom, input, &params, q16);
+    let label = format!("q16 (frac_bits {}) executor", q16.frac_bits());
+    compare_bits(
+        &format!("{label} vs oracle fixed-point walk"),
+        qr.output.as_slice(),
+        qo.output.as_slice(),
+        &mut messages,
+    );
+    compare_ops(
+        &format!("{label} op counts"),
+        qr.profile.ops_slice(),
+        &qo.ops,
+        &mut messages,
+    );
+    checks += 2;
+
     ConvCheck {
         checks,
         exec_macs,
@@ -400,45 +425,6 @@ fn check_conv(
         exact_profile: er.profile,
         predictive_profile,
     }
-}
-
-/// Re-derives `PredictionStats` from the oracle layer (same per-pair
-/// accumulation grouping as the executor, so the f64 masses must match
-/// bit-for-bit).
-fn oracle_stats(
-    layer: &reference::OracleLayer,
-    images: usize,
-    kernels: usize,
-    windows: usize,
-) -> PredictionStats {
-    let mut total = PredictionStats::default();
-    for pair in 0..images * kernels {
-        let mut st = PredictionStats::default();
-        for w in 0..windows {
-            let idx = pair * windows + w;
-            let full = layer.full[idx];
-            if full < 0.0 {
-                st.negative_windows += 1;
-            } else {
-                st.positive_windows += 1;
-                st.positive_mass += full as f64;
-            }
-            match layer.terminations[idx] {
-                Some(OracleTermination::Predicted) => {
-                    if full < 0.0 {
-                        st.true_negatives += 1;
-                    } else {
-                        st.false_negatives += 1;
-                        st.squashed_mass += full.max(0.0) as f64;
-                    }
-                }
-                Some(OracleTermination::SignCheck) => st.sign_terminations += 1,
-                None => {}
-            }
-        }
-        total.merge(&st);
-    }
-    total
 }
 
 fn compare_stats(got: &PredictionStats, want: &PredictionStats) -> Option<String> {
@@ -575,6 +561,14 @@ fn check_aux(seed: u64, input: &Tensor4, messages: &mut Vec<String>) -> u64 {
     checks
 }
 
+/// The case's fixed-point format, from its own sub-stream of the case seed
+/// (so the generated configuration is unchanged): 4–12 fractional bits,
+/// wide enough to reach saturation on the case's larger values.
+fn q16_format(case_seed: u64) -> Q16Format {
+    let frac_bits = OracleRng::new(mix(case_seed, 4)).range(4, 12);
+    Q16Format::new(frac_bits as u32)
+}
+
 /// Runs one fuzzed case end to end.
 pub fn run_case(case_seed: u64, opts: &HarnessOptions) -> CaseOutcome {
     let cfg = CaseConfig::generate(case_seed);
@@ -584,6 +578,7 @@ pub fn run_case(case_seed: u64, opts: &HarnessOptions) -> CaseOutcome {
         &input,
         &cfg.modes,
         cfg.signed_inputs,
+        q16_format(case_seed),
         opts.inject_exact_bug,
     );
 
@@ -654,6 +649,7 @@ fn minimize(
                 &sub_input,
                 &cfg.modes[k..=k],
                 cfg.signed_inputs,
+                q16_format(cfg.seed),
                 opts.inject_exact_bug,
             );
             if let Some(first) = sub.messages.first() {

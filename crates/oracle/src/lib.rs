@@ -16,6 +16,8 @@
 //!   windows match the dense reference post-ReLU;
 //! * executed MAC counts never exceed the dense MAC count, and
 //!   `PredictionStats` tallies agree with the oracle's termination kinds;
+//! * the q16 executor is bit-identical to the oracle's 16-bit fixed-point
+//!   walk, which probes before every MAC;
 //! * simulator cycle counts sit inside the analytical [`cycle_model`]
 //!   bounds, and simulator MAC totals equal the profile's.
 //!

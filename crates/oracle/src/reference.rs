@@ -20,7 +20,9 @@
 //!   window outputs 0 with argmax `u32::MAX`), average-pool divides by the
 //!   full window area.
 
+use snapea::exec::PredictionStats;
 use snapea::params::{KernelMode, LayerParams};
+use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{ConvGeom, Shape4, Tensor2, Tensor4};
 
 /// Convolution output extent along one dimension.
@@ -300,6 +302,20 @@ pub struct OracleWindow {
     pub termination: Option<OracleTermination>,
 }
 
+/// The input value under weight index `o` of window `(oy, ox)` of image
+/// `n`: the index decodes to `(c, ky, kx)` and the tap to input coordinates;
+/// `None` for a padding tap.
+fn tap(input: &Tensor4, n: usize, oy: usize, ox: usize, o: usize, geom: ConvGeom) -> Option<f32> {
+    let s = input.shape();
+    let c = o / (geom.kh * geom.kw);
+    let ky = (o % (geom.kh * geom.kw)) / geom.kw;
+    let kx = o % geom.kw;
+    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+    let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+    (iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w)
+        .then(|| input[(n, c, iy as usize, ix as usize)])
+}
+
 /// Length of the walk's probe-free prefix: no PAU check can fire before the
 /// speculative boundary (`spec_len` when speculating), the negative region
 /// (`neg_start`), or the end of the window, so everything below their
@@ -344,19 +360,9 @@ fn pinned_prefix(
     if m8 == 0 {
         return bias;
     }
-    let s = input.shape();
     let mut l = [0.0_f32; 8];
     for (p, &o) in ord.order[..m8].iter().enumerate() {
-        let c = o / (geom.kh * geom.kw);
-        let ky = (o % (geom.kh * geom.kw)) / geom.kw;
-        let kx = o % geom.kw;
-        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-        let v = if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
-            input[(n, c, iy as usize, ix as usize)]
-        } else {
-            0.0
-        };
+        let v = tap(input, n, oy, ox, o, geom).unwrap_or(0.0);
         l[p % 8] += v * weights[o];
     }
     bias + (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])))
@@ -381,7 +387,6 @@ pub fn walk_window(
     geom: ConvGeom,
     bias: f32,
 ) -> OracleWindow {
-    let s = input.shape();
     let m8 = lane_m8(ord);
     let mut acc = pinned_prefix(input, n, oy, ox, weights, ord, geom, bias, m8);
     for (p, &o) in ord.order.iter().enumerate().skip(m8) {
@@ -399,13 +404,8 @@ pub fn walk_window(
                 termination: Some(OracleTermination::SignCheck),
             };
         }
-        let c = o / (geom.kh * geom.kw);
-        let ky = (o % (geom.kh * geom.kw)) / geom.kw;
-        let kx = o % geom.kw;
-        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-        if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
-            acc += input[(n, c, iy as usize, ix as usize)] * weights[o];
+        if let Some(v) = tap(input, n, oy, ox, o, geom) {
+            acc += v * weights[o];
         }
     }
     OracleWindow {
@@ -431,20 +431,69 @@ pub fn full_window_value(
     geom: ConvGeom,
     bias: f32,
 ) -> f32 {
-    let s = input.shape();
     let m8 = lane_m8(ord);
     let mut acc = pinned_prefix(input, n, oy, ox, weights, ord, geom, bias, m8);
     for &o in &ord.order[m8..] {
-        let c = o / (geom.kh * geom.kw);
-        let ky = (o % (geom.kh * geom.kw)) / geom.kw;
-        let kx = o % geom.kw;
-        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-        if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
-            acc += input[(n, c, iy as usize, ix as usize)] * weights[o];
+        if let Some(v) = tap(input, n, oy, ox, o, geom) {
+            acc += v * weights[o];
         }
     }
     acc
+}
+
+/// Walks one window in 16-bit fixed point, as the paper's PEs do (Table
+/// II), probing the PAU decision rule before every MAC. Operands quantise
+/// to Q(16−f).f — scaled by `2^f`, rounded half away from zero, saturated
+/// to `i16` (NaN to 0) — and products sum exactly in a wide integer
+/// accumulator seeded with the quantised bias times a quantised `1.0`. The
+/// PAU reads the partial sum dequantised from Q.2f to `f32`. Integer sums
+/// are exact, so no lane order applies. Returns the walk's outcome and the
+/// window's complete dequantised dot product.
+#[allow(clippy::too_many_arguments)]
+pub fn walk_window_q16(
+    input: &Tensor4,
+    n: usize,
+    oy: usize,
+    ox: usize,
+    weights: &[f32],
+    ord: &OracleOrder,
+    geom: ConvGeom,
+    bias: f32,
+    fmt: Q16Format,
+) -> (OracleWindow, f32) {
+    let f = fmt.frac_bits();
+    // `as` saturates out-of-range floats and maps NaN to 0.
+    let quantize = |v: f32| i64::from((v * (1u32 << f) as f32).round() as i16);
+    let dequantize = |acc: i64| acc as f32 / (1u64 << (2 * f)) as f32;
+    let mut acc = quantize(bias) * quantize(1.0);
+    let mut stop = None;
+    for (p, &o) in ord.order.iter().enumerate() {
+        let v = dequantize(acc);
+        if stop.is_none() {
+            if ord.spec_len > 0 && p == ord.spec_len && v < ord.threshold {
+                stop = Some((p, 0.0, OracleTermination::Predicted));
+            } else if p >= ord.neg_start && v < 0.0 {
+                stop = Some((p, v, OracleTermination::SignCheck));
+            }
+        }
+        if let Some(x) = tap(input, n, oy, ox, o, geom) {
+            acc += quantize(x) * quantize(weights[o]);
+        }
+    }
+    let full = dequantize(acc);
+    let window = match stop {
+        Some((p, output, kind)) => OracleWindow {
+            ops: p as u32,
+            output,
+            termination: Some(kind),
+        },
+        None => OracleWindow {
+            ops: ord.order.len() as u32,
+            output: full,
+            termination: None,
+        },
+    };
+    (window, full)
 }
 
 /// Result of an oracle layer execution, laid out like the executor's
@@ -463,6 +512,44 @@ pub struct OracleLayer {
     pub full: Vec<f32>,
 }
 
+impl OracleLayer {
+    /// Re-derives the executor's `PredictionStats` from the per-window
+    /// terminations and full values, in the executor's accumulation
+    /// grouping: one record per `(image, kernel)` pair, folded in ascending
+    /// window order and merged in ascending pair order — so the f64 masses
+    /// must match bit-for-bit.
+    pub fn stats(&self) -> PredictionStats {
+        let windows = self.output.shape().plane_len();
+        let mut total = PredictionStats::default();
+        for pair in 0..self.output.shape().n * self.output.shape().c {
+            let mut st = PredictionStats::default();
+            for idx in pair * windows..(pair + 1) * windows {
+                let full = self.full[idx];
+                if full < 0.0 {
+                    st.negative_windows += 1;
+                } else {
+                    st.positive_windows += 1;
+                    st.positive_mass += full as f64;
+                }
+                match self.terminations[idx] {
+                    Some(OracleTermination::Predicted) => {
+                        if full < 0.0 {
+                            st.true_negatives += 1;
+                        } else {
+                            st.false_negatives += 1;
+                            st.squashed_mass += full.max(0.0) as f64;
+                        }
+                    }
+                    Some(OracleTermination::SignCheck) => st.sign_terminations += 1,
+                    None => {}
+                }
+            }
+            total.merge(&st);
+        }
+        total
+    }
+}
+
 /// Executes a convolution layer through the oracle walk, one kernel mode per
 /// output channel (`LayerParams::Exact` means every kernel is exact).
 pub fn execute_layer(
@@ -471,6 +558,40 @@ pub fn execute_layer(
     geom: ConvGeom,
     input: &Tensor4,
     params: &LayerParams,
+) -> OracleLayer {
+    walk_layer(weight, geom, input, params, |n, oy, ox, k, ord| {
+        let kw = weight.item(k);
+        (
+            walk_window(input, n, oy, ox, kw, ord, geom, bias[k]),
+            full_window_value(input, n, oy, ox, kw, ord, geom, bias[k]),
+        )
+    })
+}
+
+/// [`execute_layer`] through the 16-bit fixed-point walk
+/// ([`walk_window_q16`]).
+pub fn execute_layer_q16(
+    weight: &Tensor4,
+    bias: &[f32],
+    geom: ConvGeom,
+    input: &Tensor4,
+    params: &LayerParams,
+    fmt: Q16Format,
+) -> OracleLayer {
+    walk_layer(weight, geom, input, params, |n, oy, ox, k, ord| {
+        walk_window_q16(input, n, oy, ox, weight.item(k), ord, geom, bias[k], fmt)
+    })
+}
+
+/// Walks every `(image, kernel, oy, ox)` window in layout order through
+/// `walk(n, oy, ox, k, order)`, which returns the window's outcome and full
+/// value.
+fn walk_layer(
+    weight: &Tensor4,
+    geom: ConvGeom,
+    input: &Tensor4,
+    params: &LayerParams,
+    walk: impl Fn(usize, usize, usize, usize, &OracleOrder) -> (OracleWindow, f32),
 ) -> OracleLayer {
     let s = input.shape();
     let c_out = weight.shape().n;
@@ -492,17 +613,14 @@ pub fn execute_layer(
     let mut terminations = Vec::with_capacity(s.n * c_out * windows);
     let mut full = Vec::with_capacity(s.n * c_out * windows);
     for n in 0..s.n {
-        for k in 0..c_out {
-            let kw = weight.item(k);
+        for (k, ord) in orders.iter().enumerate() {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let r = walk_window(input, n, oy, ox, kw, &orders[k], geom, bias[k]);
+                    let (r, f) = walk(n, oy, ox, k, ord);
                     output[(n, k, oy, ox)] = r.output;
                     ops.push(r.ops);
                     terminations.push(r.termination);
-                    full.push(full_window_value(
-                        input, n, oy, ox, kw, &orders[k], geom, bias[k],
-                    ));
+                    full.push(f);
                 }
             }
         }

@@ -11,8 +11,8 @@
 //! # The pinned lane-tree reduction order
 //!
 //! Splitting a dot product across eight lanes changes float accumulation
-//! order, so the order is *pinned* once, here, and every implementation in
-//! the workspace (executor, frozen baseline, oracle reference, optimizer
+//! order, so the order is *pinned* once, here, and every `f32`
+//! implementation in the workspace (executor, oracle reference, optimizer
 //! scans) reproduces it bit-for-bit:
 //!
 //! * positions `0..m8` (where `m8 = lane_prefix_len(stop1)` is the largest
