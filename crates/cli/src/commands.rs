@@ -404,12 +404,12 @@ fn activations_digest(acts: &[snapea_tensor::Tensor4]) -> u64 {
     fnv64(&bytes)
 }
 
-/// `compile <model.json> <out.snapea> [--params params.json]`: compiles a
-/// model under its speculation parameters into the versioned on-disk
-/// artifact — reordered kernels, PAU configurations, pre-quantized q16
-/// weights, and resolved window plans — so `run --artifact` can execute
-/// without re-running the optimizer or any plan construction. With
-/// `--json`, reports the artifact digest and per-section size breakdown.
+/// `compile <model.json> <out.snapea> [--params params.json]`: writes a
+/// model, its input shape, and its speculation parameters into the
+/// versioned on-disk artifact, so `run --artifact` can execute without
+/// re-running the optimizer (loading re-derives the reordered kernels and
+/// window plans exactly as compiling does). With `--json`, reports the
+/// artifact digest and per-section size breakdown.
 pub fn compile(args: &Args) -> CmdResult {
     let net = load_model(args.required_positional("model.json")?)?;
     let out_path = args
@@ -433,8 +433,6 @@ pub fn compile(args: &Args) -> CmdResult {
                     ("meta", Json::from(sizes.meta as u64)),
                     ("graph", Json::from(sizes.graph as u64)),
                     ("params", Json::from(sizes.params as u64)),
-                    ("layers", Json::from(sizes.layers as u64)),
-                    ("packed", Json::from(sizes.packed as u64)),
                 ]),
             ),
             ("layers", Json::from(compiled.layers().len() as u64)),
@@ -461,8 +459,8 @@ pub fn compile(args: &Args) -> CmdResult {
     )?;
     writeln!(
         out,
-        "sections: header {} meta {} graph {} params {} layers {} packed {}",
-        sizes.header, sizes.meta, sizes.graph, sizes.params, sizes.layers, sizes.packed
+        "sections: header {} meta {} graph {} params {}",
+        sizes.header, sizes.meta, sizes.graph, sizes.params
     )?;
     Ok(out)
 }
@@ -830,8 +828,11 @@ mod tests {
     use super::*;
 
     fn temp_model() -> (tempdir::TempDirLike, String) {
-        // Minimal home-grown temp dir (std only).
-        let dir = std::env::temp_dir().join(format!("snapea-cli-test-{}", std::process::id()));
+        // Minimal home-grown temp dir (std only). One directory per call:
+        // tests run in parallel, and each guard deletes its directory on drop.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("snapea-cli-test-{}-{n}", std::process::id()));
         let _ = fs::create_dir_all(&dir);
         let path = dir.join("model.json").to_string_lossy().into_owned();
         let net = Workload::SqueezeNet.build(10);
@@ -1328,8 +1329,11 @@ mod tests {
         assert!(doc.get("digest").and_then(Json::as_str).is_some());
         assert_eq!(doc.get("layers").and_then(Json::as_u64), Some(2));
         let sections = doc.get("sections").expect("section breakdown");
-        for key in ["header", "meta", "graph", "params", "layers"] {
+        for key in ["header", "meta", "graph", "params"] {
             assert!(sections.get(key).and_then(Json::as_u64).is_some(), "{key}");
+        }
+        for key in ["layers", "packed"] {
+            assert!(sections.get(key).is_none(), "{key}: no such section");
         }
 
         // A fresh compile-and-run and an artifact-loaded run print the same
@@ -1411,7 +1415,7 @@ mod tests {
         assert_eq!(doc.get("passed").and_then(Json::as_bool), Some(true));
         assert!(doc.get("mutations").and_then(Json::as_u64).unwrap_or(0) > 0);
 
-        // The planted loader bug (skipped LAYERS checksum) must be caught,
+        // The planted loader bug (skipped PARAMS checksum) must be caught,
         // and the failure must carry an artifact replay line.
         let args = Args::parse_with_flags(
             [

@@ -1,21 +1,22 @@
 //! Compiled-model artifact: the versioned, checksummed on-disk form of an
 //! optimized SnaPEA model (`.snapea` files).
 //!
-//! Algorithm 1 (the speculation-parameter search) and the kernel engine's
-//! precomputations — per-kernel reorder permutations, resolved
-//! [`WindowPlan`]s, pre-quantized q16 weights — are expensive to rebuild
-//! every process start. A [`CompiledModel`] captures all of them once at
-//! *compile time* (`snapea-tool compile`), and *run time*
-//! (`snapea-tool run --artifact`) merely deserializes and executes: no
-//! optimizer, no reordering, no plan construction. Loading is bit-faithful —
-//! an executor fed a loaded artifact produces byte-for-byte the outputs of
-//! one fed the freshly-optimized model, at any thread count.
+//! Algorithm 1 (the speculation-parameter search) decides one thing per
+//! kernel: its `(Th, N)`. An artifact stores that decision next to the
+//! network and the input shape it was made for, so `snapea-tool run
+//! --artifact` never re-runs the optimizer. Everything else the executor
+//! needs — each kernel's reordered weights and index buffer, its PAU, its
+//! lane-packed weights, and each layer's window plan — is a fixed function
+//! of those three, so [`CompiledModel::from_bytes`] derives it with the same
+//! code [`CompiledModel::compile`] runs. A loaded model is a fresh compile
+//! by construction: its forward pass is byte-for-byte the freshly compiled
+//! model's, at any thread count.
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
 //! All multi-byte values are **little-endian** regardless of host; floats
 //! are stored as their IEEE-754 bit patterns (exact round-trip, including
-//! infinities). The file is a 24-byte header followed by exactly five
+//! infinities). The file is a 24-byte header followed by exactly three
 //! sections in fixed order:
 //!
 //! ```text
@@ -30,34 +31,25 @@
 //! | 1   | META    | input `c,h,w` · q16 `frac_bits` |
 //! | 2   | GRAPH   | full network: nodes with ops, weights, topology |
 //! | 3   | PARAMS  | [`NetworkParams`] — per-layer `(Th, N)` assignments |
-//! | 4   | LAYERS  | per predictive layer: reordered kernels, PAU fields, pre-quantized q16 weights, resolved window plan |
-//! | 5   | PACKED  | per predictive layer: lane-major packed weights per kernel (walk order, `+0.0`-padded to whole lane blocks) |
 //!
-//! Version 2 added the PACKED section — the eight-wide lane layout the SIMD
-//! kernels load from (DESIGN.md §11), built at compile time so run time
-//! never re-packs.
+//! Versions 1 and 2 also stored the derived state (LAYERS and PACKED
+//! sections); this reader rejects them.
 //!
 //! Every byte of the file is covered by a checksum, so any corruption —
 //! bit flip, truncation, region swap — yields a typed [`ArtifactError`],
 //! never a panic or a silently wrong model. Beyond the checksums, loading
-//! cross-validates the compiled sections against the model itself: index
-//! buffers must be permutations, reordered weights must match the graph's
-//! originals through the permutation, stored PAU fields must agree with the
-//! stored `(Th, N)` parameters, q16 weights must equal the quantization of
-//! the f32 weights, packed weights must be bitwise the walk-order weights
-//! padded with `+0.0` to whole lane blocks, and plan tables must stay
-//! within the layer's activation bounds. Format changes require bumping
-//! [`VERSION`]; old readers reject newer files with
-//! [`ArtifactError::UnsupportedVersion`].
+//! validates the structure of GRAPH and PARAMS: known op tags,
+//! non-degenerate geometry, tensor sizes, topology, and parameters that
+//! name a convolution of the graph with one mode per kernel and
+//! `1 <= N <= window length`. Format changes require bumping [`VERSION`];
+//! old readers reject newer files with [`ArtifactError::UnsupportedVersion`].
 
-use crate::exec::{self, GatherTable, KernelExec, LayerConfig, WindowPlan};
+use crate::exec::{self, KernelExec, LayerConfig, WindowPlan};
 use crate::params::{KernelMode, LayerParams, NetworkParams};
-use crate::pau::Pau;
-use crate::reorder::ReorderedKernel;
 use snapea_nn::graph::{Graph, Node, NodeId, Op};
 use snapea_nn::ops::{AvgPool, Conv2d, Linear, Lrn, MaxPool, PoolGeom};
 use snapea_tensor::im2col::ConvGeom;
-use snapea_tensor::q16::{quantize_slice, Q16Format, Q16};
+use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{Shape2, Shape4, Tensor2, Tensor4};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -65,7 +57,7 @@ use std::sync::Arc;
 /// File magic: the first four bytes of every `.snapea` artifact.
 pub const MAGIC: [u8; 4] = *b"SNPA";
 /// Current format version. Bump on any layout change.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Endianness canary: written little-endian; a reader on a platform (or a
 /// codepath) that does not decode little-endian sees a scrambled value.
 pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
@@ -73,9 +65,7 @@ pub const ENDIAN_TAG: u32 = 0x1A2B_3C4D;
 const SECTION_META: u32 = 1;
 const SECTION_GRAPH: u32 = 2;
 const SECTION_PARAMS: u32 = 3;
-const SECTION_LAYERS: u32 = 4;
-const SECTION_PACKED: u32 = 5;
-const SECTION_COUNT: u32 = 5;
+const SECTION_COUNT: u32 = 3;
 
 /// FNV-1a 64-bit — the checksum and digest function of the artifact format
 /// (dependency-free, deterministic, byte-order independent).
@@ -147,8 +137,8 @@ pub enum ArtifactError {
         detail: String,
     },
     /// Structurally well-formed bytes that violate a semantic invariant
-    /// (non-permutation index buffer, weight/PAU/q16 cross-check failure,
-    /// wrong section order, …).
+    /// (unknown op or mode tag, a mode count that disagrees with the conv,
+    /// invalid topology, wrong section order, …).
     Invalid {
         /// Which region was being read.
         region: &'static str,
@@ -231,11 +221,12 @@ impl From<std::io::Error> for ArtifactError {
 /// exists for the corruption battery's prove-it-can-fail smoke.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
-    /// Skip verifying the LAYERS section checksum — a deliberately planted
+    /// Skip verifying the PARAMS section checksum — a deliberately planted
     /// bug (`snapea-tool selfcheck --artifact --inject-bug`) that the
     /// corruption battery must detect by observing a corrupted artifact
-    /// load successfully. Never set outside that smoke test.
-    pub skip_layers_checksum: bool,
+    /// load successfully (a flipped threshold bit is still well-formed).
+    /// Never set outside that smoke test.
+    pub skip_params_checksum: bool,
 }
 
 /// Byte sizes of the artifact's regions, as last serialized.
@@ -249,29 +240,24 @@ pub struct SectionSizes {
     pub graph: usize,
     /// PARAMS section, including framing.
     pub params: usize,
-    /// LAYERS section, including framing.
-    pub layers: usize,
-    /// PACKED section, including framing.
-    pub packed: usize,
 }
 
 impl SectionSizes {
     /// Total artifact size in bytes.
     pub fn total(&self) -> usize {
-        self.header + self.meta + self.graph + self.params + self.layers + self.packed
+        self.header + self.meta + self.graph + self.params
     }
 }
 
-/// One compiled convolution layer: everything the executor needs to run the
-/// layer without recomputing reorderings, PAU configs, quantizations, or
-/// window plans.
+/// One compiled convolution layer: the executor configuration its `(Th, N)`
+/// parameters dictate (reordered kernels with their PAUs) and the window
+/// plan of its input geometry.
 #[derive(Debug, Clone)]
 pub struct CompiledLayer {
     node: NodeId,
     in_h: usize,
     in_w: usize,
-    kernels: Vec<KernelExec>,
-    q16: Vec<Vec<Q16>>,
+    config: LayerConfig,
     plan: Arc<WindowPlan>,
 }
 
@@ -288,13 +274,7 @@ impl CompiledLayer {
 
     /// Per-kernel execution states (reordered weights + PAU).
     pub fn kernels(&self) -> &[KernelExec] {
-        &self.kernels
-    }
-
-    /// Pre-quantized q16 weights, one vector per kernel, in reordered
-    /// (execution) order.
-    pub fn q16_weights(&self) -> &[Vec<Q16>] {
-        &self.q16
+        self.config.kernels()
     }
 
     /// The resolved window plan for the layer's compile-time geometry.
@@ -304,10 +284,10 @@ impl CompiledLayer {
 }
 
 /// A fully compiled model: the network, its chosen speculation parameters,
-/// and the per-layer compiled state. Produced by [`CompiledModel::compile`]
-/// at compile time or [`CompiledModel::from_bytes`] at run time — the two
-/// are interchangeable by construction (the round-trip battery holds them
-/// bit-identical).
+/// and the per-layer state derived from them. Produced by
+/// [`CompiledModel::compile`] at compile time or [`CompiledModel::from_bytes`]
+/// at run time — both build the layers with the same derivation, so the two
+/// are interchangeable by construction.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     graph: Graph,
@@ -322,9 +302,8 @@ pub struct CompiledModel {
 impl CompiledModel {
     /// Compiles `graph` under `params` for inputs of shape
     /// `[n, input_c, input_h, input_w]` (any batch size `n`): reorders every
-    /// kernel of every predictive layer, configures its PAU, pre-quantizes
-    /// the reordered weights under `fmt`, and resolves the window plan of
-    /// each layer's compile-time geometry.
+    /// kernel of every predictive layer, configures its PAU, and resolves
+    /// the window plan of each layer's input geometry.
     ///
     /// # Panics
     ///
@@ -333,50 +312,53 @@ impl CompiledModel {
     pub fn compile(
         graph: &Graph,
         params: &NetworkParams,
-        (input_c, input_h, input_w): (usize, usize, usize),
+        input_dims: (usize, usize, usize),
         fmt: Q16Format,
     ) -> Self {
         let _span = snapea_obs::span!("artifact/compile");
-        // Shape inference: one dense single-image forward pins every
-        // activation shape, so each predictive layer's plan is resolved for
-        // exactly the geometry run time will present.
-        let acts = graph.forward(&Tensor4::zeros(Shape4::new(1, input_c, input_h, input_w)));
-        let mut layers = Vec::new();
-        for (id, p) in params.iter() {
-            let LayerParams::Predictive(_) = p else {
-                continue;
-            };
-            let Op::Conv(conv) = &graph.node(id).op else {
-                continue;
-            };
-            let in_shape = match graph.node(id).inputs.first() {
-                Some(&src) => acts[src].shape(),
-                None => continue,
-            };
-            let cfg = LayerConfig::from_params(conv, p);
-            let kernels = cfg.kernels().to_vec();
-            let q16 = kernels
-                .iter()
-                .map(|k| quantize_slice(fmt, k.reordered.weights()))
-                .collect();
-            let plan = exec::layer_plan(in_shape, conv.geom(), conv.c_in());
-            layers.push(CompiledLayer {
-                node: id,
-                in_h: in_shape.h,
-                in_w: in_shape.w,
-                kernels,
-                q16,
-                plan,
-            });
-        }
+        let model = Self::derive(graph.clone(), params.clone(), input_dims, fmt);
         snapea_obs::event!(
             "artifact/compiled",
-            layers = layers.len() as u64,
+            layers = model.layers.len() as u64,
             nodes = graph.len() as u64,
         );
+        model
+    }
+
+    /// The derivation behind both [`Self::compile`] and
+    /// [`Self::from_bytes`]: for every predictive conv, the configuration
+    /// [`LayerConfig::from_params`] builds and the [`exec::layer_plan`] of
+    /// the conv's input geometry.
+    fn derive(
+        graph: Graph,
+        params: NetworkParams,
+        (input_c, input_h, input_w): (usize, usize, usize),
+        fmt: Q16Format,
+    ) -> Self {
+        // Shape inference: an empty-batch forward gives every node the
+        // `(c, h, w)` a one-image forward would, without computing any
+        // activation, so each plan is resolved for exactly the geometry run
+        // time will present.
+        let acts = graph.forward(&Tensor4::zeros(Shape4::new(0, input_c, input_h, input_w)));
+        let layers = params
+            .iter()
+            .filter_map(|(id, p)| {
+                let (LayerParams::Predictive(_), Op::Conv(conv)) = (p, &graph.node(id).op) else {
+                    return None;
+                };
+                let in_shape = acts[*graph.node(id).inputs.first()?].shape();
+                Some(CompiledLayer {
+                    node: id,
+                    in_h: in_shape.h,
+                    in_w: in_shape.w,
+                    config: LayerConfig::from_params(conv, p),
+                    plan: exec::layer_plan(in_shape, conv.geom(), conv.c_in()),
+                })
+            })
+            .collect();
         CompiledModel {
-            graph: graph.clone(),
-            params: params.clone(),
+            graph,
+            params,
             input_c,
             input_h,
             input_w,
@@ -400,7 +382,7 @@ impl CompiledModel {
         (self.input_c, self.input_h, self.input_w)
     }
 
-    /// The fixed-point format of the pre-quantized weights.
+    /// The fixed-point format recorded for the q16 datapath.
     pub fn fmt(&self) -> Q16Format {
         self.fmt
     }
@@ -427,18 +409,16 @@ impl CompiledModel {
         }
     }
 
-    /// Per-layer executor configurations built from the stored kernels —
-    /// the run-time twin of `SpecNet`'s fresh-reorder path.
+    /// Per-layer executor configurations, keyed by conv node.
     pub fn configs(&self) -> BTreeMap<NodeId, LayerConfig> {
         self.layers
             .iter()
-            .map(|l| (l.node, LayerConfig::from_kernels(l.kernels.clone())))
+            .map(|l| (l.node, l.config.clone()))
             .collect()
     }
 
     /// Forward pass with speculation applied, mirroring `SpecNet::forward`
-    /// except that every per-kernel state comes from the compiled artifact
-    /// instead of being re-derived. Returns all activations.
+    /// on the compiled layer configurations. Returns all activations.
     ///
     /// # Panics
     ///
@@ -499,12 +479,8 @@ impl CompiledModel {
         let meta = self.encode_meta();
         let graph = encode_graph(&self.graph);
         let params = encode_params(&self.params);
-        let layers = self.encode_layers();
-        let packed = self.encode_packed();
 
-        let mut out = Vec::with_capacity(
-            64 + meta.len() + graph.len() + params.len() + layers.len() + packed.len(),
-        );
+        let mut out = Vec::with_capacity(64 + meta.len() + graph.len() + params.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
@@ -513,19 +489,12 @@ impl CompiledModel {
         out.extend_from_slice(&header_fnv.to_le_bytes());
         let header = out.len();
 
-        let mut sizes = SectionSizes {
+        let sizes = SectionSizes {
             header,
-            meta: 0,
-            graph: 0,
-            params: 0,
-            layers: 0,
-            packed: 0,
+            meta: append_section(&mut out, SECTION_META, &meta),
+            graph: append_section(&mut out, SECTION_GRAPH, &graph),
+            params: append_section(&mut out, SECTION_PARAMS, &params),
         };
-        sizes.meta = append_section(&mut out, SECTION_META, &meta);
-        sizes.graph = append_section(&mut out, SECTION_GRAPH, &graph);
-        sizes.params = append_section(&mut out, SECTION_PARAMS, &params);
-        sizes.layers = append_section(&mut out, SECTION_LAYERS, &layers);
-        sizes.packed = append_section(&mut out, SECTION_PACKED, &packed);
         (out, sizes)
     }
 
@@ -541,7 +510,15 @@ impl CompiledModel {
         Self::from_bytes(&std::fs::read(path)?)
     }
 
-    /// Deserializes and fully validates artifact bytes.
+    /// Deserializes and fully validates artifact bytes, then derives the
+    /// layers exactly as [`Self::compile`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a checksum-valid GRAPH describes a network that cannot
+    /// execute the META input shape (the shape errors `Graph::forward`
+    /// raises). Only a crafted file can get there: corrupting a compiled
+    /// artifact fails a checksum first.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         Self::from_bytes_with(bytes, LoadOptions::default())
     }
@@ -584,10 +561,8 @@ impl CompiledModel {
 
         let meta = read_section(&mut r, SECTION_META, "META", true)?;
         let graph_bytes = read_section(&mut r, SECTION_GRAPH, "GRAPH", true)?;
-        let params_bytes = read_section(&mut r, SECTION_PARAMS, "PARAMS", true)?;
-        let layers_bytes =
-            read_section(&mut r, SECTION_LAYERS, "LAYERS", !opts.skip_layers_checksum)?;
-        let packed_bytes = read_section(&mut r, SECTION_PACKED, "PACKED", true)?;
+        let params_bytes =
+            read_section(&mut r, SECTION_PARAMS, "PARAMS", !opts.skip_params_checksum)?;
         if r.remaining() > 0 {
             return Err(ArtifactError::TrailingBytes {
                 extra: r.remaining(),
@@ -597,23 +572,14 @@ impl CompiledModel {
         let (input_c, input_h, input_w, fmt) = decode_meta(&meta)?;
         let graph = decode_graph(&graph_bytes)?;
         let params = decode_params(&params_bytes, &graph)?;
-        let layers = decode_layers(&layers_bytes, &graph, &params, fmt)?;
-        validate_packed(&packed_bytes, &layers)?;
+        let model = Self::derive(graph, params, (input_c, input_h, input_w), fmt);
         snapea_obs::event!(
             "artifact/loaded",
             bytes = bytes.len() as u64,
-            layers = layers.len() as u64,
+            layers = model.layers.len() as u64,
             version = u64::from(version),
         );
-        Ok(CompiledModel {
-            graph,
-            params,
-            input_c,
-            input_h,
-            input_w,
-            fmt,
-            layers,
-        })
+        Ok(model)
     }
 
     fn encode_meta(&self) -> Vec<u8> {
@@ -624,129 +590,6 @@ impl CompiledModel {
         w.u32(self.fmt.frac_bits());
         w.done()
     }
-
-    fn encode_layers(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.usize32(self.layers.len());
-        for l in &self.layers {
-            w.usize32(l.node);
-            w.usize32(l.in_h);
-            w.usize32(l.in_w);
-            w.usize32(l.kernels.len());
-            for (k, q) in l.kernels.iter().zip(&l.q16) {
-                let r = &k.reordered;
-                w.usize32(r.len());
-                for &i in r.order() {
-                    w.u32(i);
-                }
-                for &v in r.weights() {
-                    w.f32(v);
-                }
-                w.usize32(r.spec_len());
-                w.usize32(r.neg_start());
-                w.f32(k.pau.threshold());
-                for &Q16(bits) in q {
-                    w.i16(bits);
-                }
-            }
-            let plan = &l.plan;
-            w.usize32(plan.windows());
-            w.usize32(plan.window_len());
-            w.usize32(plan.interior_windows());
-            for &t in plan.gather().taps() {
-                w.i32(t);
-            }
-            for &d in plan.delta() {
-                w.i32(d);
-            }
-            for &b in plan.bases() {
-                w.i32(b);
-            }
-        }
-        w.done()
-    }
-
-    /// PACKED section: each kernel's lane-major packed weights (walk-order
-    /// values `+0.0`-padded to whole lane blocks). Fully derivable from
-    /// LAYERS — stored so run time maps the layout straight off disk, and
-    /// cross-validated on load so a file cannot smuggle in a packed copy
-    /// that disagrees with the weights the scalar paths use.
-    fn encode_packed(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.usize32(self.layers.len());
-        for l in &self.layers {
-            w.usize32(l.node);
-            w.usize32(l.kernels.len());
-            for k in &l.kernels {
-                w.usize32(k.packed().len());
-                for &v in k.packed() {
-                    w.f32(v);
-                }
-            }
-        }
-        w.done()
-    }
-}
-
-/// Validates the PACKED section against the already-decoded layers: per
-/// kernel, the stored values must be bitwise the walk-order weights for the
-/// unpadded prefix and exactly `+0.0` (all-zero bits) for the lane-padding
-/// tail — i.e. identical to what [`snapea_tensor::lane::pack_weights`]
-/// produces, which is what [`KernelExec::new`] already rebuilt.
-fn validate_packed(bytes: &[u8], layers: &[CompiledLayer]) -> Result<(), ArtifactError> {
-    const R: &str = "PACKED";
-    let invalid = |detail: String| ArtifactError::Invalid { region: R, detail };
-    let mut r = Reader::new(bytes, R);
-    let count = r.len32()?;
-    if count != layers.len() {
-        return Err(invalid(format!(
-            "{count} packed layer(s) but LAYERS holds {}",
-            layers.len()
-        )));
-    }
-    for l in layers {
-        let node = r.len32()?;
-        if node != l.node {
-            return Err(invalid(format!(
-                "packed layer order: found node {node}, expected {}",
-                l.node
-            )));
-        }
-        let n_kernels = r.len32()?;
-        if n_kernels != l.kernels.len() {
-            return Err(invalid(format!(
-                "node {node}: {n_kernels} packed kernel(s), LAYERS holds {}",
-                l.kernels.len()
-            )));
-        }
-        for (k, kexec) in l.kernels.iter().enumerate() {
-            let len = r.len32()?;
-            let expect = kexec.packed();
-            if len != expect.len() {
-                return Err(invalid(format!(
-                    "node {node} kernel {k}: packed length {len}, expected {} \
-                     (weights padded to whole lane blocks)",
-                    expect.len()
-                )));
-            }
-            let stored = r.f32s(len)?;
-            let unpadded = kexec.reordered.len();
-            for (p, (&s, &e)) in stored.iter().zip(expect).enumerate() {
-                if s.to_bits() != e.to_bits() {
-                    let what = if p < unpadded {
-                        "disagrees with the walk-order weight"
-                    } else {
-                        "lane padding is not +0.0"
-                    };
-                    return Err(invalid(format!(
-                        "node {node} kernel {k} position {p}: {what}"
-                    )));
-                }
-            }
-        }
-    }
-    r.finish()?;
-    Ok(())
 }
 
 /// Appends one framed section (tag, length, payload, checksum); returns the
@@ -1070,16 +913,26 @@ fn decode_params(bytes: &[u8], graph: &Graph) -> Result<NetworkParams, ArtifactE
             });
         }
         prev = Some(id);
-        if id >= graph.len() || !matches!(graph.node(id).op, Op::Conv(_)) {
+        let Some(Op::Conv(conv)) = graph.nodes().get(id).map(|n| &n.op) else {
             return Err(ArtifactError::Bounds {
                 region: R,
                 detail: format!("node {id} is not a convolution of the stored graph"),
             });
-        }
+        };
         let p = match r.u8()? {
             LAYER_EXACT => LayerParams::Exact,
             LAYER_PREDICTIVE => {
                 let n = r.len32()?;
+                if n != conv.c_out() {
+                    return Err(ArtifactError::Invalid {
+                        region: R,
+                        detail: format!(
+                            "node {id}: {n} kernel mode(s), the conv has {} kernel(s)",
+                            conv.c_out()
+                        ),
+                    });
+                }
+                let window_len = conv.window_len();
                 let mut modes = Vec::with_capacity(n.min(r.remaining() + 1));
                 for _ in 0..n {
                     modes.push(match r.u8()? {
@@ -1087,10 +940,13 @@ fn decode_params(bytes: &[u8], graph: &Graph) -> Result<NetworkParams, ArtifactE
                         KERNEL_SPECULATE => {
                             let threshold = r.f32()?;
                             let groups = r.len32()?;
-                            if groups == 0 {
+                            if groups == 0 || groups > window_len {
                                 return Err(ArtifactError::Bounds {
                                     region: R,
-                                    detail: "speculative group count 0".to_string(),
+                                    detail: format!(
+                                        "node {id}: speculative group count {groups} outside \
+                                         1..={window_len} (the window length)"
+                                    ),
                                 });
                             }
                             KernelMode::spec(threshold, groups)
@@ -1116,155 +972,6 @@ fn decode_params(bytes: &[u8], graph: &Graph) -> Result<NetworkParams, ArtifactE
     }
     r.finish()?;
     Ok(params)
-}
-
-// ----------------------------------------------------------------------
-// LAYERS
-// ----------------------------------------------------------------------
-
-fn decode_layers(
-    bytes: &[u8],
-    graph: &Graph,
-    params: &NetworkParams,
-    fmt: Q16Format,
-) -> Result<Vec<CompiledLayer>, ArtifactError> {
-    const R: &str = "LAYERS";
-    let invalid = |detail: String| ArtifactError::Invalid { region: R, detail };
-    let mut r = Reader::new(bytes, R);
-    let count = r.len32()?;
-    let expected: Vec<NodeId> = params
-        .iter()
-        .filter(|(_, p)| matches!(p, LayerParams::Predictive(_)))
-        .map(|(id, _)| id)
-        .collect();
-    if count != expected.len() {
-        return Err(invalid(format!(
-            "{count} compiled layer(s) but the parameters declare {} predictive layer(s)",
-            expected.len()
-        )));
-    }
-    let mut layers = Vec::with_capacity(count);
-    for &want_node in &expected {
-        let node = r.len32()?;
-        if node != want_node {
-            return Err(invalid(format!(
-                "compiled layer order: found node {node}, expected {want_node}"
-            )));
-        }
-        let Op::Conv(conv) = &graph.node(node).op else {
-            return Err(invalid(format!("node {node} is not a convolution")));
-        };
-        let Some(LayerParams::Predictive(modes)) = params.get(node) else {
-            return Err(invalid(format!("node {node} has no predictive parameters")));
-        };
-        let in_h = r.len32()?;
-        let in_w = r.len32()?;
-        let n_kernels = r.len32()?;
-        if n_kernels != conv.c_out() || modes.len() != conv.c_out() {
-            return Err(invalid(format!(
-                "node {node}: {n_kernels} kernel(s) stored, {} mode(s), conv has {}",
-                modes.len(),
-                conv.c_out()
-            )));
-        }
-        let window_len = conv.window_len();
-        let mut kernels = Vec::with_capacity(n_kernels);
-        let mut q16 = Vec::with_capacity(n_kernels);
-        for (k, mode) in modes.iter().enumerate() {
-            let len = r.len32()?;
-            if len != window_len {
-                return Err(invalid(format!(
-                    "node {node} kernel {k}: {len} weight(s) stored, window length is {window_len}"
-                )));
-            }
-            let order = r.u32s(len)?;
-            let weights = r.f32s(len)?;
-            let spec_len = r.len32()?;
-            let neg_start = r.len32()?;
-            let threshold = r.f32()?;
-            let stored_q = r.i16s(len)?;
-            let reordered = ReorderedKernel::from_parts(order, weights, spec_len, neg_start)
-                .map_err(|e| invalid(format!("node {node} kernel {k}: {e}")))?;
-            // Cross-checks against the graph and parameter sections: the
-            // compiled state must be exactly what compiling the stored model
-            // would produce.
-            let original = conv.weight().item(k);
-            for (p, &oi) in reordered.order().iter().enumerate() {
-                let (Some(&stored_w), Some(&orig_w)) =
-                    (reordered.weights().get(p), original.get(oi as usize))
-                else {
-                    return Err(invalid(format!(
-                        "node {node} kernel {k}: index {oi} escapes the original weights"
-                    )));
-                };
-                if stored_w.to_bits() != orig_w.to_bits() {
-                    return Err(invalid(format!(
-                        "node {node} kernel {k} position {p}: reordered weight disagrees with the model weights"
-                    )));
-                }
-            }
-            match mode {
-                KernelMode::Exact => {
-                    if spec_len != 0 {
-                        return Err(invalid(format!(
-                            "node {node} kernel {k}: exact mode but speculative length {spec_len}"
-                        )));
-                    }
-                }
-                KernelMode::Speculate(kp) => {
-                    if spec_len != kp.groups || threshold.to_bits() != kp.threshold.to_bits() {
-                        return Err(invalid(format!(
-                            "node {node} kernel {k}: stored PAU (Th {threshold}, N {spec_len}) disagrees with parameters (Th {}, N {})",
-                            kp.threshold, kp.groups
-                        )));
-                    }
-                }
-            }
-            let expect_q = quantize_slice(fmt, reordered.weights());
-            if stored_q != expect_q {
-                return Err(invalid(format!(
-                    "node {node} kernel {k}: stored q16 weights disagree with quantization"
-                )));
-            }
-            let pau = Pau::from_parts(threshold, spec_len, neg_start);
-            kernels.push(KernelExec::new(reordered, pau));
-            q16.push(stored_q);
-        }
-        // Plan tables, bounds-checked against the layer's activation size.
-        let windows = r.len32()?;
-        let plan_wl = r.len32()?;
-        let interior = r.len32()?;
-        let item_len = checked_product(R, &[conv.c_in(), in_h, in_w])?;
-        if plan_wl != window_len {
-            return Err(invalid(format!(
-                "node {node}: plan window length {plan_wl} != kernel window length {window_len}"
-            )));
-        }
-        let geom = conv.geom();
-        let expect_windows = geom.out_h(in_h) * geom.out_w(in_w);
-        if windows != expect_windows {
-            return Err(invalid(format!(
-                "node {node}: {windows} plan window(s), geometry implies {expect_windows}"
-            )));
-        }
-        let taps = r.i32s(checked_product(R, &[windows, plan_wl])?)?;
-        let delta = r.i32s(plan_wl)?;
-        let bases = r.i32s(windows)?;
-        let gather = GatherTable::from_parts(windows, plan_wl, taps, item_len)
-            .map_err(|e| invalid(format!("node {node} gather table: {e}")))?;
-        let plan = WindowPlan::from_parts(gather, delta, bases, interior, item_len)
-            .map_err(|e| invalid(format!("node {node} window plan: {e}")))?;
-        layers.push(CompiledLayer {
-            node,
-            in_h,
-            in_w,
-            kernels,
-            q16,
-            plan: Arc::new(plan),
-        });
-    }
-    r.finish()?;
-    Ok(layers)
 }
 
 fn checked_product(region: &'static str, factors: &[usize]) -> Result<usize, ArtifactError> {
@@ -1303,12 +1010,6 @@ impl Writer {
     fn usize32(&mut self, v: usize) {
         assert!(v <= u32::MAX as usize, "artifact count exceeds u32");
         self.u32(v as u32);
-    }
-    fn i16(&mut self, v: i16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i32(&mut self, v: i32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn f32(&mut self, v: f32) {
         self.u32(v.to_bits());
@@ -1392,25 +1093,6 @@ impl<'a> Reader<'a> {
 
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ArtifactError> {
         Ok(self.u32s(n)?.into_iter().map(f32::from_bits).collect())
-    }
-
-    fn i32s(&mut self, n: usize) -> Result<Vec<i32>, ArtifactError> {
-        Ok(self
-            .u32s(n)?
-            .into_iter()
-            .map(|v| i32::from_le_bytes(v.to_le_bytes()))
-            .collect())
-    }
-
-    fn i16s(&mut self, n: usize) -> Result<Vec<Q16>, ArtifactError> {
-        let raw = self.chunk(n.checked_mul(2).ok_or(ArtifactError::Bounds {
-            region: self.region,
-            detail: "i16 count overflows".to_string(),
-        })?)?;
-        Ok(raw
-            .chunks_exact(2)
-            .map(|c| Q16(i16::from_le_bytes([c[0], c[1]])))
-            .collect())
     }
 
     fn str(&mut self) -> Result<String, ArtifactError> {
@@ -1568,29 +1250,34 @@ mod tests {
     }
 
     #[test]
-    fn skip_layers_checksum_accepts_plan_corruption() {
-        // The inject-bug smoke's premise: with the LAYERS checksum verify
-        // skipped, a corruption in otherwise-unvalidated plan bytes loads
-        // successfully — the corruption battery exists to catch exactly
+    fn skip_params_checksum_accepts_threshold_corruption() {
+        // The inject-bug smoke's premise: with the PARAMS checksum verify
+        // skipped, a flipped threshold bit is well-formed and loads as a
+        // different model — the corruption battery exists to catch exactly
         // this class of bug.
         let cm = compile_tiny();
-        let bytes = cm.to_bytes();
-        let sizes = cm.to_bytes_sized().1;
-        let layers_start = bytes.len() - sizes.layers;
-        // Find a tap byte to nudge: the last section's tail holds the plan
-        // tables; toggling the low bit of an interior base keeps bounds.
+        let (bytes, sizes) = cm.to_bytes_sized();
+        // PARAMS payload, after the section's 12-byte tag and length: layer
+        // count u32, node 1's id u32, layer tag u8, mode count u32, kernel
+        // 0's exact tag u8, kernel 1's speculate tag u8, then its threshold.
+        let threshold = sizes.header + sizes.meta + sizes.graph + 12 + 15;
         let mut b = bytes.clone();
-        let pos = layers_start + sizes.layers / 2;
-        b[pos] ^= 0x01;
-        // Fully-verified load rejects it...
-        assert!(CompiledModel::from_bytes(&b).is_err());
-        // ...and the only acceptable outcomes under the planted bug are a
-        // typed rejection (semantic cross-check caught it) or a load — never
-        // a panic.
+        b[threshold] ^= 0x01;
+        assert!(matches!(
+            CompiledModel::from_bytes(&b),
+            Err(ArtifactError::Checksum {
+                region: "PARAMS",
+                ..
+            })
+        ));
         let opts = LoadOptions {
-            skip_layers_checksum: true,
+            skip_params_checksum: true,
         };
-        let _ = CompiledModel::from_bytes_with(&b, opts);
+        let loaded = CompiledModel::from_bytes_with(&b, opts).expect("well-formed PARAMS");
+        assert_ne!(loaded.params(), cm.params());
+        let pau = loaded.layers()[0].kernels()[1].pau;
+        assert_eq!(pau.spec_len(), 4);
+        assert_ne!(pau.threshold().to_bits(), 0.25f32.to_bits());
     }
 
     #[test]

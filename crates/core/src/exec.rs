@@ -26,8 +26,8 @@ pub struct KernelExec {
     pub pau: Pau,
     /// Walk-order weights padded to whole eight-wide lane blocks
     /// ([`snapea_tensor::lane::pack_weights`]) — built once per kernel at
-    /// configuration (or artifact-compile) time, never per layer call. The
-    /// `.snapea` artifact carries and validates this layout.
+    /// configuration time (including artifact compile and load), never per
+    /// layer call.
     packed: Vec<f32>,
 }
 
@@ -366,39 +366,6 @@ impl GatherTable {
         }
     }
 
-    /// Reassembles a gather table from stored parts (the compiled-model
-    /// artifact loader). `taps` must hold exactly `windows × window_len`
-    /// offsets, each either `-1` (padding) or `< item_len`.
-    pub fn from_parts(
-        windows: usize,
-        window_len: usize,
-        taps: Vec<i32>,
-        item_len: usize,
-    ) -> Result<Self, String> {
-        let expect = windows
-            .checked_mul(window_len)
-            .ok_or("windows × window_len overflows")?;
-        if taps.len() != expect {
-            return Err(format!(
-                "tap count {} != windows {windows} × window_len {window_len}",
-                taps.len()
-            ));
-        }
-        if let Some(&bad) = taps
-            .iter()
-            .find(|&&t| t < -1 || (t >= 0 && t as usize >= item_len.max(1)))
-        {
-            return Err(format!(
-                "tap offset {bad} outside item of {item_len} elements"
-            ));
-        }
-        Ok(Self {
-            windows,
-            taps,
-            window_len,
-        })
-    }
-
     /// Number of windows.
     pub fn windows(&self) -> usize {
         self.windows
@@ -407,11 +374,6 @@ impl GatherTable {
     /// Window length `c_in × kh × kw`.
     pub fn window_len(&self) -> usize {
         self.window_len
-    }
-
-    /// The full tap array, window-major (`windows × window_len` offsets).
-    pub fn taps(&self) -> &[i32] {
-        &self.taps
     }
 
     /// Tap offsets of window `w`.
@@ -487,73 +449,10 @@ impl WindowPlan {
         }
     }
 
-    /// Reassembles a plan from stored parts (the compiled-model artifact
-    /// loader). Validates the structural invariants [`WindowPlan::build`]
-    /// establishes: one delta per original weight index, one base per
-    /// window, `interior` equal to the count of non-negative bases, and
-    /// `base + delta` within the item bounds for every interior window (a
-    /// delta alone may exceed the item — only resolved taps index memory).
-    pub fn from_parts(
-        gather: GatherTable,
-        delta: Vec<i32>,
-        bases: Vec<i32>,
-        interior: usize,
-        item_len: usize,
-    ) -> Result<Self, String> {
-        if delta.len() != gather.window_len() {
-            return Err(format!(
-                "delta count {} != window length {}",
-                delta.len(),
-                gather.window_len()
-            ));
-        }
-        if bases.len() != gather.windows() {
-            return Err(format!(
-                "base count {} != window count {}",
-                bases.len(),
-                gather.windows()
-            ));
-        }
-        if interior != bases.iter().filter(|&&b| b >= 0).count() {
-            return Err("interior count disagrees with the non-negative bases".to_string());
-        }
-        if let Some(&bad) = delta.iter().find(|&&d| d < 0) {
-            return Err(format!("negative delta {bad}"));
-        }
-        if let Some(&bad) = bases.iter().find(|&&b| b < -1) {
-            return Err(format!("base {bad} below the border sentinel -1"));
-        }
-        let max_delta = delta.iter().copied().max().unwrap_or(0) as i64;
-        if let Some(&bad) = bases
-            .iter()
-            .find(|&&b| b >= 0 && i64::from(b) + max_delta >= item_len as i64)
-        {
-            return Err(format!(
-                "interior base {bad} + max delta {max_delta} escapes the item of {item_len} elements"
-            ));
-        }
-        Ok(Self {
-            gather,
-            delta,
-            bases,
-            interior,
-        })
-    }
-
     /// The underlying gather table (border windows, tests, profiling).
     #[inline]
     pub fn gather(&self) -> &GatherTable {
         &self.gather
-    }
-
-    /// The per-original-index tap deltas of interior windows.
-    pub fn delta(&self) -> &[i32] {
-        &self.delta
-    }
-
-    /// The per-window base offsets (`-1` marks a border window).
-    pub fn bases(&self) -> &[i32] {
-        &self.bases
     }
 
     /// Number of windows.
@@ -667,10 +566,11 @@ fn layer_plan_entry(
 }
 
 /// Installs a prebuilt plan into the memoised cache under the key
-/// [`layer_plan`] would compute for `(input h/w, geom, c_in)` — the
-/// compiled-model artifact loader uses this so the first execution of a
-/// loaded model skips plan construction. An already-cached plan for the key
-/// is left in place (both are deterministic functions of the key).
+/// [`layer_plan`] would compute for `(input h/w, geom, c_in)` — a compiled
+/// model uses this to re-prime the cache with the plans it holds, so its
+/// first execution skips plan construction even after the cache was
+/// cleared. An already-cached plan for the key is left in place (both are
+/// deterministic functions of the key).
 pub fn install_plan(
     h: usize,
     w: usize,

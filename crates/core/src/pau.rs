@@ -83,19 +83,6 @@ impl Pau {
         }
     }
 
-    /// Reassembles a PAU from stored fields (the compiled-model artifact
-    /// loader's entry point). Consistency with the kernel it will drive
-    /// (`spec_len == kernel.spec_len()`, `neg_start == kernel.neg_start()`)
-    /// is the caller's responsibility — the artifact loader cross-checks
-    /// both against the reassembled [`ReorderedKernel`].
-    pub fn from_parts(threshold: f32, spec_len: usize, neg_start: usize) -> Self {
-        Self {
-            threshold,
-            spec_len,
-            neg_start,
-        }
-    }
-
     /// The predictive threshold.
     pub fn threshold(&self) -> f32 {
         self.threshold

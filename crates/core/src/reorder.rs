@@ -30,50 +30,6 @@ pub struct ReorderedKernel {
 }
 
 impl ReorderedKernel {
-    /// Reassembles a kernel from its stored parts (the compiled-model
-    /// artifact loader's entry point). Validates every structural invariant
-    /// the reordering passes establish, so a kernel built from untrusted
-    /// bytes is indistinguishable from a freshly reordered one:
-    ///
-    /// * `order` is a permutation of `0..weights.len()`,
-    /// * `spec_len <= neg_start <= len` (the three-region layout).
-    ///
-    /// Value-level agreement with the original weights (artifact cross-check)
-    /// is the caller's job — this type does not store the originals.
-    pub fn from_parts(
-        order: Vec<u32>,
-        weights: Vec<f32>,
-        spec_len: usize,
-        neg_start: usize,
-    ) -> Result<Self, String> {
-        let len = order.len();
-        if weights.len() != len {
-            return Err(format!(
-                "weight count {} != index-buffer length {len}",
-                weights.len()
-            ));
-        }
-        if spec_len > neg_start || neg_start > len {
-            return Err(format!(
-                "region layout violated: spec_len {spec_len} <= neg_start {neg_start} <= len {len} required"
-            ));
-        }
-        let mut seen = vec![false; len];
-        for &i in &order {
-            match seen.get_mut(i as usize) {
-                Some(s) if !*s => *s = true,
-                Some(_) => return Err(format!("index {i} repeats in the index buffer")),
-                None => return Err(format!("index {i} out of range for {len} weights")),
-            }
-        }
-        Ok(Self {
-            order,
-            weights,
-            spec_len,
-            neg_start,
-        })
-    }
-
     /// The index buffer: `order()[p]` is the original index of the weight at
     /// reordered position `p`.
     pub fn order(&self) -> &[u32] {

@@ -14,10 +14,10 @@
 //!    accepted-but-corrupt load.
 //!
 //! [`ArtifactCheckOptions::inject_load_bug`] loads mutated bytes with the
-//! LAYERS-section checksum verification skipped — a deliberately planted
+//! PARAMS-section checksum verification skipped — a deliberately planted
 //! bug. The battery must then observe at least one corrupted artifact load
-//! successfully (the semantic cross-checks catch most damage, but in-bounds
-//! flips inside the plan tables are exactly the silent corruption the
+//! successfully (the structural checks reject most damage, but a flipped
+//! threshold bit is well-formed — exactly the silent corruption the
 //! checksum exists to stop), proving the battery detects a weakened loader.
 
 use crate::gen::CaseConfig;
@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 /// Artifact-battery knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ArtifactCheckOptions {
-    /// Load mutated bytes with the LAYERS checksum verification skipped —
+    /// Load mutated bytes with the PARAMS checksum verification skipped —
     /// the planted loader bug the battery must catch.
     pub inject_load_bug: bool,
 }
@@ -316,7 +316,7 @@ pub fn run_artifact_case(case_seed: u64, opts: &ArtifactCheckOptions) -> Artifac
 
     // 2. Corruption: every mutation must be rejected with a typed error.
     let load_opts = LoadOptions {
-        skip_layers_checksum: opts.inject_load_bug,
+        skip_params_checksum: opts.inject_load_bug,
     };
     let mut r = OracleRng::new(mix(case_seed, 4));
     let mut mutations = 0u64;
@@ -443,7 +443,7 @@ mod tests {
         let r = run_artifact_check(200, 7, &opts);
         assert!(
             !r.passed(),
-            "a loader that skips the LAYERS checksum must accept some corruption"
+            "a loader that skips the PARAMS checksum must accept some corruption"
         );
         let text = r.render_text();
         assert!(text.contains("accepted a corrupted artifact"), "{text}");

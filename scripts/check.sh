@@ -177,7 +177,7 @@ must_fail "planted artifact loader bug" "replay: snapea-tool selfcheck --artifac
 # drift here means the format changed without a VERSION bump + regeneration.
 echo "==> golden artifact byte-stability gate (tests/golden/tiny.snapea)"
 golden=$(cksum tests/golden/tiny.snapea)
-want="2324201021 15284 tests/golden/tiny.snapea"
+want="2186350779 2240 tests/golden/tiny.snapea"
 if [ "$golden" != "$want" ]; then
   echo "ERROR: golden artifact drifted: got '$golden', want '$want'"
   echo "       (format changes must bump VERSION and regenerate, see tests/artifact.rs)"

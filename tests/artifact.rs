@@ -4,7 +4,9 @@
 //!
 //! * **Zoo bit-identity** — for every workload in the zoo, executing a
 //!   compiled-then-loaded artifact is bit-identical to `SpecNet`'s
-//!   fresh-reorder path on the same inputs (the `run --artifact` contract);
+//!   fresh-reorder path on the same inputs (the `run --artifact` contract),
+//!   and every loaded layer holds exactly the kernels
+//!   `LayerConfig::from_params` derives from the stored graph and params;
 //! * **Golden fixture** — `tests/golden/tiny.snapea` is committed; the
 //!   deterministic fixture model must re-serialize to exactly those bytes
 //!   with a frozen digest, so any format drift fails loudly. To regenerate
@@ -20,6 +22,7 @@
 //!   typed error, and the round trip must hold bit-exactly.
 
 use snapea_suite::core::artifact::{fnv64, ArtifactError, CompiledModel, ENDIAN_TAG, VERSION};
+use snapea_suite::core::exec::LayerConfig;
 use snapea_suite::core::params::{KernelParams, LayerParams, NetworkParams};
 use snapea_suite::core::spec_net::SpecNet;
 use snapea_suite::nn::data::SynthShapes;
@@ -29,9 +32,10 @@ use snapea_suite::oracle::{run_artifact_check, ArtifactCheckOptions};
 use snapea_suite::tensor::im2col::ConvGeom;
 use snapea_suite::tensor::init;
 use snapea_suite::tensor::q16::Q16Format;
+use snapea_suite::tensor::{Shape4, Tensor4};
 
 /// Frozen FNV-1a-64 digest of `tests/golden/tiny.snapea`.
-const GOLDEN_DIGEST: u64 = 0xbb3f_74df_3371_3cc1;
+const GOLDEN_DIGEST: u64 = 0x6950_c581_00da_4475;
 
 fn golden_path() -> String {
     format!("{}/tests/golden/tiny.snapea", env!("CARGO_MANIFEST_DIR"))
@@ -97,6 +101,20 @@ fn zoo_networks_execute_bit_identically_from_artifacts() {
         );
         let loaded = CompiledModel::from_bytes(&compiled.to_bytes())
             .unwrap_or_else(|e| panic!("{}: artifact rejected: {e}", w.name()));
+        assert_eq!(loaded.layers().len(), net.conv_ids().len(), "{}", w.name());
+        for l in loaded.layers() {
+            let Op::Conv(conv) = &loaded.graph().node(l.node()).op else {
+                panic!("{}: layer {} is not a conv", w.name(), l.node());
+            };
+            let p = loaded.params().get(l.node()).expect("layer has params");
+            assert_eq!(
+                l.kernels(),
+                LayerConfig::from_params(conv, p).kernels(),
+                "{}: node {} kernels differ from a fresh derivation",
+                w.name(),
+                l.node()
+            );
+        }
         let fresh = SpecNet::new(&net, &params).forward(&batch);
         let from_artifact = loaded.forward(&batch);
         assert_eq!(fresh.len(), from_artifact.len(), "{}", w.name());
@@ -202,46 +220,94 @@ fn header_errors_carry_their_typed_variants() {
     ));
 }
 
-/// A PACKED payload whose framing checksum is *valid* but whose values
-/// disagree with the walk-order weights must still be rejected — the
-/// semantic cross-check, not the checksum, is what stops a well-formed file
-/// from smuggling in a packed layout the scalar paths would contradict.
+/// Loading derives every layer's shape from an empty-batch forward: each
+/// node must get exactly the `(c, h, w)` a one-image forward gives it.
 #[test]
-fn reframed_packed_section_corruption_is_caught_semantically() {
-    let bytes = compile_fixture().to_bytes();
-    // Walk the section framing (header is 24 bytes; each section is
-    // tag u32 · len u64 · payload · fnv u64) to the PACKED section, tag 5.
+fn empty_batch_forward_gives_every_zoo_node_its_one_image_shape() {
+    for w in Workload::ALL {
+        let net = w.build(10);
+        let dims = |n| Shape4::new(n, 3, INPUT_SIZE, INPUT_SIZE);
+        let empty = net.forward(&Tensor4::zeros(dims(0)));
+        let one = net.forward(&Tensor4::zeros(dims(1)));
+        assert_eq!(empty.len(), one.len(), "{}", w.name());
+        for (id, (e, o)) in empty.iter().zip(&one).enumerate() {
+            let (e, o) = (e.shape(), o.shape());
+            assert_eq!(e.n, 0, "{} node {id}", w.name());
+            assert_eq!((e.c, e.h, e.w), (o.c, o.h, o.w), "{} node {id}", w.name());
+        }
+    }
+}
+
+/// Rebuilds `bytes` with the PARAMS payload (section tag 3) edited by
+/// `edit`, re-framing its length and repairing its checksum, so only the
+/// loader's structural validation can object.
+fn with_params_payload(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    // Header is 24 bytes; each section is tag u32 · len u64 · payload · fnv u64.
     let mut pos = 24usize;
-    let (payload_start, payload_len) = loop {
+    loop {
         let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
         let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-        if tag == 5 {
-            break (pos + 12, len);
+        if tag == 3 {
+            let mut payload = bytes[pos + 12..pos + 12 + len].to_vec();
+            edit(&mut payload);
+            let mut framed = Vec::new();
+            framed.extend_from_slice(&3u32.to_le_bytes());
+            framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            framed.extend_from_slice(&payload);
+            let fnv = fnv64(&framed);
+            let mut out = bytes[..pos].to_vec();
+            out.extend_from_slice(&framed);
+            out.extend_from_slice(&fnv.to_le_bytes());
+            out.extend_from_slice(&bytes[pos + 12 + len + 8..]);
+            return out;
         }
         pos += 12 + len + 8;
+    }
+}
+
+/// PARAMS payloads with valid framing checksums but parameters the stored
+/// graph cannot take must be rejected with typed errors, not reach the
+/// asserts of the layer derivation.
+#[test]
+fn reframed_params_section_corruption_yields_typed_errors() {
+    let bytes = compile_fixture().to_bytes();
+    // Fixture PARAMS payload: layer count u32, then node 1 (conv1, 4 kernels
+    // of window length 3·3·3 = 27): id u32 · predictive tag u8 · mode count
+    // u32 · per kernel a speculate tag u8, threshold f32 and groups u32.
+    const MODE_COUNT: usize = 9;
+    const FIRST_GROUPS: usize = 18;
+    const FOURTH_MODE: std::ops::Range<usize> = 40..49;
+    let set_u32 = |p: &mut Vec<u8>, at: usize, v: u32| {
+        p[at..at + 4].copy_from_slice(&v.to_le_bytes());
     };
-    // Flip the sign bit of the section's last f32 (a lane-padding slot or a
-    // weight; either way the stored bits now disagree), then repair the
-    // section checksum so only the semantic validation can object.
-    let mut b = bytes.clone();
-    b[payload_start + payload_len - 1] ^= 0x80;
-    let mut framed = Vec::new();
-    framed.extend_from_slice(&5u32.to_le_bytes());
-    framed.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    framed.extend_from_slice(&b[payload_start..payload_start + payload_len]);
-    let fixed = fnv64(&framed);
-    b[payload_start + payload_len..payload_start + payload_len + 8]
-        .copy_from_slice(&fixed.to_le_bytes());
+
+    // One mode short of conv1's four kernels.
+    let b = with_params_payload(&bytes, |p| {
+        set_u32(p, MODE_COUNT, 3);
+        p.drain(FOURTH_MODE);
+    });
     match CompiledModel::from_bytes(&b) {
         Err(ArtifactError::Invalid { region, detail }) => {
-            assert_eq!(region, "PACKED");
-            assert!(
-                detail.contains("padding") || detail.contains("walk-order"),
-                "unexpected detail: {detail}"
-            );
+            assert_eq!(region, "PARAMS");
+            assert!(detail.contains("3 kernel mode(s)"), "{detail}");
         }
-        other => panic!("expected semantic PACKED rejection, got {other:?}"),
+        other => panic!("expected a PARAMS mode-count rejection, got {other:?}"),
     }
+
+    // More speculative groups than conv1's window holds.
+    let b = with_params_payload(&bytes, |p| set_u32(p, FIRST_GROUPS, 28));
+    match CompiledModel::from_bytes(&b) {
+        Err(ArtifactError::Bounds { region, detail }) => {
+            assert_eq!(region, "PARAMS");
+            assert!(detail.contains("group count 28"), "{detail}");
+        }
+        other => panic!("expected a PARAMS group-count rejection, got {other:?}"),
+    }
+
+    // The whole window is a valid speculative set.
+    let b = with_params_payload(&bytes, |p| set_u32(p, FIRST_GROUPS, 27));
+    let loaded = CompiledModel::from_bytes(&b).expect("groups == window length loads");
+    assert_eq!(loaded.layers()[0].kernels()[0].pau.spec_len(), 27);
 }
 
 #[test]
