@@ -2,10 +2,9 @@
 //! results, transcribed as constants; see DESIGN.md §1).
 
 use crate::config::AccelConfig;
-use serde::{Deserialize, Serialize};
 
 /// One row of the area table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaItem {
     /// Component name.
     pub name: String,
@@ -16,7 +15,7 @@ pub struct AreaItem {
 }
 
 /// Area breakdown of an accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaBreakdown {
     /// Per-component rows.
     pub items: Vec<AreaItem>,

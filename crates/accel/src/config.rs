@@ -1,14 +1,12 @@
 //! Accelerator configuration (paper Table II).
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a PE-array accelerator.
 ///
 /// The two presets mirror the paper's Table II: [`AccelConfig::snapea`]
 /// (8×8 PEs × 4 lanes, index buffers, distributed 20 KB I/O buffers) and
 /// [`AccelConfig::eyeriss`] (256 single-lane PEs, shared 1.25 MB global
 /// buffer, no index buffer). Both run 256 MAC units at 500 MHz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccelConfig {
     /// PE-array rows (kernels are partitioned across rows).
     pub pe_rows: usize,

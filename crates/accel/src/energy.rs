@@ -1,12 +1,10 @@
 //! Energy model — the paper's Table III event costs.
 
-use serde::{Deserialize, Serialize};
-
 /// Data word width of the PEs (16-bit fixed point, Table II).
 pub const WORD_BITS: u64 = 16;
 
 /// Per-bit energy of each event class (paper Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Register file access (pJ/bit).
     pub register_pj_bit: f64,
@@ -51,7 +49,7 @@ impl EnergyModel {
 }
 
 /// Event counts accumulated by the simulator for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyEvents {
     /// Executed MAC operations.
     pub macs: u64,
@@ -82,7 +80,7 @@ impl EnergyEvents {
 }
 
 /// Energy totals in pJ, broken down by event class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// MAC (PE) energy.
     pub mac_pj: f64,

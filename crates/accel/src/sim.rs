@@ -5,10 +5,9 @@ use crate::config::AccelConfig;
 use crate::energy::{EnergyBreakdown, EnergyEvents, EnergyModel};
 use crate::engine::{run_pe, PeRun};
 use crate::workload::{LayerWorkload, NetworkWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Simulation result for one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name.
     pub name: String,
@@ -37,7 +36,7 @@ impl LayerReport {
 }
 
 /// Simulation result for a network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Configuration simulated.
     pub config: AccelConfig,

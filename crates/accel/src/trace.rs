@@ -12,10 +12,9 @@
 use crate::config::AccelConfig;
 use crate::sim::{map_layer, UnitDispatch};
 use crate::workload::{LayerWorkload, NetworkWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Per-PE activity summary within one layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeActivity {
     /// Units dispatched to this PE.
     pub units: usize,

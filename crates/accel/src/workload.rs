@@ -6,14 +6,13 @@
 //! description straight from a network, a batch, and a
 //! [`snapea::spec_net::NetworkProfile`].
 
-use serde::{Deserialize, Serialize};
 use snapea::exec::LayerProfile;
 use snapea::spec_net::NetworkProfile;
 use snapea_nn::graph::Graph;
 use snapea_tensor::Tensor4;
 
 /// One convolution layer's workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWorkload {
     /// Layer name (for reports).
     pub name: String,
@@ -73,7 +72,7 @@ impl LayerWorkload {
 }
 
 /// A whole network's workload, in layer order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkWorkload {
     /// Network name.
     pub name: String,

@@ -14,7 +14,6 @@
 
 use crate::context::{Datasets, TrainedWorkload};
 use crate::table::{pct, Table};
-use serde_json::json;
 use snapea::exec::{
     execute_conv_stats, layer_plan, GatherTable, KernelExec, LayerConfig, PredictionStats,
 };
@@ -23,6 +22,7 @@ use snapea::pau::Pau;
 use snapea::reorder::{magnitude_reorder, predictive_reorder, ReorderedKernel};
 use snapea_nn::data::{LabeledImage, SynthShapes};
 use snapea_nn::loss::argmax_rows;
+use snapea_obs::Json;
 use snapea_tensor::Tensor4;
 
 use crate::experiments::ExperimentResult;
@@ -158,15 +158,18 @@ pub fn ablation_selection(trained: &[TrainedWorkload], data: &Datasets) -> Exper
                 pct(stats.true_negative_rate()),
                 pct(stats.false_negative_rate()),
             ]);
-            rows.push(json!({
-                "network": tw.workload.name(),
-                "strategy": label,
-                "accuracy": acc,
-                "accuracy_drop": base - acc,
-                "mac_savings": saved,
-                "true_negative_rate": stats.true_negative_rate(),
-                "false_negative_rate": stats.false_negative_rate(),
-            }));
+            rows.push(Json::obj(vec![
+                ("network", Json::from(tw.workload.name())),
+                ("strategy", Json::from(label)),
+                ("accuracy", Json::from(acc)),
+                ("accuracy_drop", Json::from(base - acc)),
+                ("mac_savings", Json::from(saved)),
+                ("true_negative_rate", Json::from(stats.true_negative_rate())),
+                (
+                    "false_negative_rate",
+                    Json::from(stats.false_negative_rate()),
+                ),
+            ]));
         }
     }
     let note = "Paper §IV-A claims magnitude-only selection 'drastically declines' accuracy.\n\
@@ -181,7 +184,7 @@ pub fn ablation_selection(trained: &[TrainedWorkload], data: &Datasets) -> Exper
         id: "ablation_selection",
         title: "Ablation: speculative-weight selection strategy (N=8, q=0.9 thresholds)".into(),
         text: format!("{}\n{note}\n", t.render()),
-        json: json!({"rows": rows}),
+        json: Json::obj(vec![("rows", Json::Arr(rows))]),
     }
 }
 
@@ -221,10 +224,17 @@ pub fn sweep_pe_array(trained: &[TrainedWorkload], data: &Datasets) -> Experimen
             let sn = simulate(&cfg, &model, &wl);
             let sp = sn.speedup_over(&ey);
             cells.push(format!("{sp:.2}x @{:.0}%", sn.utilization() * 100.0));
-            series.push(json!({"dim": d, "speedup": sp, "utilization": sn.utilization()}));
+            series.push(Json::obj(vec![
+                ("dim", Json::from(d)),
+                ("speedup", Json::from(sp)),
+                ("utilization", Json::from(sn.utilization())),
+            ]));
         }
         t.row(cells);
-        rows.push(json!({"network": tw.workload.name(), "series": series}));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("series", Json::Arr(series)),
+        ]));
     }
     let note = "Exact mode, speedup vs the fixed 256-MAC baseline. Throughput grows with the\n\
                 array until the mini workloads run out of parallel windows and utilisation\n\
@@ -233,7 +243,7 @@ pub fn sweep_pe_array(trained: &[TrainedWorkload], data: &Datasets) -> Experimen
         id: "sweep_pes",
         title: "Extension: PE-array scaling at 4 lanes/PE".into(),
         text: format!("{}\n{note}\n", t.render()),
-        json: json!({"networks": rows}),
+        json: Json::obj(vec![("networks", Json::Arr(rows))]),
     }
 }
 
@@ -282,12 +292,12 @@ pub fn related_zeroskip(trained: &[TrainedWorkload], data: &Datasets) -> Experim
             pct(sav(zs)),
             pct(sav(co)),
         ]);
-        rows.push(json!({
-            "network": tw.workload.name(),
-            "snapea_savings": sav(sn),
-            "zero_skip_savings": sav(zs),
-            "combined_savings": sav(co),
-        }));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("snapea_savings", Json::from(sav(sn))),
+            ("zero_skip_savings", Json::from(sav(zs))),
+            ("combined_savings", Json::from(sav(co))),
+        ]));
     }
     let note = "MAC-level savings over the dense convolution (exact mode, no accuracy loss\n\
                 anywhere). Zero-skipping exploits input sparsity, SnaPEA exploits output\n\
@@ -296,7 +306,7 @@ pub fn related_zeroskip(trained: &[TrainedWorkload], data: &Datasets) -> Experim
         id: "related_zeroskip",
         title: "Related work: input-zero skipping vs early termination vs combined".into(),
         text: format!("{}\n{note}\n", t.render()),
-        json: json!({"rows": rows}),
+        json: Json::obj(vec![("rows", Json::Arr(rows))]),
     }
 }
 

@@ -136,11 +136,7 @@ fn main() {
         println!("{}", r.text);
         let path = format!("repro-results/{}.json", r.id);
         if let Ok(mut f) = std::fs::File::create(&path) {
-            let _ = writeln!(
-                f,
-                "{}",
-                serde_json::to_string_pretty(&r.json).expect("json serialises")
-            );
+            let _ = writeln!(f, "{}", r.json);
         }
     }
     snapea_obs::event!(

@@ -2,9 +2,12 @@
 //!
 //! Training the four mini workloads and running the Algorithm-1 optimizer
 //! are the expensive steps of the reproduction; both are deterministic, so
-//! their results are cached as JSON under `repro-cache/` and reused across
-//! `repro` invocations and bench runs.
+//! their results are cached as `.snapea` artifacts under `repro-cache/` and
+//! reused across `repro` invocations and bench runs: `{w}.snapea` holds a
+//! trained network (all-exact parameters), `{w}.eps{m}.snapea` the same
+//! network with the parameters Algorithm 1 chose at budget `m`/1000.
 
+use snapea::artifact::CompiledModel;
 use snapea::optimizer::{Optimizer, OptimizerConfig};
 use snapea::params::NetworkParams;
 use snapea_nn::data::{LabeledImage, SynthShapes};
@@ -12,6 +15,7 @@ use snapea_nn::graph::Graph;
 use snapea_nn::train::{evaluate, TrainConfig, Trainer};
 use snapea_nn::zoo::{Workload, INPUT_SIZE};
 use snapea_tensor::init;
+use snapea_tensor::q16::Q16Format;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -72,14 +76,19 @@ pub fn cache_dir() -> PathBuf {
 }
 
 fn model_path(dir: &Path, w: Workload) -> PathBuf {
-    dir.join(format!("{}.model.json", w.name().to_lowercase()))
+    dir.join(format!("{}.snapea", w.name().to_lowercase()))
 }
 
 fn params_path(dir: &Path, w: Workload, eps_milli: u32) -> PathBuf {
-    dir.join(format!(
-        "{}.params.eps{eps_milli}.json",
-        w.name().to_lowercase()
-    ))
+    dir.join(format!("{}.eps{eps_milli}.snapea", w.name().to_lowercase()))
+}
+
+/// Caches `net` under `params` as an artifact for the zoo input shape.
+/// Best effort: a failed write only costs a recomputation on the next run.
+fn write_cache(dir: &Path, path: &Path, net: &Graph, params: &NetworkParams) {
+    let _ = fs::create_dir_all(dir);
+    let dims = (3, INPUT_SIZE, INPUT_SIZE);
+    let _ = CompiledModel::compile(net, params, dims, Q16Format::default()).write_file(path);
 }
 
 /// Trains one workload (or loads it from cache). Deterministic in all inputs.
@@ -87,21 +96,20 @@ pub fn trained_workload(w: Workload, data: &Datasets) -> TrainedWorkload {
     let _span = snapea_obs::span!("train/workload", w.name());
     let dir = cache_dir();
     let path = model_path(&dir, w);
-    if let Ok(text) = fs::read_to_string(&path) {
-        if let Ok(net) = serde_json::from_str::<Graph>(&text) {
-            let eval_accuracy = evaluate(&net, &data.eval, 32);
-            snapea_obs::event!(
-                "train/loaded",
-                workload = w.name(),
-                eval_accuracy = eval_accuracy,
-                cache = path.display().to_string(),
-            );
-            return TrainedWorkload {
-                workload: w,
-                net,
-                eval_accuracy,
-            };
-        }
+    if let Ok(model) = CompiledModel::read_file(&path) {
+        let net = model.graph().clone();
+        let eval_accuracy = evaluate(&net, &data.eval, 32);
+        snapea_obs::event!(
+            "train/loaded",
+            workload = w.name(),
+            eval_accuracy = eval_accuracy,
+            cache = path.display().to_string(),
+        );
+        return TrainedWorkload {
+            workload: w,
+            net,
+            eval_accuracy,
+        };
     }
     let mut net = w.build(CLASSES);
     let mut trainer = Trainer::new(TrainConfig {
@@ -125,10 +133,7 @@ pub fn trained_workload(w: Workload, data: &Datasets) -> TrainedWorkload {
         epochs = EPOCHS as u64,
         eval_accuracy = eval_accuracy,
     );
-    let _ = fs::create_dir_all(&dir);
-    if let Ok(json) = serde_json::to_string(&net) {
-        let _ = fs::write(&path, json);
-    }
+    write_cache(&dir, &path, &net, &NetworkParams::new());
     TrainedWorkload {
         workload: w,
         net,
@@ -142,24 +147,19 @@ pub fn optimized_params(trained: &TrainedWorkload, data: &Datasets, epsilon: f64
     let eps_milli = (epsilon * 1000.0).round() as u32;
     let dir = cache_dir();
     let path = params_path(&dir, trained.workload, eps_milli);
-    if let Ok(text) = fs::read_to_string(&path) {
-        if let Ok(p) = serde_json::from_str::<NetworkParams>(&text) {
-            snapea_obs::event!(
-                "optimizer/loaded",
-                workload = trained.workload.name(),
-                epsilon = epsilon,
-                cache = path.display().to_string(),
-            );
-            return p;
-        }
+    if let Ok(model) = CompiledModel::read_file(&path) {
+        snapea_obs::event!(
+            "optimizer/loaded",
+            workload = trained.workload.name(),
+            epsilon = epsilon,
+            cache = path.display().to_string(),
+        );
+        return model.params().clone();
     }
     let _span = snapea_obs::span!("optimizer/workload", trained.workload.name());
     let cfg = OptimizerConfig::with_epsilon(epsilon);
     let out = Optimizer::new(&trained.net, &data.opt, cfg).run();
-    let _ = fs::create_dir_all(&dir);
-    if let Ok(json) = serde_json::to_string(&out.params) {
-        let _ = fs::write(&path, json);
-    }
+    write_cache(&dir, &path, &trained.net, &out.params);
     out.params
 }
 
@@ -183,5 +183,31 @@ mod tests {
         assert_eq!(d.opt.len(), OPT_IMAGES);
         assert_ne!(d.train[0].image, d.eval[0].image);
         assert_ne!(d.train[0].image, d.opt[0].image);
+    }
+
+    #[test]
+    fn cache_files_are_artifacts_that_round_trip_net_and_params() {
+        use snapea::params::{KernelParams, LayerParams};
+        let dir = std::env::temp_dir().join(format!("snapea-cache-test-{}", std::process::id()));
+        let net = Workload::SqueezeNet.build(CLASSES);
+        let conv = net.conv_ids()[0];
+        let snapea_nn::graph::Op::Conv(c) = &net.node(conv).op else {
+            unreachable!("conv_ids points at convs")
+        };
+        let mut params = NetworkParams::new();
+        params.set(
+            conv,
+            LayerParams::uniform(c.c_out(), KernelParams::new(0.05, 4)),
+        );
+        let path = params_path(&dir, Workload::SqueezeNet, 30);
+        assert!(path.ends_with("squeezenet.eps30.snapea"));
+        assert!(model_path(&dir, Workload::SqueezeNet).ends_with("squeezenet.snapea"));
+        write_cache(&dir, &path, &net, &params);
+        let loaded = CompiledModel::read_file(&path).expect("cache file loads");
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(loaded.params(), &params);
+        assert_eq!(loaded.input_dims(), (3, INPUT_SIZE, INPUT_SIZE));
+        let batch = SynthShapes::batch(&SynthShapes::new(INPUT_SIZE, CLASSES).generate(1, 3));
+        assert_eq!(loaded.graph().logits(&batch), net.logits(&batch));
     }
 }

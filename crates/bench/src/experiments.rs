@@ -8,7 +8,6 @@
 
 use crate::context::{Datasets, TrainedWorkload};
 use crate::table::{geomean, pct, ratio, Table};
-use serde_json::json;
 use snapea::params::NetworkParams;
 use snapea::spec_net::{profile_network, NetworkProfile};
 use snapea_accel::area::area_of;
@@ -18,6 +17,7 @@ use snapea_accel::{AccelConfig, EnergyModel};
 use snapea_nn::data::{LabeledImage, SynthShapes};
 use snapea_nn::stats;
 use snapea_nn::zoo::Workload;
+use snapea_obs::Json;
 use snapea_tensor::Tensor4;
 
 /// Images used when profiling op counts for the simulator.
@@ -34,7 +34,7 @@ pub struct ExperimentResult {
     /// Rendered output.
     pub text: String,
     /// JSON payload for EXPERIMENTS.md tooling.
-    pub json: serde_json::Value,
+    pub json: Json,
 }
 
 fn sim_batch(data: &Datasets) -> Tensor4 {
@@ -62,6 +62,7 @@ pub fn fig1(trained: &[TrainedWorkload], data: &Datasets) -> ExperimentResult {
     let batch = sim_batch(data);
     let mut t = Table::new(vec!["Network", "Negative inputs", "Paper"]);
     let mut vals = Vec::new();
+    let mut fractions = Vec::new();
     let paper = [
         (Workload::AlexNet, "~55%"),
         (Workload::GoogLeNet, "~60%"),
@@ -80,20 +81,22 @@ pub fn fig1(trained: &[TrainedWorkload], data: &Datasets) -> ExperimentResult {
             pct(s.overall),
             paper_s.to_string(),
         ]);
-        vals.push(json!({"network": tw.workload.name(), "negative_fraction": s.overall}));
+        fractions.push(s.overall);
+        vals.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("negative_fraction", Json::from(s.overall)),
+        ]));
     }
-    let avg: f64 = vals
-        .iter()
-        // lint:allow(P1) every vals entry was built with a numeric negative_fraction field above
-        .map(|v| v["negative_fraction"].as_f64().expect("set above"))
-        .sum::<f64>()
-        / vals.len().max(1) as f64;
+    let avg = fractions.iter().sum::<f64>() / fractions.len().max(1) as f64;
     t.row(vec!["Average".to_string(), pct(avg), "42-68%".to_string()]);
     ExperimentResult {
         id: "fig1",
         title: "Figure 1: fraction of negative activation-layer inputs".into(),
         text: t.render(),
-        json: json!({"networks": vals, "average": avg}),
+        json: Json::obj(vec![
+            ("networks", Json::Arr(vals)),
+            ("average", Json::from(avg)),
+        ]),
     }
 }
 
@@ -132,12 +135,12 @@ pub fn fig2(trained: &[TrainedWorkload], data: &Datasets) -> ExperimentResult {
             pct(b.zero_fraction()),
             format!("{j:.3}"),
         ]);
-        rows.push(json!({
-            "layer": tw.net.node(id).name,
-            "zero_fraction_a": a.zero_fraction(),
-            "zero_fraction_b": b.zero_fraction(),
-            "jaccard": j,
-        }));
+        rows.push(Json::obj(vec![
+            ("layer", Json::from(tw.net.node(id).name.as_str())),
+            ("zero_fraction_a", Json::from(a.zero_fraction())),
+            ("zero_fraction_b", Json::from(b.zero_fraction())),
+            ("jaccard", Json::from(j)),
+        ]));
     }
     let note = "Jaccard < 1 at every depth: zero locations are input-dependent,\n\
                 so a static pruning scheme cannot capture them (the paper's Figure 2 insight).";
@@ -145,7 +148,7 @@ pub fn fig2(trained: &[TrainedWorkload], data: &Datasets) -> ExperimentResult {
         id: "fig2",
         title: "Figure 2: spatial variation of zero activations across inputs".into(),
         text: format!("{}\n{note}\n", t.render()),
-        json: json!({"layers": rows}),
+        json: Json::obj(vec![("layers", Json::Arr(rows))]),
     }
 }
 
@@ -177,19 +180,19 @@ pub fn table1(trained: &[TrainedWorkload]) -> ExperimentResult {
             pct(tw.eval_accuracy),
             pct(w.paper_accuracy()),
         ]);
-        rows.push(json!({
-            "network": w.name(),
-            "model_size_bytes": tw.net.model_size_bytes(),
-            "conv_layers": conv,
-            "fc_layers": fc,
-            "eval_accuracy": tw.eval_accuracy,
-        }));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(w.name())),
+            ("model_size_bytes", Json::from(tw.net.model_size_bytes())),
+            ("conv_layers", Json::from(conv)),
+            ("fc_layers", Json::from(fc)),
+            ("eval_accuracy", Json::from(tw.eval_accuracy)),
+        ]));
     }
     ExperimentResult {
         id: "table1",
         title: "Table I: workloads".into(),
         text: t.render(),
-        json: json!({"workloads": rows}),
+        json: Json::obj(vec![("workloads", Json::Arr(rows))]),
     }
 }
 
@@ -221,13 +224,16 @@ pub fn table2() -> ExperimentResult {
             ),
             format!("{:.1}", a.total_mm2),
         ]);
-        rows.push(json!({"design": name, "total_mm2": a.total_mm2}));
+        rows.push(Json::obj(vec![
+            ("design", Json::from(name)),
+            ("total_mm2", Json::from(a.total_mm2)),
+        ]));
     }
     ExperimentResult {
         id: "table2",
         title: "Table II: design parameters and area (paper: 18.6 vs 17.8 mm^2)".into(),
         text: t.render(),
-        json: json!({"designs": rows}),
+        json: Json::obj(vec![("designs", Json::Arr(rows))]),
     }
 }
 
@@ -249,13 +255,17 @@ pub fn table3() -> ExperimentResult {
             format!("{pj:.2}"),
             format!("{rel:.1}"),
         ]);
-        rows.push(json!({"operation": name, "pj_per_bit": pj, "relative": rel}));
+        rows.push(Json::obj(vec![
+            ("operation", Json::from(*name)),
+            ("pj_per_bit", Json::from(pj)),
+            ("relative", Json::from(*rel)),
+        ]));
     }
     ExperimentResult {
         id: "table3",
         title: "Table III: energy model".into(),
         text: t.render(),
-        json: json!({"rows": rows}),
+        json: Json::obj(vec![("rows", Json::Arr(rows))]),
     }
 }
 
@@ -309,13 +319,13 @@ pub fn petrace() -> ExperimentResult {
             active.to_string(),
             pct(tr.imbalance()),
         ]);
-        rows.push(json!({
-            "layer": tr.name,
-            "cycles": tr.cycles,
-            "units": tr.units.len(),
-            "active_pes": active,
-            "imbalance": tr.imbalance(),
-        }));
+        rows.push(Json::obj(vec![
+            ("layer", Json::from(tr.name.as_str())),
+            ("cycles", Json::from(tr.cycles)),
+            ("units", Json::from(tr.units.len())),
+            ("active_pes", Json::from(active)),
+            ("imbalance", Json::from(tr.imbalance())),
+        ]));
     }
     let mut text = t.render();
     text.push_str(&format!(
@@ -327,7 +337,10 @@ pub fn petrace() -> ExperimentResult {
         id: "petrace",
         title: "PE timeline: cycle-accurate fill/compute/stall trace".into(),
         text,
-        json: json!({"total_cycles": total_cycles, "layers": rows}),
+        json: Json::obj(vec![
+            ("total_cycles", Json::from(total_cycles)),
+            ("layers", Json::Arr(rows)),
+        ]),
     }
 }
 
@@ -400,16 +413,16 @@ fn overall_benefit(
         ]);
         speedups.push(sp);
         energies.push(er);
-        rows.push(json!({
-            "network": tw.workload.name(),
-            "speedup": sp,
-            "energy_reduction": er,
-            "snapea_cycles": sn.cycles,
-            "eyeriss_cycles": ey.cycles,
-            "snapea_pj": sn.total_pj(),
-            "eyeriss_pj": ey.total_pj(),
-            "eval_accuracy_drop": acc_drop,
-        }));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("speedup", Json::from(sp)),
+            ("energy_reduction", Json::from(er)),
+            ("snapea_cycles", Json::from(sn.cycles)),
+            ("eyeriss_cycles", Json::from(ey.cycles)),
+            ("snapea_pj", Json::from(sn.total_pj())),
+            ("eyeriss_pj", Json::from(ey.total_pj())),
+            ("eval_accuracy_drop", Json::from(acc_drop)),
+        ]));
     }
     let gs = geomean(&speedups);
     let ge = geomean(&energies);
@@ -427,7 +440,11 @@ fn overall_benefit(
         id,
         title,
         text: t.render(),
-        json: json!({"networks": rows, "geomean_speedup": gs, "geomean_energy": ge}),
+        json: Json::obj(vec![
+            ("networks", Json::Arr(rows)),
+            ("geomean_speedup", Json::from(gs)),
+            ("geomean_energy", Json::from(ge)),
+        ]),
     }
 }
 
@@ -513,10 +530,23 @@ pub fn fig10(
             ratio(max_v),
             ratio(med),
         ]);
-        rows.push(json!({
-            "network": tw.workload.name(),
-            "layers": per_layer.iter().map(|(n, v)| json!({"layer": n, "speedup": v})).collect::<Vec<_>>(),
-        }));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            (
+                "layers",
+                Json::from(
+                    per_layer
+                        .iter()
+                        .map(|(n, v)| {
+                            Json::obj(vec![
+                                ("layer", Json::from(n.as_str())),
+                                ("speedup", Json::from(*v)),
+                            ])
+                        })
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ]));
     }
     let note =
         "Paper: max 3.59x (GoogLeNet inception_4e/1x1), min 1.17x (inception_4e/5x5_reduce).";
@@ -524,7 +554,7 @@ pub fn fig10(
         id: "fig10",
         title: "Figure 10: per-layer speedup range in predictive mode".into(),
         text: format!("{}\n{note}\n", Table::render(&t)),
-        json: json!({"networks": rows}),
+        json: Json::obj(vec![("networks", Json::Arr(rows))]),
     }
 }
 
@@ -601,12 +631,12 @@ pub fn table4(
             ratio(avg_en),
             ratio(pe),
         ]);
-        rows.push(json!({
-            "network": tw.workload.name(),
-            "predictive_fraction": frac,
-            "avg_layer_speedup": avg_sp,
-            "avg_layer_energy_reduction": avg_en,
-        }));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("predictive_fraction", Json::from(frac)),
+            ("avg_layer_speedup", Json::from(avg_sp)),
+            ("avg_layer_energy_reduction", Json::from(avg_en)),
+        ]));
     }
     let avg_frac = fracs.iter().sum::<f64>() / fracs.len().max(1) as f64;
     ExperimentResult {
@@ -616,7 +646,10 @@ pub fn table4(
             pct(avg_frac)
         ),
         text: t.render(),
-        json: json!({"networks": rows, "average_fraction": avg_frac}),
+        json: Json::obj(vec![
+            ("networks", Json::Arr(rows)),
+            ("average_fraction", Json::from(avg_frac)),
+        ]),
     }
 }
 
@@ -659,19 +692,22 @@ pub fn table5(
             format!("{pfn:.1}%"),
             pct(s.squashed_mass_fraction()),
         ]);
-        rows.push(json!({
-            "network": tw.workload.name(),
-            "true_negative_rate": s.true_negative_rate(),
-            "false_negative_rate": s.false_negative_rate(),
-            "squashed_mass_fraction": s.squashed_mass_fraction(),
-        }));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("true_negative_rate", Json::from(s.true_negative_rate())),
+            ("false_negative_rate", Json::from(s.false_negative_rate())),
+            (
+                "squashed_mass_fraction",
+                Json::from(s.squashed_mass_fraction()),
+            ),
+        ]));
     }
     ExperimentResult {
         id: "table5",
         title: "Table V: prediction accuracy in predictive mode (paper avg TN 56.3%, FN 20.4%)"
             .into(),
         text: t.render(),
-        json: json!({"networks": rows}),
+        json: Json::obj(vec![("networks", Json::Arr(rows))]),
     }
 }
 
@@ -707,10 +743,16 @@ pub fn fig11(
             best = best.max(sn.speedup_over(&ey));
             cells.push(ratio(best));
             per_eps[i].push(best);
-            series.push(json!({"epsilon": eps, "speedup": best}));
+            series.push(Json::obj(vec![
+                ("epsilon", Json::from(eps)),
+                ("speedup", Json::from(best)),
+            ]));
         }
         t.row(cells);
-        rows.push(json!({"network": tw.workload.name(), "series": series}));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("series", Json::Arr(series)),
+        ]));
     }
     let mut geo = vec!["Geomean".to_string()];
     for col in &per_eps {
@@ -722,7 +764,7 @@ pub fn fig11(
         id: "fig11",
         title: "Figure 11: speedup vs accuracy-loss knob".into(),
         text: format!("{}\n{note}\n", t.render()),
-        json: json!({"networks": rows}),
+        json: Json::obj(vec![("networks", Json::Arr(rows))]),
     }
 }
 
@@ -758,10 +800,16 @@ pub fn fig12(
             let sp = sn.speedup_over(&ey);
             cells.push(ratio(sp));
             per_scale[i].push(sp);
-            series.push(json!({"lanes": _label, "speedup": sp}));
+            series.push(Json::obj(vec![
+                ("lanes", Json::from(*_label)),
+                ("speedup", Json::from(sp)),
+            ]));
         }
         t.row(cells);
-        rows.push(json!({"network": tw.workload.name(), "series": series}));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("series", Json::Arr(series)),
+        ]));
     }
     let mut geo = vec!["Geomean".to_string()];
     for col in &per_scale {
@@ -773,7 +821,7 @@ pub fn fig12(
         id: "fig12",
         title: "Figure 12: speedup sensitivity to compute lanes per PE (@ <=3% loss)".into(),
         text: format!("{}\n{note}\n", t.render()),
-        json: json!({"networks": rows}),
+        json: Json::obj(vec![("networks", Json::Arr(rows))]),
     }
 }
 
@@ -834,22 +882,25 @@ pub fn artifact(
             sizes.total().to_string(),
             compiled.layers().len().to_string(),
         ]);
-        rows.push(json!({
-            "network": tw.workload.name(),
-            "compile_ms": compile_ms,
-            "load_ms": load_ms,
-            "bytes": sizes.total(),
-            "digest": format!("{:#018x}", fnv64(&bytes)),
-            "sections": {
-                "header": sizes.header,
-                "meta": sizes.meta,
-                "graph": sizes.graph,
-                "params": sizes.params,
-            },
-            "predictive_layers": compiled.layers().len(),
-            "predictive_kernels": kernels,
-            "bit_identical": true,
-        }));
+        rows.push(Json::obj(vec![
+            ("network", Json::from(tw.workload.name())),
+            ("compile_ms", Json::from(compile_ms)),
+            ("load_ms", Json::from(load_ms)),
+            ("bytes", Json::from(sizes.total())),
+            ("digest", Json::from(format!("{:#018x}", fnv64(&bytes)))),
+            (
+                "sections",
+                Json::obj(vec![
+                    ("header", Json::from(sizes.header)),
+                    ("meta", Json::from(sizes.meta)),
+                    ("graph", Json::from(sizes.graph)),
+                    ("params", Json::from(sizes.params)),
+                ]),
+            ),
+            ("predictive_layers", Json::from(compiled.layers().len())),
+            ("predictive_kernels", Json::from(kernels)),
+            ("bit_identical", Json::from(true)),
+        ]));
     }
     let note = "Compile and load derive the same layers (load decodes first); timings are \
                 wall-clock and machine-dependent, bit-identity is asserted.";
@@ -857,7 +908,7 @@ pub fn artifact(
         id: "artifact",
         title: "Artifact cold start: compile once, reload bit-identically".into(),
         text: format!("{}\n{note}\n", t.render()),
-        json: json!({"networks": rows}),
+        json: Json::obj(vec![("networks", Json::Arr(rows))]),
     }
 }
 
@@ -872,6 +923,12 @@ mod tests {
         assert!(t2.text.contains("EYERISS"));
         let t3 = table3();
         assert!(t3.text.contains("DDR4"));
-        assert!(t3.json["rows"].as_array().expect("rows").len() == 5);
+        assert_eq!(
+            t3.json
+                .get("rows")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(5)
+        );
     }
 }

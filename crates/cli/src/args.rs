@@ -140,20 +140,20 @@ mod tests {
     #[test]
     fn parses_subcommand_positionals_and_options() {
         let a = Args::parse([
-            "simulate",
-            "model.json",
+            "optimize",
+            "model.snapea",
             "--images",
             "8",
-            "--params",
-            "p.json",
+            "--out",
+            "tuned.snapea",
         ])
         .unwrap();
-        assert_eq!(a.command, "simulate");
-        assert_eq!(a.positional, vec!["model.json"]);
+        assert_eq!(a.command, "optimize");
+        assert_eq!(a.positional, vec!["model.snapea"]);
         assert_eq!(a.opt("images"), Some("8"));
         assert_eq!(a.opt_parse("images", 0usize).unwrap(), 8);
         assert_eq!(a.opt_parse("missing", 3usize).unwrap(), 3);
-        assert_eq!(a.required_positional("model").unwrap(), "model.json");
+        assert_eq!(a.required_positional("model").unwrap(), "model.snapea");
     }
 
     #[test]
@@ -165,13 +165,13 @@ mod tests {
     #[test]
     fn declared_boolean_flags_take_no_value() {
         let a = Args::parse_with_flags(
-            ["simulate", "--json", "model.json", "--images", "2"],
+            ["simulate", "--json", "model.snapea", "--images", "2"],
             &["json"],
         )
         .unwrap();
         assert!(a.flag("json"));
         assert!(!a.flag("quiet"));
-        assert_eq!(a.positional, vec!["model.json"]);
+        assert_eq!(a.positional, vec!["model.snapea"]);
         assert_eq!(a.opt("images"), Some("2"));
         // An undeclared dangling option still errors even with flags declared.
         assert!(Args::parse_with_flags(["x", "--other"], &["json"]).is_err());

@@ -6,13 +6,13 @@
 //! document on stdout instead of the human-readable text.
 
 use crate::args::Args;
-use snapea::artifact::{fnv64, CompiledModel};
+use snapea::artifact::{fnv64, CompiledModel, SectionSizes};
 use snapea::exec::LayerConfig;
 use snapea::optimizer::{Optimizer, OptimizerConfig};
 use snapea::params::NetworkParams;
 use snapea::reorder::sign_reorder;
-use snapea::spec_net::profile_network;
-use snapea_accel::sim::simulate;
+use snapea::spec_net::{profile_network, NetworkProfile};
+use snapea_accel::sim::{simulate, SimReport};
 use snapea_accel::workload::network_workload;
 use snapea_accel::{AccelConfig, EnergyModel};
 use snapea_nn::data::{LabeledImage, SynthShapes};
@@ -29,13 +29,77 @@ use snapea_tensor::q16::Q16Format;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::fs;
+use std::path::Path;
 
 /// Boxed error alias for command results.
 pub type CmdResult = Result<String, Box<dyn Error>>;
 
-fn load_model(path: &str) -> Result<Graph, Box<dyn Error>> {
-    let text = fs::read_to_string(path)?;
-    Ok(serde_json::from_str(&text)?)
+/// Synthetic input dimensions every model of the zoo pipeline runs on.
+const SYNTH_DIMS: (usize, usize, usize) = (3, INPUT_SIZE, INPUT_SIZE);
+
+/// Reads the `.snapea` artifact named by the first positional argument.
+fn load_model(args: &Args) -> Result<CompiledModel, Box<dyn Error>> {
+    let path = args.required_positional("model.snapea")?;
+    Ok(CompiledModel::read_file(Path::new(path))?)
+}
+
+/// [`load_model`] for the commands that feed the synthetic batch: the
+/// artifact must have been compiled for [`SYNTH_DIMS`].
+fn load_synth_model(args: &Args) -> Result<CompiledModel, Box<dyn Error>> {
+    let model = load_model(args)?;
+    if model.input_dims() != SYNTH_DIMS {
+        let (c, h, w) = model.input_dims();
+        let (sc, sh, sw) = SYNTH_DIMS;
+        return Err(format!(
+            "model input is {c}x{h}x{w}, but the synthetic batch is {sc}x{sh}x{sw}"
+        )
+        .into());
+    }
+    Ok(model)
+}
+
+/// An artifact's canonical serialisation, as `train`, `optimize` and
+/// `inspect` report it.
+struct Serialized {
+    bytes: Vec<u8>,
+    sizes: SectionSizes,
+}
+
+impl Serialized {
+    fn of(model: &CompiledModel) -> Self {
+        let (bytes, sizes) = model.to_bytes_sized();
+        Serialized { bytes, sizes }
+    }
+
+    fn digest(&self) -> String {
+        format!("{:#018x}", fnv64(&self.bytes))
+    }
+
+    /// The `digest`, `bytes` and `sections` fields of the `--json` reports.
+    fn json_fields(&self) -> [(&'static str, Json); 3] {
+        let s = &self.sizes;
+        [
+            ("digest", Json::Str(self.digest())),
+            ("bytes", Json::from(s.total())),
+            (
+                "sections",
+                Json::obj(vec![
+                    ("header", s.header),
+                    ("meta", s.meta),
+                    ("graph", s.graph),
+                    ("params", s.params),
+                ]),
+            ),
+        ]
+    }
+}
+
+/// Writes `model` to `path` as a `.snapea` artifact: the one writer behind
+/// `train --out` and `optimize --out`.
+fn write_model(model: &CompiledModel, path: &str) -> Result<Serialized, Box<dyn Error>> {
+    let out = Serialized::of(model);
+    fs::write(path, &out.bytes)?;
+    Ok(out)
 }
 
 fn synth_batch(images: usize, seed: u64) -> (Vec<LabeledImage>, snapea_tensor::Tensor4) {
@@ -44,7 +108,8 @@ fn synth_batch(images: usize, seed: u64) -> (Vec<LabeledImage>, snapea_tensor::T
     (data, batch)
 }
 
-/// `train --workload <name> [--epochs N] [--out file]`
+/// `train --workload <name> [--epochs N] [--out model.snapea]`: trains a zoo
+/// network and writes it with empty (all-exact) parameters.
 pub fn train(args: &Args) -> CmdResult {
     let name = args.opt("workload").unwrap_or("AlexNet");
     let w = Workload::ALL
@@ -82,11 +147,17 @@ pub fn train(args: &Args) -> CmdResult {
         }
     }
     let eval_accuracy = evaluate(&net, &eval_set, 32);
-    let written = if let Some(path) = args.opt("out") {
-        fs::write(path, serde_json::to_string(&net)?)?;
-        Some(path.to_string())
-    } else {
-        None
+    let written = match args.opt("out") {
+        Some(path) => {
+            let model = CompiledModel::compile(
+                &net,
+                &NetworkParams::new(),
+                SYNTH_DIMS,
+                Q16Format::default(),
+            );
+            Some((path, write_model(&model, path)?))
+        }
+        None => None,
     };
     if args.flag("json") {
         let mut fields = vec![
@@ -95,21 +166,30 @@ pub fn train(args: &Args) -> CmdResult {
             ("history", Json::Arr(epoch_rows)),
             ("eval_accuracy", Json::from(eval_accuracy)),
         ];
-        if let Some(path) = &written {
-            fields.push(("out", Json::from(path.as_str())));
+        if let Some((path, art)) = &written {
+            fields.push(("out", Json::from(*path)));
+            fields.extend(art.json_fields());
         }
         return Ok(format!("{}\n", Json::obj(fields)));
     }
     writeln!(out, "eval accuracy: {:.1}%", eval_accuracy * 100.0)?;
-    if let Some(path) = written {
-        writeln!(out, "model written to {path}")?;
+    if let Some((path, art)) = written {
+        writeln!(
+            out,
+            "model written to {path} ({} bytes, digest {})",
+            art.sizes.total(),
+            art.digest()
+        )?;
     }
     Ok(out)
 }
 
-/// `inspect <model.json>`
+/// `inspect <model.snapea>`: the artifact's network, layer by layer, plus
+/// the digest and section sizes of its canonical serialisation.
 pub fn inspect(args: &Args) -> CmdResult {
-    let net = load_model(args.required_positional("model.json")?)?;
+    let model = load_model(args)?;
+    let art = Serialized::of(&model);
+    let net = model.graph();
     if args.flag("json") {
         let layers: Vec<Json> = net
             .nodes()
@@ -133,7 +213,7 @@ pub fn inspect(args: &Args) -> CmdResult {
                 Json::obj(fields)
             })
             .collect();
-        let doc = Json::obj(vec![
+        let mut fields = vec![
             ("nodes", Json::from(net.len() as u64)),
             ("conv", Json::from(net.conv_ids().len() as u64)),
             ("fc", Json::from(net.linear_ids().len() as u64)),
@@ -142,19 +222,33 @@ pub fn inspect(args: &Args) -> CmdResult {
                 "model_size_bytes",
                 Json::from(net.model_size_bytes() as u64),
             ),
-            ("layers", Json::Arr(layers)),
-        ]);
-        return Ok(format!("{doc}\n"));
+            ("predictive_layers", Json::from(model.layers().len())),
+        ];
+        fields.extend(art.json_fields());
+        fields.push(("layers", Json::Arr(layers)));
+        return Ok(format!("{}\n", Json::obj(fields)));
     }
     let mut out = String::new();
     writeln!(
         out,
-        "{} nodes, {} conv, {} fc, {} parameters ({} bytes)",
+        "{} nodes, {} conv ({} predictive), {} fc, {} parameters ({} bytes)",
         net.len(),
         net.conv_ids().len(),
+        model.layers().len(),
         net.linear_ids().len(),
         net.param_count(),
         net.model_size_bytes()
+    )?;
+    let s = &art.sizes;
+    writeln!(
+        out,
+        "artifact: {} bytes (header {} meta {} graph {} params {}), digest {}",
+        s.total(),
+        s.header,
+        s.meta,
+        s.graph,
+        s.params,
+        art.digest()
     )?;
     writeln!(
         out,
@@ -195,9 +289,10 @@ pub fn inspect(args: &Args) -> CmdResult {
     Ok(out)
 }
 
-/// `reorder <model.json> --layer <name> [--kernel K]`
+/// `reorder <model.snapea> --layer <name> [--kernel K]`
 pub fn reorder(args: &Args) -> CmdResult {
-    let net = load_model(args.required_positional("model.json")?)?;
+    let model = load_model(args)?;
+    let net = model.graph();
     let layer = args.opt("layer").ok_or("missing --layer <name>")?;
     let kernel: usize = args.opt_parse("kernel", 0)?;
     let id = net
@@ -251,19 +346,23 @@ pub fn reorder(args: &Args) -> CmdResult {
     Ok(out)
 }
 
-/// `optimize <model.json> --epsilon 0.03 [--images N] [--out file]`
+/// `optimize <model.snapea> [--epsilon 0.03] [--images N] [--out tuned.snapea]`:
+/// runs Algorithm 1 on the artifact's network (its stored parameters are
+/// ignored) and writes the same network with the parameters it chose.
 pub fn optimize(args: &Args) -> CmdResult {
-    let net = load_model(args.required_positional("model.json")?)?;
+    let model = load_synth_model(args)?;
     let epsilon: f64 = args.opt_parse("epsilon", 0.03)?;
     let images: usize = args.opt_parse("images", 40)?;
     let (data, _) = synth_batch(images, 0x0071);
     let cfg = OptimizerConfig::with_epsilon(epsilon);
-    let outcome = Optimizer::new(&net, &data, cfg).run();
-    let written = if let Some(path) = args.opt("out") {
-        fs::write(path, serde_json::to_string(&outcome.params)?)?;
-        Some(path.to_string())
-    } else {
-        None
+    let outcome = Optimizer::new(model.graph(), &data, cfg).run();
+    let written = match args.opt("out") {
+        Some(path) => {
+            let tuned =
+                CompiledModel::compile(model.graph(), &outcome.params, SYNTH_DIMS, model.fmt());
+            Some((path, write_model(&tuned, path)?))
+        }
+        None => None,
     };
     if args.flag("json") {
         let per_layer: Vec<Json> = outcome
@@ -287,8 +386,9 @@ pub fn optimize(args: &Args) -> CmdResult {
             ("full_macs", Json::from(outcome.full_macs)),
             ("per_layer", Json::Arr(per_layer)),
         ];
-        if let Some(path) = &written {
-            fields.push(("out", Json::from(path.as_str())));
+        if let Some((path, art)) = &written {
+            fields.push(("out", Json::from(*path)));
+            fields.extend(art.json_fields());
         }
         return Ok(format!("{}\n", Json::obj(fields)));
     }
@@ -309,34 +409,115 @@ pub fn optimize(args: &Args) -> CmdResult {
         outcome.per_layer.iter().filter(|l| l.predictive).count(),
         outcome.per_layer.len()
     )?;
-    if let Some(path) = written {
-        writeln!(out, "parameters written to {path}")?;
+    if let Some((path, art)) = written {
+        writeln!(
+            out,
+            "model written to {path} ({} bytes, digest {})",
+            art.sizes.total(),
+            art.digest()
+        )?;
     }
     Ok(out)
 }
 
-/// `simulate <model.json> [--params params.json] [--images N]`
+/// One conv layer of `simulate`'s report.
+struct SimLayerRow<'a> {
+    name: &'a str,
+    /// Fraction of the layer's conv MACs eliminated.
+    savings: f64,
+    snapea_cycles: u64,
+    eyeriss_cycles: u64,
+    /// Lane-cycles lost to data-gated lanes, over the layer's MAC-cycles.
+    idle_lane_frac: f64,
+    /// Fraction of windows that ran their full length.
+    full_window_frac: f64,
+    /// Mean termination point of the early-terminated windows, as a
+    /// fraction of the window length (`None` when none terminated early).
+    mean_termination: Option<f64>,
+}
+
+impl SimLayerRow<'_> {
+    fn speedup(&self) -> f64 {
+        self.eyeriss_cycles as f64 / self.snapea_cycles.max(1) as f64
+    }
+}
+
+/// Per-conv-layer rows of `simulate`: the profile's savings and window
+/// termination statistics next to both machines' simulated cycles.
+fn sim_layer_rows<'a>(
+    profile: &'a NetworkProfile,
+    sn: &SimReport,
+    ey: &SimReport,
+) -> Vec<SimLayerRow<'a>> {
+    let lanes = sn.config.total_macs() as f64;
+    profile
+        .layers
+        .iter()
+        .zip(&sn.per_layer)
+        .zip(&ey.per_layer)
+        .map(|(((_, name, p), s), e)| {
+            let wl = p.window_len();
+            let (mut full, mut early, mut early_ops) = (0u64, 0u64, 0u64);
+            for &o in p.ops_slice() {
+                if o as usize >= wl {
+                    full += 1;
+                } else {
+                    early += 1;
+                    early_ops += u64::from(o);
+                }
+            }
+            SimLayerRow {
+                name,
+                savings: p.savings(),
+                snapea_cycles: s.cycles,
+                eyeriss_cycles: e.cycles,
+                idle_lane_frac: s.idle_lane_cycles as f64 / (s.cycles as f64 * lanes).max(1.0),
+                full_window_frac: full as f64 / (full + early).max(1) as f64,
+                mean_termination: (early > 0).then(|| early_ops as f64 / early as f64 / wl as f64),
+            }
+        })
+        .collect()
+}
+
+/// `simulate <model.snapea> [--images N]`: profiles the artifact's network
+/// under its parameters on a synthetic batch and simulates it on SnaPEA and
+/// the EYERISS baseline, network-wide and per conv layer.
 pub fn simulate_cmd(args: &Args) -> CmdResult {
-    let net = load_model(args.required_positional("model.json")?)?;
+    let model = load_synth_model(args)?;
     let images: usize = args.opt_parse("images", 4)?;
-    let params: NetworkParams = match args.opt("params") {
-        Some(p) => serde_json::from_str(&fs::read_to_string(p)?)?,
-        None => NetworkParams::new(),
-    };
     let (_, batch) = synth_batch(images, 0xE7A1);
-    let profile = profile_network(&net, &params, &batch, false);
-    let model = EnergyModel::default();
-    let wl = network_workload("model", &net, &batch, &profile);
-    let sn = simulate(&AccelConfig::snapea(), &model, &wl);
-    let ey = simulate(&AccelConfig::eyeriss(), &model, &wl.to_dense());
+    let profile = profile_network(model.graph(), model.params(), &batch, false);
+    let energy = EnergyModel::default();
+    let wl = network_workload("model", model.graph(), &batch, &profile);
+    let sn = simulate(&AccelConfig::snapea(), &energy, &wl);
+    let ey = simulate(&AccelConfig::eyeriss(), &energy, &wl.to_dense());
+    let rows = sim_layer_rows(&profile, &sn, &ey);
     if args.flag("json") {
-        let side = |r: &snapea_accel::sim::SimReport| {
+        let side = |r: &SimReport| {
             Json::obj(vec![
                 ("cycles", Json::from(r.cycles)),
                 ("energy_uj", Json::from(r.total_pj() / 1e6)),
                 ("utilization", Json::from(r.utilization())),
             ])
         };
+        let layers: Vec<Json> = rows
+            .iter()
+            .map(|r| {
+                Json::obj(vec![
+                    ("layer", Json::from(r.name)),
+                    ("savings", Json::from(r.savings)),
+                    ("snapea_cycles", Json::from(r.snapea_cycles)),
+                    ("eyeriss_cycles", Json::from(r.eyeriss_cycles)),
+                    ("speedup", Json::from(r.speedup())),
+                    ("idle_lane_frac", Json::from(r.idle_lane_frac)),
+                    ("full_window_frac", Json::from(r.full_window_frac)),
+                    (
+                        "mean_termination",
+                        r.mean_termination.map_or(Json::Null, Json::from),
+                    ),
+                ])
+            })
+            .collect();
         let doc = Json::obj(vec![
             ("images", Json::from(images as u64)),
             ("macs_eliminated", Json::from(profile.savings())),
@@ -347,6 +528,7 @@ pub fn simulate_cmd(args: &Args) -> CmdResult {
                 "energy_reduction",
                 Json::from(sn.energy_reduction_over(&ey)),
             ),
+            ("layers", Json::Arr(layers)),
         ]);
         return Ok(format!("{doc}\n"));
     }
@@ -376,24 +558,34 @@ pub fn simulate_cmd(args: &Args) -> CmdResult {
         sn.speedup_over(&ey),
         sn.energy_reduction_over(&ey)
     )?;
+    writeln!(
+        out,
+        "{:<28} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6} {:>6}",
+        "layer", "savings", "SnaPEA", "EYERISS", "speedup", "idle%", "full%", "term@"
+    )?;
+    for r in &rows {
+        let term = r
+            .mean_termination
+            .map_or_else(|| "-".to_string(), |t| format!("{t:.2}"));
+        writeln!(
+            out,
+            "{:<28} {:>7.1}% {:>10} {:>10} {:>7.2}x {:>6.1} {:>6.1} {:>6}",
+            r.name,
+            r.savings * 100.0,
+            r.snapea_cycles,
+            r.eyeriss_cycles,
+            r.speedup(),
+            r.idle_lane_frac * 100.0,
+            r.full_window_frac * 100.0,
+            term
+        )?;
+    }
     Ok(out)
 }
 
-/// Synthetic input dimensions every model of the zoo pipeline runs on.
-const SYNTH_DIMS: (usize, usize, usize) = (3, INPUT_SIZE, INPUT_SIZE);
-
-/// Loads speculation parameters from `--params`, or an empty (all-exact)
-/// set when the option is absent.
-fn load_params(args: &Args) -> Result<NetworkParams, Box<dyn Error>> {
-    Ok(match args.opt("params") {
-        Some(p) => serde_json::from_str(&fs::read_to_string(p)?)?,
-        None => NetworkParams::new(),
-    })
-}
-
 /// FNV-1a-64 digest over the bit patterns of every activation element — the
-/// bit-identity fingerprint `run` prints so artifact-loaded and
-/// freshly-compiled executions can be compared across processes.
+/// bit-identity fingerprint `run` prints so executions can be compared
+/// across processes and thread counts.
 fn activations_digest(acts: &[snapea_tensor::Tensor4]) -> u64 {
     let mut bytes = Vec::new();
     for t in acts {
@@ -404,96 +596,21 @@ fn activations_digest(acts: &[snapea_tensor::Tensor4]) -> u64 {
     fnv64(&bytes)
 }
 
-/// `compile <model.json> <out.snapea> [--params params.json]`: writes a
-/// model, its input shape, and its speculation parameters into the
-/// versioned on-disk artifact, so `run --artifact` can execute without
-/// re-running the optimizer (loading re-derives the reordered kernels and
-/// window plans exactly as compiling does). With `--json`, reports the
-/// artifact digest and per-section size breakdown.
-pub fn compile(args: &Args) -> CmdResult {
-    let net = load_model(args.required_positional("model.json")?)?;
-    let out_path = args
-        .positional
-        .get(1)
-        .ok_or("missing output path (snapea-tool compile <model.json> <out.snapea>)")?;
-    let params = load_params(args)?;
-    let compiled = CompiledModel::compile(&net, &params, SYNTH_DIMS, Q16Format::default());
-    let (bytes, sizes) = compiled.to_bytes_sized();
-    let digest = fnv64(&bytes);
-    fs::write(out_path, &bytes)?;
-    if args.flag("json") {
-        let doc = Json::obj(vec![
-            ("out", Json::from(out_path.as_str())),
-            ("digest", Json::Str(format!("{digest:#018x}"))),
-            ("bytes", Json::from(sizes.total() as u64)),
-            (
-                "sections",
-                Json::obj(vec![
-                    ("header", Json::from(sizes.header as u64)),
-                    ("meta", Json::from(sizes.meta as u64)),
-                    ("graph", Json::from(sizes.graph as u64)),
-                    ("params", Json::from(sizes.params as u64)),
-                ]),
-            ),
-            ("layers", Json::from(compiled.layers().len() as u64)),
-            (
-                "predictive_kernels",
-                Json::from(
-                    compiled
-                        .layers()
-                        .iter()
-                        .flat_map(|l| l.kernels())
-                        .filter(|k| k.pau.is_predictive())
-                        .count() as u64,
-                ),
-            ),
-        ]);
-        return Ok(format!("{doc}\n"));
-    }
-    let mut out = String::new();
-    writeln!(
-        out,
-        "compiled {} layer(s) -> {out_path} ({} bytes, digest {digest:#018x})",
-        compiled.layers().len(),
-        sizes.total()
-    )?;
-    writeln!(
-        out,
-        "sections: header {} meta {} graph {} params {}",
-        sizes.header, sizes.meta, sizes.graph, sizes.params
-    )?;
-    Ok(out)
-}
-
-/// `run <model.json> [--params params.json]` or `run --artifact <x.snapea>`:
-/// executes the speculative network on a synthetic batch and prints the
-/// accuracy plus a bit-identity digest over every activation. The two forms
-/// must print the same digest for the same model/parameters — loading an
-/// artifact is bit-faithful to compiling fresh.
+/// `run <model.snapea> [--images N] [--seed S]`: executes the artifact's
+/// speculative network on a synthetic batch and prints the accuracy plus a
+/// bit-identity digest over every activation. Loading re-derives the
+/// compiled layers exactly as compiling does, so the digest equals that of
+/// a fresh [`CompiledModel::compile`] of the same network and parameters.
 pub fn run_model(args: &Args) -> CmdResult {
+    let compiled = load_synth_model(args)?;
     let images: usize = args.opt_parse("images", 4)?;
     let seed: u64 = args.opt_parse("seed", 0xE7A1)?;
-    let (compiled, source) = if args.flag("artifact") {
-        let path = args.required_positional("artifact.snapea")?;
-        (
-            CompiledModel::read_file(std::path::Path::new(path))?,
-            "artifact",
-        )
-    } else {
-        let net = load_model(args.required_positional("model.json")?)?;
-        let params = load_params(args)?;
-        (
-            CompiledModel::compile(&net, &params, SYNTH_DIMS, Q16Format::default()),
-            "fresh",
-        )
-    };
     let (data, batch) = synth_batch(images, seed);
     let acts = compiled.forward(&batch);
     let digest = activations_digest(&acts);
     let accuracy = compiled.accuracy(&data);
     if args.flag("json") {
         let doc = Json::obj(vec![
-            ("source", Json::from(source)),
             ("images", Json::from(images as u64)),
             ("seed", Json::from(seed)),
             ("accuracy", Json::from(accuracy)),
@@ -503,7 +620,7 @@ pub fn run_model(args: &Args) -> CmdResult {
         return Ok(format!("{doc}\n"));
     }
     Ok(format!(
-        "{source}: {images} image(s), accuracy {:.1}%, output_digest {digest:#018x}\n",
+        "{images} image(s), accuracy {:.1}%, output_digest {digest:#018x}\n",
         accuracy * 100.0
     ))
 }
@@ -772,14 +889,12 @@ pub fn perf_diff(args: &Args) -> CmdResult {
 pub fn usage() -> String {
     "snapea-tool <command> [args] [--json]\n\
      commands:\n\
-       train     --workload <name> [--epochs N] [--out model.json]\n\
-       inspect   <model.json>\n\
-       reorder   <model.json> --layer <name> [--kernel K]\n\
-       optimize  <model.json> [--epsilon 0.03] [--images N] [--out params.json]\n\
-       compile   <model.json> <out.snapea> [--params params.json]\n\
-       run       <model.json> [--params params.json] [--images N] [--seed S]\n\
-       run       --artifact <model.snapea> [--images N] [--seed S]\n\
-       simulate  <model.json> [--params params.json] [--images N]\n\
+       train     --workload <name> [--epochs N] [--out model.snapea]\n\
+       inspect   <model.snapea>\n\
+       reorder   <model.snapea> --layer <name> [--kernel K]\n\
+       optimize  <model.snapea> [--epsilon 0.03] [--images N] [--out tuned.snapea]\n\
+       run       <model.snapea> [--images N] [--seed S]\n\
+       simulate  <model.snapea> [--images N]\n\
        selfcheck [--cases N] [--seed S] [--replay seed] [--inject-bug] [--artifact]\n\
        lint      [--graph] [--rule <id>] [--explain <id>] [--root <dir>]\n\
        report    <events.jsonl>\n\
@@ -796,7 +911,6 @@ pub fn run(args: &Args) -> CmdResult {
         "inspect" => inspect(args),
         "reorder" => reorder(args),
         "optimize" => optimize(args),
-        "compile" => compile(args),
         "run" => run_model(args),
         "simulate" => simulate_cmd(args),
         "selfcheck" => selfcheck(args),
@@ -834,9 +948,16 @@ mod tests {
         let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("snapea-cli-test-{}-{n}", std::process::id()));
         let _ = fs::create_dir_all(&dir);
-        let path = dir.join("model.json").to_string_lossy().into_owned();
+        let path = dir.join("model.snapea").to_string_lossy().into_owned();
         let net = Workload::SqueezeNet.build(10);
-        fs::write(&path, serde_json::to_string(&net).unwrap()).unwrap();
+        CompiledModel::compile(
+            &net,
+            &NetworkParams::new(),
+            SYNTH_DIMS,
+            Q16Format::default(),
+        )
+        .write_file(Path::new(&path))
+        .unwrap();
         (tempdir::TempDirLike(dir), path)
     }
 
@@ -848,10 +969,6 @@ mod tests {
             }
         }
     }
-
-    // Commands that round-trip a model file go through the vendored
-    // `serde_json` (a full Content-model JSON implementation), so they run
-    // in the offline build like everything else.
 
     #[test]
     fn inspect_lists_layers() {
@@ -916,7 +1033,22 @@ mod tests {
         let out = run(&args).unwrap();
         let doc = snapea_obs::parse(&out).expect("valid json");
         assert!(doc.get("speedup").and_then(Json::as_f64).is_some());
-        assert!(doc.get("snapea").and_then(|s| s.get("cycles")).is_some());
+        let total = doc.get("snapea").and_then(|s| s.get("cycles"));
+        // One row per conv layer; the layer cycles add up to the network's.
+        let layers = doc.get("layers").and_then(Json::as_array).unwrap();
+        assert_eq!(layers.len(), 26);
+        let sum: u64 = layers
+            .iter()
+            .map(|l| l.get("snapea_cycles").and_then(Json::as_u64).unwrap())
+            .sum();
+        assert_eq!(total.and_then(Json::as_u64), Some(sum));
+        for l in layers {
+            for key in ["savings", "speedup", "idle_lane_frac", "full_window_frac"] {
+                let v = l.get(key).and_then(Json::as_f64).unwrap();
+                assert!(v.is_finite() && v >= 0.0, "{key} = {v}");
+            }
+            assert!(l.get("mean_termination").is_some());
+        }
     }
 
     #[test]
@@ -1287,13 +1419,9 @@ mod tests {
     const ARTIFACT_FLAGS: &[&str] = &["json", "inject-bug", "artifact"];
 
     #[test]
-    fn compile_and_run_artifact_is_bit_identical_to_fresh() {
-        let dir = std::env::temp_dir().join(format!("snapea-cli-artifact-{}", std::process::id()));
-        let _ = fs::create_dir_all(&dir);
-        let _guard = tempdir::TempDirLike(dir.clone());
+    fn run_artifact_digest_matches_in_process_compile() {
+        let (guard, _) = temp_model();
         let net = Workload::SqueezeNet.build(10);
-        let model = dir.join("model.json").to_string_lossy().into_owned();
-        fs::write(&model, serde_json::to_string(&net).unwrap()).unwrap();
         // Hand-built speculation parameters: first two convs predictive.
         let mut params = NetworkParams::new();
         for &id in net.conv_ids().iter().take(2) {
@@ -1308,26 +1436,21 @@ mod tests {
                 ),
             );
         }
-        let pfile = dir.join("params.json").to_string_lossy().into_owned();
-        fs::write(&pfile, serde_json::to_string(&params).unwrap()).unwrap();
-        let art = dir.join("m.snapea").to_string_lossy().into_owned();
+        let compiled = CompiledModel::compile(&net, &params, SYNTH_DIMS, Q16Format::default());
+        let art = guard.0.join("m.snapea").to_string_lossy().into_owned();
+        compiled.write_file(Path::new(&art)).unwrap();
 
-        // compile --json reports the digest and per-section size breakdown.
-        let args = Args::parse_with_flags(
-            [
-                "compile",
-                model.as_str(),
-                art.as_str(),
-                "--params",
-                pfile.as_str(),
-                "--json",
-            ],
-            ARTIFACT_FLAGS,
-        )
-        .unwrap();
+        // inspect --json reports the digest of the canonical re-serialisation
+        // (the written bytes) and the per-section size breakdown.
+        let args =
+            Args::parse_with_flags(["inspect", art.as_str(), "--json"], ARTIFACT_FLAGS).unwrap();
         let doc = snapea_obs::parse(&run(&args).unwrap()).expect("valid json");
-        assert!(doc.get("digest").and_then(Json::as_str).is_some());
-        assert_eq!(doc.get("layers").and_then(Json::as_u64), Some(2));
+        let written = format!("{:#018x}", fnv64(&fs::read(&art).unwrap()));
+        assert_eq!(
+            doc.get("digest").and_then(Json::as_str),
+            Some(written.as_str())
+        );
+        assert_eq!(doc.get("predictive_layers").and_then(Json::as_u64), Some(2));
         let sections = doc.get("sections").expect("section breakdown");
         for key in ["header", "meta", "graph", "params"] {
             assert!(sections.get(key).and_then(Json::as_u64).is_some(), "{key}");
@@ -1336,28 +1459,11 @@ mod tests {
             assert!(sections.get(key).is_none(), "{key}: no such section");
         }
 
-        // A fresh compile-and-run and an artifact-loaded run print the same
-        // bit-identity digest.
-        let fresh = Args::parse_with_flags(
-            [
-                "run",
-                model.as_str(),
-                "--params",
-                pfile.as_str(),
-                "--images",
-                "3",
-                "--seed",
-                "5",
-                "--json",
-            ],
-            ARTIFACT_FLAGS,
-        )
-        .unwrap();
-        let fresh_doc = snapea_obs::parse(&run(&fresh).unwrap()).expect("valid json");
+        // `run` on the artifact prints the digest of an in-process forward
+        // pass of the freshly compiled model on the same batch.
         let loaded = Args::parse_with_flags(
             [
                 "run",
-                "--artifact",
                 art.as_str(),
                 "--images",
                 "3",
@@ -1369,16 +1475,16 @@ mod tests {
         )
         .unwrap();
         let loaded_doc = snapea_obs::parse(&run(&loaded).unwrap()).expect("valid json");
-        let digest = fresh_doc.get("output_digest").and_then(Json::as_str);
-        assert!(digest.is_some());
+        let (data, batch) = synth_batch(3, 5);
+        let fresh = format!("{:#018x}", activations_digest(&compiled.forward(&batch)));
         assert_eq!(
-            digest,
             loaded_doc.get("output_digest").and_then(Json::as_str),
+            Some(fresh.as_str()),
             "artifact-loaded execution must be bit-identical to fresh"
         );
         assert_eq!(
-            fresh_doc.get("accuracy"),
-            loaded_doc.get("accuracy"),
+            loaded_doc.get("accuracy").and_then(Json::as_f64),
+            Some(compiled.accuracy(&data)),
             "accuracy must agree"
         );
 
@@ -1387,13 +1493,59 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;
         fs::write(&art, &bytes).unwrap();
-        let corrupt =
-            Args::parse_with_flags(["run", "--artifact", art.as_str()], ARTIFACT_FLAGS).unwrap();
+        let corrupt = Args::parse(["run", art.as_str()]).unwrap();
         let err = run(&corrupt).unwrap_err().to_string();
         assert!(
             err.contains("checksum") || err.contains("invalid") || err.contains("truncated"),
             "typed rejection expected, got: {err}"
         );
+    }
+
+    #[test]
+    fn model_commands_reject_bad_files_with_typed_errors() {
+        let (guard, path) = temp_model();
+        let good = fs::read(&path).unwrap();
+        let mut flipped = good.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x10;
+        let bad_files: [(&str, &[u8], &str); 3] = [
+            ("model.json", br#"{"nodes":[]}"#, "magic"),
+            ("truncated.snapea", &good[..good.len() - 9], "truncated"),
+            ("flipped.snapea", &flipped, "checksum"),
+        ];
+        for (name, bytes, want) in bad_files {
+            let file = guard.0.join(name).to_string_lossy().into_owned();
+            fs::write(&file, bytes).unwrap();
+            for cmd in ["inspect", "reorder", "optimize", "simulate", "run"] {
+                let args = Args::parse([cmd, file.as_str(), "--layer", "conv1"]).unwrap();
+                let err = run(&args).unwrap_err();
+                let kind = err
+                    .downcast_ref::<snapea::artifact::ArtifactError>()
+                    .map(|e| e.kind());
+                assert_eq!(kind, Some(want), "{cmd} {name}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_commands_reject_a_model_compiled_for_another_shape() {
+        // The golden fixture is compiled for 3x8x8 inputs; the synthetic
+        // batch is 3x32x32.
+        let golden = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/tiny.snapea"
+        );
+        for cmd in ["optimize", "simulate", "run"] {
+            let args = Args::parse([cmd, golden]).unwrap();
+            let err = run(&args).unwrap_err().to_string();
+            assert!(
+                err.contains("3x8x8") && err.contains("3x32x32"),
+                "{cmd}: {err}"
+            );
+        }
+        // Commands that only read the network accept it.
+        let args = Args::parse(["inspect", golden]).unwrap();
+        assert!(run(&args).unwrap().contains("2 conv (2 predictive)"));
     }
 
     #[test]

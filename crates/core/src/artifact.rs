@@ -3,11 +3,11 @@
 //!
 //! Algorithm 1 (the speculation-parameter search) decides one thing per
 //! kernel: its `(Th, N)`. An artifact stores that decision next to the
-//! network and the input shape it was made for, so `snapea-tool run
-//! --artifact` never re-runs the optimizer. Everything else the executor
-//! needs — each kernel's reordered weights and index buffer, its PAU, its
-//! lane-packed weights, and each layer's window plan — is a fixed function
-//! of those three, so [`CompiledModel::from_bytes`] derives it with the same
+//! network and the input shape it was made for, so `snapea-tool run` never
+//! re-runs the optimizer. Everything else the executor needs — each
+//! kernel's reordered weights and index buffer, its PAU, its lane-packed
+//! weights, and each layer's window plan — is a fixed function of those
+//! three, so [`CompiledModel::from_bytes`] derives it with the same
 //! code [`CompiledModel::compile`] runs. A loaded model is a fresh compile
 //! by construction: its forward pass is byte-for-byte the freshly compiled
 //! model's, at any thread count.

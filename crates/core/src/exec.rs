@@ -6,7 +6,6 @@
 use crate::params::{KernelMode, KernelParams, LayerParams};
 use crate::pau::{Pau, PauAction, TerminationKind};
 use crate::reorder::{predictive_reorder, sign_reorder, ReorderedKernel};
-use serde::{Deserialize, Serialize};
 use snapea_nn::ops::Conv2d;
 use snapea_tensor::im2col::ConvGeom;
 use snapea_tensor::lane;
@@ -132,7 +131,7 @@ impl LayerConfig {
 
 /// Per-window operation counts of one layer execution — the raw material for
 /// both the computation-reduction numbers and the cycle-level simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     images: usize,
     kernels: usize,
@@ -250,7 +249,7 @@ impl LayerProfile {
 /// *True negatives* are windows whose full convolution output is negative
 /// and which the **predictive** check terminated. *False negatives* are
 /// positive-output windows the predictive check squashed to zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictionStats {
     /// Windows whose full output is negative.
     pub negative_windows: u64,

@@ -1,12 +1,11 @@
 //! Speculation parameters `(Th, N)` — the paper's Section IV-A.
 
-use serde::{Deserialize, Serialize};
 use snapea_nn::graph::NodeId;
 use std::collections::BTreeMap;
 
 /// Speculation parameters of one kernel: a threshold `Th` and the number of
 /// weight groups `N` whose representatives form the speculative set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelParams {
     /// Threshold the partial sum is compared against after the speculative
     /// MACs.
@@ -27,7 +26,7 @@ impl KernelParams {
 /// Operating mode of a single kernel (output channel). The paper's kernel
 /// profiling includes the exact mode as a per-kernel fallback candidate, so a
 /// predictive layer may mix speculating and exact kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelMode {
     /// Sign-based reordering + sign-bit monitoring only.
     Exact,
@@ -48,7 +47,7 @@ impl KernelMode {
 }
 
 /// Operating mode of one convolution layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayerParams {
     /// Exact mode for every kernel. No accuracy impact.
     Exact,
@@ -74,7 +73,7 @@ impl LayerParams {
 /// Speculation parameters for an entire network: one [`LayerParams`] per
 /// convolution node. Layers not present run in exact mode by default when
 /// executed through [`crate::spec_net::SpecNet`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkParams {
     layers: BTreeMap<NodeId, LayerParams>,
 }
@@ -164,18 +163,5 @@ mod tests {
         ]);
         assert!(q.is_predictive());
         assert!(!LayerParams::Exact.is_predictive());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut p = NetworkParams::new();
-        p.set(1, LayerParams::uniform(2, KernelParams::new(0.25, 8)));
-        p.set(
-            2,
-            LayerParams::Predictive(vec![KernelMode::Exact, KernelMode::spec(-1.0, 4)]),
-        );
-        let json = serde_json::to_string(&p).unwrap();
-        let back: NetworkParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

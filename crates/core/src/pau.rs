@@ -17,10 +17,9 @@
 
 use crate::params::KernelParams;
 use crate::reorder::ReorderedKernel;
-use serde::{Deserialize, Serialize};
 
 /// Why a window terminated early.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TerminationKind {
     /// Speculative (predictive-mode) termination: partial sum fell below the
     /// threshold after the speculative MACs. May mispredict.
@@ -40,7 +39,7 @@ pub enum PauAction {
 }
 
 /// Configuration of one lane's PAU for one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pau {
     /// Threshold compared against the partial sum when `Predict` is high.
     /// Ignored when `spec_len == 0`.

@@ -7,8 +7,6 @@
 //! matching input value (the inputs cannot be reordered — their order is
 //! fixed by the activation layout).
 
-use serde::{Deserialize, Serialize};
-
 /// A kernel's weights in SnaPEA execution order, together with the index
 /// buffer contents.
 ///
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// In exact mode `spec_len == 0`. `neg_start` is the position at which the
 /// hardware begins its per-MAC sign checks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReorderedKernel {
     order: Vec<u32>,
     weights: Vec<f32>,

@@ -15,14 +15,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use snapea_tensor::{Shape4, Tensor4};
 
 /// Number of distinct class generators available.
 pub const MAX_CLASSES: usize = 10;
 
 /// One labelled image: a `[1, 3, size, size]` tensor plus its class id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledImage {
     /// The image, shape `[1, 3, size, size]`, values in `[0, 1]`.
     pub image: Tensor4,
@@ -31,7 +30,7 @@ pub struct LabeledImage {
 }
 
 /// Dataset generator configuration: image side length and number of classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SynthShapes {
     size: usize,
     classes: usize,

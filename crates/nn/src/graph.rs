@@ -8,7 +8,6 @@
 use crate::ops::{
     concat_channels, relu, relu_backward, split_channels, AvgPool, Conv2d, Linear, Lrn, MaxPool,
 };
-use serde::{Deserialize, Serialize};
 use snapea_tensor::{Shape4, Tensor2, Tensor4};
 
 /// Identifier of a node within its [`Graph`] (its index in topological
@@ -16,7 +15,7 @@ use snapea_tensor::{Shape4, Tensor2, Tensor4};
 pub type NodeId = usize;
 
 /// A network operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Op {
     /// The graph input placeholder (always node 0).
     Input,
@@ -56,7 +55,7 @@ impl Op {
 }
 
 /// A named graph node: an operation plus the ids of its producers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Human-readable layer name (e.g. `inception_4e/1x1`).
     pub name: String,
@@ -91,7 +90,7 @@ pub enum ParamGrad {
 pub type ConvOverride<'a> = dyn FnMut(NodeId, &Conv2d, &Tensor4) -> Option<Tensor4> + 'a;
 
 /// A feed-forward CNN as a topologically-ordered DAG.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     nodes: Vec<Node>,
 }
@@ -710,14 +709,5 @@ mod tests {
         // conv: 4*1*3*3 + 4 = 40; fc: 3*16 + 3 = 51
         assert_eq!(g.param_count(), 91);
         assert_eq!(g.model_size_bytes(), 364);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_function() {
-        let g = tiny_graph(8);
-        let x = Tensor4::full(Shape4::new(1, 1, 4, 4), 0.2);
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: Graph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g.logits(&x), g2.logits(&x));
     }
 }

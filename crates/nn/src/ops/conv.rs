@@ -1,6 +1,5 @@
 //! 2-D convolution layer (im2col fast path).
 
-use serde::{Deserialize, Serialize};
 use snapea_tensor::im2col::{col2im_item_slice, im2col_into, ConvGeom};
 use snapea_tensor::{
     init, matmul_into, matmul_t_into, scratch, t_matmul_into, Shape2, Shape4, Tensor2, Tensor4,
@@ -22,7 +21,7 @@ use snapea_tensor::{
 /// let y = conv.forward(&x);
 /// assert_eq!(y.shape(), Shape4::new(2, 8, 8, 8));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     weight: Tensor4,
     bias: Vec<f32>,

@@ -1,6 +1,5 @@
 //! Fully-connected (linear) layer.
 
-use serde::{Deserialize, Serialize};
 use snapea_tensor::{init, Shape2, Shape4, Tensor2, Tensor4};
 
 /// A fully-connected layer `y = W x + b` with weight shape `[out, in]`.
@@ -8,7 +7,7 @@ use snapea_tensor::{init, Shape2, Shape4, Tensor2, Tensor4};
 /// In the graph executor, activations flow as [`Tensor4`]; a linear layer
 /// consumes `[n, features, 1, 1]` tensors (a `Flatten` node reshapes conv
 /// activations first) and produces `[n, out, 1, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Tensor2,
     bias: Vec<f32>,

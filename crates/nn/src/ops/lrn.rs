@@ -1,6 +1,5 @@
 //! Cross-channel Local Response Normalization (AlexNet / GoogLeNet style).
 
-use serde::{Deserialize, Serialize};
 use snapea_tensor::Tensor4;
 
 /// Local Response Normalization across channels:
@@ -10,7 +9,7 @@ use snapea_tensor::Tensor4;
 /// where the window spans `size` channels centred on `c` (clamped at the
 /// edges), matching Caffe's `ACROSS_CHANNELS` LRN used by the paper's
 /// AlexNet and GoogLeNet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lrn {
     /// Channel window size.
     pub size: usize,

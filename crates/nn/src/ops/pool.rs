@@ -1,6 +1,5 @@
 //! Max and average pooling layers.
 
-use serde::{Deserialize, Serialize};
 use snapea_tensor::{Shape4, Tensor4};
 
 /// Pooling geometry: square window, stride, zero padding.
@@ -8,7 +7,7 @@ use snapea_tensor::{Shape4, Tensor4};
 /// Padding semantics follow Caffe (which hosted the paper's networks):
 /// max-pool treats padded positions as absent (−∞), average-pool treats them
 /// as zeros and always divides by the full window area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolGeom {
     /// Window side length.
     pub k: usize,
@@ -72,7 +71,7 @@ impl PoolGeom {
 
 /// Max pooling. The forward pass additionally returns the argmax map needed
 /// by the backward pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MaxPool {
     /// Pooling geometry.
     pub geom: PoolGeom,
@@ -143,7 +142,7 @@ impl MaxPool {
 
 /// Average pooling. With `k == stride == input extent` this is global average
 /// pooling (used by the GoogLeNet/SqueezeNet heads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AvgPool {
     /// Pooling geometry.
     pub geom: PoolGeom,

@@ -18,7 +18,7 @@ use snapea_tensor::init;
 pub const INPUT_SIZE: usize = 32;
 
 /// The four paper workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// AlexNet-family plain stack (5 conv, 3 FC).
     AlexNet,

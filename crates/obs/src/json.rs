@@ -1,10 +1,10 @@
 //! A minimal JSON value, writer, and parser.
 //!
 //! The event log format is JSONL: one self-contained JSON object per line.
-//! The rest of the workspace serialises *models* with `serde`/`serde_json`;
-//! events deliberately do not, so that `snapea-obs` stays dependency-free and
-//! loadable from every crate (including the leaves `serde` itself sits
-//! under). Integers are kept exact ([`Json::U64`]/[`Json::I64`]) because
+//! This is the workspace's only JSON codec: event logs, run manifests,
+//! benchmark reports, experiment results and `--json` CLI output all go
+//! through it, so `snapea-obs` stays dependency-free and loadable from every
+//! crate. Integers are kept exact ([`Json::U64`]/[`Json::I64`]) because
 //! cycle and MAC counters exceed `f64`'s 53-bit integer range on large runs.
 
 use std::collections::BTreeMap;

@@ -10,9 +10,7 @@
 use crate::{Shape2, Tensor2, Tensor4};
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConvGeom {
     /// Kernel height.
     pub kh: usize,

@@ -1,7 +1,6 @@
 //! Dense 2-D matrix.
 
 use crate::{Shape2, ShapeError};
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// Output columns per GEMM tile: 4096 f32 = 16 KiB, so an output tile stays
@@ -306,7 +305,7 @@ pub fn matmul_t_into(
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor2 {
     shape: Shape2,
     data: Vec<f32>,

@@ -10,14 +10,12 @@
 //! a 32-bit register, as hardware MAC units do, and saturate on conversion
 //! back to 16 bits.
 
-use serde::{Deserialize, Serialize};
-
 /// A 16-bit fixed-point value with `FRAC` fractional bits implied by the
 /// [`Q16Format`] used to create it.
 ///
 /// `Q16` is a plain wrapper over `i16`; the format travels separately (the
 /// hardware fixes it per accelerator configuration, not per value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Q16(pub i16);
 
 impl Q16 {
@@ -37,7 +35,7 @@ impl Q16 {
 }
 
 /// Fixed-point format: the number of fractional bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Q16Format {
     frac_bits: u32,
 }

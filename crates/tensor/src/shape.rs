@@ -1,6 +1,5 @@
 //! Shape types for 2-D and 4-D tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error produced when a shape-sensitive operation receives incompatible
@@ -32,7 +31,7 @@ impl std::error::Error for ShapeError {}
 /// let s = Shape4::new(2, 3, 8, 8);
 /// assert_eq!(s.len(), 2 * 3 * 8 * 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape4 {
     /// Batch dimension.
     pub n: usize,
@@ -98,7 +97,7 @@ impl fmt::Display for Shape4 {
 /// let s = Shape2::new(3, 4);
 /// assert_eq!(s.len(), 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape2 {
     /// Number of rows.
     pub rows: usize,

@@ -1,7 +1,6 @@
 //! Dense 4-D NCHW tensor.
 
 use crate::{Shape4, ShapeError, Tensor2};
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A dense, row-major, NCHW `f32` tensor.
@@ -16,7 +15,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(t[(0, 0, 1, 1)], 3.0);
 /// assert_eq!(t.iter().sum::<f32>(), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor4 {
     shape: Shape4,
     data: Vec<f32>,
@@ -296,13 +295,5 @@ mod tests {
         assert_eq!(m.shape().rows, 2);
         assert_eq!(m.shape().cols, 3);
         assert_eq!(m[(1, 2)], 5.0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = Tensor4::from_fn(Shape4::new(1, 2, 2, 2), |_, c, h, w| (c + h + w) as f32);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Tensor4 = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

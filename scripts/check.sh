@@ -136,34 +136,41 @@ echo "==> snapea-tool selfcheck --inject-bug (must fail with a replayable case)"
 must_fail "injected selfcheck bug" "replay: snapea-tool selfcheck --replay 0x" \
   "$SELFCHECK" selfcheck --cases 2 --seed 1 --inject-bug
 
-# Compiled-artifact gates: `compile` then `run --artifact` must print the
-# same activation digest as the fresh-compile path (loading is bit-faithful
-# and skips Algorithm 1), the corruption battery must reject every byte-level
-# mutation with a typed error, and — same prove-it-can-fail protocol as the
-# lint and selfcheck smokes — a planted loader bug (one skipped section
-# checksum) must be caught with a replayable case.
-echo "==> artifact compile/run round trip (output digests must match)"
+# Compiled-artifact gates: `train` and `optimize` write `.snapea` artifacts;
+# `inspect` must re-serialise the loaded artifact to the digest `optimize`
+# reported for its fresh compile (the encoding is canonical), and `run` must
+# print the same activation digest serial and at 4 threads. Fresh-vs-loaded
+# bit identity is gated by tests/artifact.rs and the battery below, which
+# must reject every byte-level mutation with a typed error; and — same
+# prove-it-can-fail protocol as the lint and selfcheck smokes — a planted
+# loader bug (one skipped section checksum) must be caught with a
+# replayable case.
+echo "==> artifact train/optimize/inspect/run round trip (digests must match)"
 ART="$FIXTURE/artifact"
 mkdir -p "$ART"
 SNAPEA_LOG=off "$SELFCHECK" train --workload AlexNet --epochs 0 \
-  --out "$ART/model.json" > /dev/null
-SNAPEA_LOG=off "$SELFCHECK" optimize "$ART/model.json" --images 6 \
-  --out "$ART/params.json" > /dev/null
-SNAPEA_LOG=off "$SELFCHECK" compile "$ART/model.json" "$ART/model.snapea" \
-  --params "$ART/params.json" --json > "$ART/compile.json"
-grep -q '"digest":"0x' "$ART/compile.json" \
-  || { echo "ERROR: compile --json is missing the artifact digest"; exit 1; }
-grep -q '"sections":{' "$ART/compile.json" \
-  || { echo "ERROR: compile --json is missing the section breakdown"; exit 1; }
-fresh=$(SNAPEA_LOG=off "$SELFCHECK" run "$ART/model.json" --params "$ART/params.json" \
-  --images 4 --seed 7 --json | grep -o '"output_digest":"0x[0-9a-f]*"')
-loaded=$(SNAPEA_LOG=off "$SELFCHECK" run --artifact "$ART/model.snapea" \
-  --images 4 --seed 7 --json | grep -o '"output_digest":"0x[0-9a-f]*"')
-if [ -z "$fresh" ] || [ "$fresh" != "$loaded" ]; then
-  echo "ERROR: artifact run digest ${loaded:-<none>} != fresh run digest ${fresh:-<none>}"
+  --out "$ART/model.snapea" > /dev/null
+SNAPEA_LOG=off "$SELFCHECK" optimize "$ART/model.snapea" --images 6 \
+  --out "$ART/tuned.snapea" --json > "$ART/optimize.json"
+SNAPEA_LOG=off "$SELFCHECK" inspect "$ART/tuned.snapea" --json > "$ART/inspect.json"
+grep -q '"sections":{' "$ART/inspect.json" \
+  || { echo "ERROR: inspect --json is missing the section breakdown"; exit 1; }
+written=$(grep -o '"digest":"0x[0-9a-f]*"' "$ART/optimize.json")
+reloaded=$(grep -o '"digest":"0x[0-9a-f]*"' "$ART/inspect.json")
+if [ -z "$written" ] || [ "$written" != "$reloaded" ]; then
+  echo "ERROR: inspect digest ${reloaded:-<none>} != optimize digest ${written:-<none>}"
   exit 1
 fi
-echo "    fresh and artifact runs agree: $fresh"
+serial=$(SNAPEA_LOG=off SNAPEA_THREADS=1 "$SELFCHECK" run "$ART/tuned.snapea" \
+  --images 4 --seed 7 --json | grep -o '"output_digest":"0x[0-9a-f]*"')
+threaded=$(SNAPEA_LOG=off SNAPEA_THREADS=4 SNAPEA_OVERSUBSCRIBE=1 "$SELFCHECK" run \
+  "$ART/tuned.snapea" --images 4 --seed 7 --json | grep -o '"output_digest":"0x[0-9a-f]*"')
+if [ -z "$serial" ] || [ "$serial" != "$threaded" ]; then
+  echo "ERROR: run digest at 4 threads ${threaded:-<none>} != serial ${serial:-<none>}"
+  exit 1
+fi
+echo "    written and reloaded artifacts agree: $written"
+echo "    serial and 4-thread runs agree: $serial"
 
 echo "==> snapea-tool selfcheck --artifact --cases 200 --seed 1 (corruption battery)"
 "$SELFCHECK" selfcheck --artifact --cases 200 --seed 1

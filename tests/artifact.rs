@@ -4,7 +4,7 @@
 //!
 //! * **Zoo bit-identity** — for every workload in the zoo, executing a
 //!   compiled-then-loaded artifact is bit-identical to `SpecNet`'s
-//!   fresh-reorder path on the same inputs (the `run --artifact` contract),
+//!   fresh-reorder path on the same inputs (the `snapea-tool run` contract),
 //!   and every loaded layer holds exactly the kernels
 //!   `LayerConfig::from_params` derives from the stored graph and params;
 //! * **Golden fixture** — `tests/golden/tiny.snapea` is committed; the
