@@ -9,7 +9,7 @@
 use snapea::exec::LayerProfile;
 use snapea::spec_net::NetworkProfile;
 use snapea_nn::graph::Graph;
-use snapea_tensor::Tensor4;
+use snapea_tensor::{Shape4, Tensor4};
 
 /// One convolution layer's workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +101,8 @@ impl NetworkWorkload {
 }
 
 /// Builds the network workload for `net` under the op counts of `profile`,
-/// using `batch` to recover each conv layer's input footprint.
+/// using `batch`'s image shape to recover each conv layer's input footprint
+/// and output extent.
 ///
 /// # Panics
 ///
@@ -112,7 +113,11 @@ pub fn network_workload(
     batch: &Tensor4,
     profile: &NetworkProfile,
 ) -> NetworkWorkload {
-    let acts = net.forward(batch);
+    // Shape inference: an empty-batch forward gives every node the
+    // `(c, h, w)` a forward over `batch` would, without computing any
+    // activation.
+    let s = batch.shape();
+    let acts = net.forward(&Tensor4::zeros(Shape4::new(0, s.c, s.h, s.w)));
     let layers = profile
         .layers
         .iter()
@@ -161,5 +166,30 @@ mod tests {
         let dense = w.to_dense();
         assert_eq!(dense.total_ops(), w.full_macs());
         assert!(w.total_ops() < w.full_macs());
+    }
+
+    #[test]
+    fn footprints_match_those_of_a_full_forward() {
+        for net in [zoo::mini_alexnet(10), zoo::mini_googlenet(10)] {
+            let data = SynthShapes::new(zoo::INPUT_SIZE, 10).generate(3, 7);
+            let batch = SynthShapes::batch(&data);
+            let prof = profile_network(&net, &NetworkParams::new(), &batch, false);
+            let acts = net.forward(&batch);
+            let layers = prof
+                .layers
+                .iter()
+                .map(|(id, lname, p)| {
+                    let input_words = acts[net.node(*id).inputs[0]].shape().item_len() as u64;
+                    let out = acts[*id].shape();
+                    LayerWorkload::new(lname.clone(), p.clone(), input_words)
+                        .with_spatial(out.h, out.w)
+                })
+                .collect();
+            let want = NetworkWorkload {
+                name: "net".to_string(),
+                layers,
+            };
+            assert_eq!(network_workload("net", &net, &batch, &prof), want);
+        }
     }
 }

@@ -433,11 +433,10 @@ impl CompiledModel {
         );
         let _span = snapea_obs::span!("artifact/forward");
         self.install_plans();
-        let configs = self.configs();
+        // `self.layers` is in node order; the configs are used in place.
         self.graph.forward_with(input, &mut |id, conv, x| {
-            configs
-                .get(&id)
-                .map(|cfg| exec::execute_conv(conv, x, cfg).output)
+            let i = self.layers.binary_search_by_key(&id, |l| l.node).ok()?;
+            Some(exec::execute_conv(conv, x, &self.layers[i].config).output)
         })
     }
 

@@ -274,7 +274,7 @@ impl Graph {
             Op::Input => input.clone(),
             Op::Conv(c) => conv_override(id, c, arg(0)).unwrap_or_else(|| c.forward(arg(0))),
             Op::Relu => relu(arg(0)),
-            Op::MaxPool(p) => p.forward(arg(0)).0,
+            Op::MaxPool(p) => p.forward(arg(0)),
             Op::AvgPool(p) => p.forward(arg(0)),
             Op::Concat => {
                 let refs: Vec<&Tensor4> = node.inputs.iter().map(|&i| &acts[i]).collect();
@@ -297,41 +297,16 @@ impl Graph {
     pub fn forward_train(&self, input: &Tensor4) -> (Vec<Tensor4>, Vec<Aux>) {
         let mut acts: Vec<Tensor4> = Vec::with_capacity(self.nodes.len());
         let mut aux: Vec<Aux> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let arg = |k: usize| -> &Tensor4 { &acts[node.inputs[k]] };
+        for (id, node) in self.nodes.iter().enumerate() {
             let (out, a) = match &node.op {
                 Op::MaxPool(p) => {
-                    let (o, arg_map) = p.forward(arg(0));
+                    let (o, arg_map) = p.forward_with_argmax(&acts[node.inputs[0]]);
                     (o, Aux::MaxPool(arg_map))
                 }
-                _ => {
-                    let o = match &node.op {
-                        Op::Input => input.clone(),
-                        Op::Conv(c) => c.forward(arg(0)),
-                        Op::Relu => relu(arg(0)),
-                        Op::AvgPool(p) => p.forward(arg(0)),
-                        Op::Concat => {
-                            let refs: Vec<&Tensor4> =
-                                node.inputs.iter().map(|&i| &acts[i]).collect();
-                            concat_channels(&refs)
-                        }
-                        Op::Flatten => {
-                            let x = arg(0);
-                            let s = x.shape();
-                            Tensor4::from_vec(
-                                Shape4::new(s.n, s.item_len(), 1, 1),
-                                x.as_slice().to_vec(),
-                            )
-                            // lint:allow(P1) n × item_len × 1 × 1 is exactly the source tensor's element count
-                            .expect("element count preserved")
-                        }
-                        Op::Linear(l) => l.forward(arg(0)),
-                        Op::Lrn(l) => l.forward(arg(0)),
-                        // lint:allow(P1) the outer match already peeled off Op::MaxPool
-                        Op::MaxPool(_) => unreachable!("handled above"),
-                    };
-                    (o, Aux::None)
-                }
+                _ => (
+                    self.eval_node(id, node, input, &acts, &mut |_, _, _| None),
+                    Aux::None,
+                ),
             };
             acts.push(out);
             aux.push(a);

@@ -109,14 +109,21 @@ impl Conv2d {
         (out.n * out.c * out.h * out.w) as u64 * self.window_len() as u64
     }
 
-    /// Kernel weights as a `[c_out, c_in*kh*kw]` matrix (rows are kernels).
-    pub fn weight_matrix(&self) -> Tensor2 {
-        Tensor2::from_vec(
-            Shape2::new(self.c_out(), self.window_len()),
-            self.weight.as_slice().to_vec(),
-        )
-        // lint:allow(P1) c_out × window_len is exactly the weight tensor's element count
-        .expect("weight layout is contiguous")
+    /// Runs `f` on batch item `n`'s im2col patch matrix
+    /// `[c_in*kh*kw, out_h*out_w]`. For a 1×1, stride-1, unpadded kernel
+    /// over a non-empty plane that matrix is the input item itself, so it is
+    /// lent directly; otherwise it is built in a [`snapea_tensor::scratch`]
+    /// buffer.
+    fn with_cols<R>(&self, input: &Tensor4, n: usize, f: impl FnOnce(&[f32]) -> R) -> R {
+        let s = input.shape();
+        let out = self.out_shape(s);
+        if self.geom == ConvGeom::square(1, 1, 0) && (out.h, out.w) == (s.h, s.w) {
+            return f(input.item(n));
+        }
+        scratch::with_zeroed(self.window_len() * out.plane_len(), |cols| {
+            im2col_into(input, n, self.geom, cols);
+            f(cols)
+        })
     }
 
     /// Forward pass.
@@ -126,9 +133,12 @@ impl Conv2d {
     /// output slice); with a single item the inner GEMM parallelises over
     /// output rows instead. Results are bit-identical for any thread count.
     ///
-    /// The im2col patch matrix and the GEMM product live in
-    /// [`snapea_tensor::scratch`] buffers, so a warmed-up thread performs no
-    /// heap allocation per item beyond the output tensor itself.
+    /// Each item's GEMM reads the weight tensor in place as the
+    /// `[c_out, c_in*kh*kw]` matrix, accumulates straight into the zeroed
+    /// output item, and the bias is then added in place, so a warmed-up
+    /// thread performs no heap allocation per item beyond the output tensor
+    /// itself (the im2col patch matrix lives in a
+    /// [`snapea_tensor::scratch`] buffer).
     ///
     /// # Panics
     ///
@@ -136,7 +146,6 @@ impl Conv2d {
     pub fn forward(&self, input: &Tensor4) -> Tensor4 {
         assert_eq!(input.shape().c, self.c_in(), "conv input channels");
         let out_shape = self.out_shape(input.shape());
-        let wmat = self.weight_matrix();
         let mut out = Tensor4::zeros(out_shape);
         let item_len = out_shape.item_len();
         if item_len == 0 {
@@ -144,6 +153,7 @@ impl Conv2d {
         }
         let plane = out_shape.plane_len();
         let rows = self.window_len();
+        let w_shape = Shape2::new(out_shape.c, rows);
         let cols_shape = Shape2::new(rows, plane);
         // One task per group of consecutive batch items: an item costs
         // c_out·plane·window_len GEMM MACs, and the floor groups items until
@@ -165,22 +175,16 @@ impl Conv2d {
             .collect();
         snapea_tensor::par::run_tasks(blocks, |_, (n0, slab)| {
             for (di, dst) in slab.chunks_mut(item_len).enumerate() {
-                let n = n0 + di;
-                scratch::with_zeroed(rows * plane, |cols| {
-                    im2col_into(input, n, self.geom, cols);
-                    scratch::with_zeroed(out_shape.c * plane, |prod| {
-                        matmul_into(wmat.as_slice(), wmat.shape(), cols, cols_shape, prod)
-                            // lint:allow(P1) wmat, cols and prod all derive from the same conv geometry
-                            .expect("im2col shape is consistent");
-                        for co in 0..out_shape.c {
-                            let row = &prod[co * plane..(co + 1) * plane];
-                            let b = self.bias[co];
-                            for (d, &v) in dst[co * plane..(co + 1) * plane].iter_mut().zip(row) {
-                                *d = v + b;
-                            }
-                        }
-                    });
+                self.with_cols(input, n0 + di, |cols| {
+                    matmul_into(self.weight.as_slice(), w_shape, cols, cols_shape, dst)
+                        // lint:allow(P1) the weight tensor, cols and dst all derive from the same conv geometry
+                        .expect("im2col shape is consistent");
                 });
+                for (row, &b) in dst.chunks_exact_mut(plane).zip(&self.bias) {
+                    for d in row {
+                        *d += b;
+                    }
+                }
             }
         });
         out
@@ -200,13 +204,13 @@ impl Conv2d {
         let in_shape = input.shape();
         let out_shape = self.out_shape(in_shape);
         assert_eq!(grad_out.shape(), out_shape, "conv grad_out shape");
-        let wmat = self.weight_matrix();
         let plane = out_shape.plane_len();
         let rows = self.window_len();
+        let w_shape = Shape2::new(self.c_out(), rows);
         let go_shape = Shape2::new(out_shape.c, plane);
         let cols_shape = Shape2::new(rows, plane);
         let mut grad_in = Tensor4::zeros(in_shape);
-        let mut grad_w = Tensor2::zeros(Shape2::new(self.c_out(), self.window_len()));
+        let mut grad_w = Tensor2::zeros(w_shape);
         let mut grad_b = vec![0.0f32; self.c_out()];
         let in_item = in_shape.item_len();
         if in_shape.n > 0 && in_item > 0 {
@@ -234,8 +238,7 @@ impl Conv2d {
                         .enumerate()
                         .map(|(di, gi_item)| {
                             let n = n0 + di;
-                            scratch::with_zeroed(rows * plane, |cols| {
-                                im2col_into(input, n, self.geom, cols);
+                            self.with_cols(input, n, |cols| {
                                 // grad_out for this item as [c_out, oh*ow], in place
                                 let go = grad_out.item(n);
                                 // dW contribution: dOut × colsᵀ
@@ -251,13 +254,13 @@ impl Conv2d {
                                 // item's disjoint slice
                                 scratch::with_zeroed(rows * plane, |dcols| {
                                     t_matmul_into(
-                                        wmat.as_slice(),
-                                        wmat.shape(),
+                                        self.weight.as_slice(),
+                                        w_shape,
                                         go,
                                         go_shape,
                                         dcols,
                                     )
-                                    // lint:allow(P1) wmat, go and dcols all derive from the same conv geometry
+                                    // lint:allow(P1) the weight tensor, go and dcols all derive from the same conv geometry
                                     .expect("shapes agree");
                                     col2im_item_slice(
                                         dcols, gi_item, in_shape.c, in_shape.h, in_shape.w,
@@ -338,6 +341,73 @@ mod tests {
                     (a - b).abs() < 1e-4,
                     "{a} vs {b} (k={k} s={stride} p={pad})"
                 );
+            }
+        }
+    }
+
+    /// The dense conv spelled out: a per-element im2col patch matrix,
+    /// `Tensor2::matmul` with the weights, then the bias.
+    fn conv_via_patch_matrix(conv: &Conv2d, input: &Tensor4) -> Tensor4 {
+        let s = input.shape();
+        let g = conv.geom();
+        let os = conv.out_shape(s);
+        let weights = Tensor2::from_vec(
+            Shape2::new(conv.c_out(), conv.window_len()),
+            conv.weight().as_slice().to_vec(),
+        )
+        .unwrap();
+        let mut out = Tensor4::zeros(os);
+        for n in 0..s.n {
+            let cols = Tensor2::from_fn(Shape2::new(conv.window_len(), os.h * os.w), |r, j| {
+                let (c, ky, kx) = (r / (g.kh * g.kw), r / g.kw % g.kh, r % g.kw);
+                let iy = (j / os.w * g.stride + ky) as isize - g.pad as isize;
+                let ix = (j % os.w * g.stride + kx) as isize - g.pad as isize;
+                if iy < 0 || ix < 0 || iy >= s.h as isize || ix >= s.w as isize {
+                    0.0
+                } else {
+                    input[(n, c, iy as usize, ix as usize)]
+                }
+            });
+            let prod = weights.matmul(&cols).unwrap();
+            for co in 0..os.c {
+                for j in 0..os.h * os.w {
+                    out[(n, co, j / os.w, j % os.w)] = prod[(co, j)] + conv.bias()[co];
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn forward_is_bit_identical_to_patch_matrix_times_weights() {
+        // (k, stride, pad, h, w): the 1×1 direct path, strided and padded
+        // kernels, a kernel as large as the input, and a 1×1 kernel over an
+        // empty plane (one all-padding output row: the bias alone).
+        for (k, stride, pad, h, w) in [
+            (1, 1, 0, 7, 6),
+            (1, 2, 0, 7, 6),
+            (3, 1, 1, 7, 6),
+            (3, 2, 1, 7, 6),
+            (5, 1, 2, 7, 6),
+            (6, 1, 0, 6, 6),
+            (1, 1, 0, 0, 4),
+        ] {
+            for n in [0, 3] {
+                let mut r = rng(17);
+                let mut conv = Conv2d::new(3, 5, ConvGeom::square(k, stride, pad), &mut r);
+                let bias = snapea_tensor::init::uniform4(Shape4::new(1, 5, 1, 1), 1.0, &mut r);
+                conv.bias_mut().copy_from_slice(bias.as_slice());
+                let x = snapea_tensor::init::uniform4(Shape4::new(n, 3, h, w), 1.0, &mut r);
+                let got = conv.forward(&x);
+                let want = conv_via_patch_matrix(&conv, &x);
+                assert_eq!(got.shape(), want.shape(), "k={k} s={stride} p={pad} n={n}");
+                for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "k={k} s={stride} p={pad} n={n} element {i}: {a} vs {b}"
+                    );
+                }
             }
         }
     }

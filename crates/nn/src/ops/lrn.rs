@@ -51,26 +51,38 @@ impl Lrn {
         (lo, hi)
     }
 
-    /// Computes the per-element scale `S = k + (alpha/size) * Σ x²`.
+    /// Computes the per-element scale `S = k + (alpha/size) * Σ x²`. For each
+    /// (image, channel) the squares of the window's channel planes are summed
+    /// in ascending channel order into that channel's output plane, so every
+    /// element sees the operations of the per-element formula in its order.
     fn scales(&self, input: &Tensor4) -> Tensor4 {
         let s = input.shape();
-        Tensor4::from_fn(s, |n, c, h, w| {
-            let (lo, hi) = self.window(c, s.c);
-            let mut acc = 0.0f32;
-            for cc in lo..hi {
-                let v = input[(n, cc, h, w)];
-                acc += v * v;
+        let plane = s.plane_len();
+        let scale = self.alpha / self.size as f32;
+        let mut out = Tensor4::zeros(s);
+        let (src, dst) = (input.as_slice(), out.as_mut_slice());
+        for n in 0..s.n {
+            for c in 0..s.c {
+                let (lo, hi) = self.window(c, s.c);
+                let acc = &mut dst[(n * s.c + c) * plane..][..plane];
+                for cc in lo..hi {
+                    for (a, &v) in acc.iter_mut().zip(&src[(n * s.c + cc) * plane..][..plane]) {
+                        *a += v * v;
+                    }
+                }
+                for a in acc {
+                    *a = self.k + scale * *a;
+                }
             }
-            self.k + self.alpha / self.size as f32 * acc
-        })
+        }
+        out
     }
 
-    /// Forward pass.
+    /// Forward pass: `x / S^beta`, one `powf` per element.
     pub fn forward(&self, input: &Tensor4) -> Tensor4 {
-        let scales = self.scales(input);
-        let mut out = input.clone();
-        for (o, &sc) in out.iter_mut().zip(scales.iter()) {
-            *o /= sc.powf(self.beta);
+        let mut out = self.scales(input);
+        for (o, &x) in out.iter_mut().zip(input.iter()) {
+            *o = x / o.powf(self.beta);
         }
         out
     }

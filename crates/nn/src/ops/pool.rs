@@ -1,6 +1,7 @@
 //! Max and average pooling layers.
 
 use snapea_tensor::{Shape4, Tensor4};
+use std::ops::Range;
 
 /// Pooling geometry: square window, stride, zero padding.
 ///
@@ -43,34 +44,40 @@ impl PoolGeom {
         Shape4::new(s.n, s.c, self.out_dim(s.h), self.out_dim(s.w))
     }
 
-    /// Iterates the valid (in-bounds) input coordinates of output window
-    /// `(oy, ox)` for an input of spatial extent `(h, w)`.
-    fn window_coords(
+    /// Calls `f(o, ys, xs)` for every output position of an `h × w` input
+    /// plane, in row-major order: `o` is the output's offset within its
+    /// plane, and `ys`/`xs` are the rows and columns of its window clamped
+    /// to the plane. Padding taps are absent, so an all-padding window has
+    /// an empty range.
+    fn for_each_window(
         &self,
-        oy: usize,
-        ox: usize,
         h: usize,
         w: usize,
-    ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let y0 = (oy * self.stride) as isize - self.pad as isize;
-        let x0 = (ox * self.stride) as isize - self.pad as isize;
-        let k = self.k as isize;
-        (0..k).flat_map(move |ky| {
-            (0..k).filter_map(move |kx| {
-                let iy = y0 + ky;
-                let ix = x0 + kx;
-                if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                    Some((iy as usize, ix as usize))
-                } else {
-                    None
-                }
-            })
-        })
+        mut f: impl FnMut(usize, Range<usize>, Range<usize>),
+    ) {
+        let clamp = |o: usize, d: usize| {
+            let start = o * self.stride;
+            start.saturating_sub(self.pad).min(d)..(start + self.k).saturating_sub(self.pad).min(d)
+        };
+        let ow = self.out_dim(w);
+        for oy in 0..self.out_dim(h) {
+            let ys = clamp(oy, h);
+            for ox in 0..ow {
+                f(oy * ow + ox, ys.clone(), clamp(ox, w));
+            }
+        }
     }
 }
 
-/// Max pooling. The forward pass additionally returns the argmax map needed
-/// by the backward pass.
+/// Max pooling.
+///
+/// Inference runs [`MaxPool::forward`], which returns only the output;
+/// training runs [`MaxPool::forward_with_argmax`], which also records the
+/// argmax map [`MaxPool::backward`] routes gradients through. Both take the
+/// maximum as a strict `>` select over the window in row-major order,
+/// starting from −∞: NaN never wins, the first of tied values (e.g. −0.0
+/// before +0.0) wins, and a window with no value above −∞ (all padding or
+/// all −∞) outputs 0 with argmax `u32::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MaxPool {
     /// Pooling geometry.
@@ -93,36 +100,64 @@ impl MaxPool {
         }
     }
 
-    /// Forward pass returning `(output, argmax)` where `argmax` holds, for
-    /// every output element, the linear offset into the input of the winning
-    /// element (`u32::MAX` for the degenerate all-padding window, which
-    /// outputs 0).
-    pub fn forward(&self, input: &Tensor4) -> (Tensor4, Vec<u32>) {
+    /// Forward pass (inference): the pooled output alone.
+    pub fn forward(&self, input: &Tensor4) -> Tensor4 {
         let s = input.shape();
         let os = self.geom.out_shape(s);
         let mut out = Tensor4::zeros(os);
-        let mut arg = vec![0u32; os.len()];
-        let data = input.as_slice();
-        let mut oi = 0;
-        for n in 0..os.n {
-            for c in 0..os.c {
-                for oy in 0..os.h {
-                    for ox in 0..os.w {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_off = u32::MAX;
-                        for (iy, ix) in self.geom.window_coords(oy, ox, s.h, s.w) {
-                            let off = s.offset(n, c, iy, ix);
-                            if data[off] > best {
-                                best = data[off];
-                                best_off = off as u32;
-                            }
-                        }
-                        out.as_mut_slice()[oi] = if best_off == u32::MAX { 0.0 } else { best };
-                        arg[oi] = best_off;
-                        oi += 1;
+        let (pin, pout) = (s.plane_len(), os.plane_len());
+        let (src, dst) = (input.as_slice(), out.as_mut_slice());
+        for p in 0..s.n * s.c {
+            let plane = &src[p * pin..(p + 1) * pin];
+            let out_plane = &mut dst[p * pout..(p + 1) * pout];
+            self.geom.for_each_window(s.h, s.w, |o, ys, xs| {
+                let mut best = f32::NEG_INFINITY;
+                for iy in ys {
+                    for &v in &plane[iy * s.w + xs.start..iy * s.w + xs.end] {
+                        best = if v > best { v } else { best };
                     }
                 }
-            }
+                out_plane[o] = if best > f32::NEG_INFINITY { best } else { 0.0 };
+            });
+        }
+        out
+    }
+
+    /// Forward pass (training) returning `(output, argmax)`, where `argmax`
+    /// holds, for every output element, the linear offset into the input of
+    /// the winning element (`u32::MAX` for a window with no value above −∞,
+    /// which outputs 0). The output is bit-identical to [`MaxPool::forward`].
+    pub fn forward_with_argmax(&self, input: &Tensor4) -> (Tensor4, Vec<u32>) {
+        let s = input.shape();
+        let os = self.geom.out_shape(s);
+        let mut out = Tensor4::zeros(os);
+        let mut arg = vec![u32::MAX; os.len()];
+        let (pin, pout) = (s.plane_len(), os.plane_len());
+        let (src, dst) = (input.as_slice(), out.as_mut_slice());
+        for p in 0..s.n * s.c {
+            let plane = &src[p * pin..(p + 1) * pin];
+            let out_plane = &mut dst[p * pout..(p + 1) * pout];
+            let arg_plane = &mut arg[p * pout..(p + 1) * pout];
+            self.geom.for_each_window(s.h, s.w, |o, ys, xs| {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_off = u32::MAX;
+                for iy in ys {
+                    let row = iy * s.w + xs.start;
+                    for (j, &v) in plane[row..iy * s.w + xs.end].iter().enumerate() {
+                        let better = v > best;
+                        best = if better { v } else { best };
+                        best_off = if better {
+                            (p * pin + row + j) as u32
+                        } else {
+                            best_off
+                        };
+                    }
+                }
+                if best_off != u32::MAX {
+                    out_plane[o] = best;
+                    arg_plane[o] = best_off;
+                }
+            });
         }
         (out, arg)
     }
@@ -156,18 +191,29 @@ impl AvgPool {
         }
     }
 
-    /// Forward pass.
+    /// Forward pass: each window's in-bounds taps summed in row-major order,
+    /// times `1 / k²`.
     pub fn forward(&self, input: &Tensor4) -> Tensor4 {
         let s = input.shape();
         let os = self.geom.out_shape(s);
         let norm = 1.0 / (self.geom.k * self.geom.k) as f32;
-        Tensor4::from_fn(os, |n, c, oy, ox| {
-            let mut acc = 0.0;
-            for (iy, ix) in self.geom.window_coords(oy, ox, s.h, s.w) {
-                acc += input[(n, c, iy, ix)];
-            }
-            acc * norm
-        })
+        let mut out = Tensor4::zeros(os);
+        let (pin, pout) = (s.plane_len(), os.plane_len());
+        let (src, dst) = (input.as_slice(), out.as_mut_slice());
+        for p in 0..s.n * s.c {
+            let plane = &src[p * pin..(p + 1) * pin];
+            let out_plane = &mut dst[p * pout..(p + 1) * pout];
+            self.geom.for_each_window(s.h, s.w, |o, ys, xs| {
+                let mut acc = 0.0;
+                for iy in ys {
+                    for &v in &plane[iy * s.w + xs.start..iy * s.w + xs.end] {
+                        acc += v;
+                    }
+                }
+                out_plane[o] = acc * norm;
+            });
+        }
+        out
     }
 
     /// Backward pass: distributes each output gradient evenly over its
@@ -176,20 +222,20 @@ impl AvgPool {
         let os = grad_out.shape();
         let norm = 1.0 / (self.geom.k * self.geom.k) as f32;
         let mut grad_in = Tensor4::zeros(input_shape);
-        for n in 0..os.n {
-            for c in 0..os.c {
-                for oy in 0..os.h {
-                    for ox in 0..os.w {
-                        let g = grad_out[(n, c, oy, ox)] * norm;
-                        for (iy, ix) in
-                            self.geom
-                                .window_coords(oy, ox, input_shape.h, input_shape.w)
-                        {
-                            grad_in[(n, c, iy, ix)] += g;
-                        }
+        let (pin, pout) = (input_shape.plane_len(), os.plane_len());
+        let (src, dst) = (grad_out.as_slice(), grad_in.as_mut_slice());
+        let w = input_shape.w;
+        for p in 0..os.n * os.c {
+            let go_plane = &src[p * pout..(p + 1) * pout];
+            let gi_plane = &mut dst[p * pin..(p + 1) * pin];
+            self.geom.for_each_window(input_shape.h, w, |o, ys, xs| {
+                let g = go_plane[o] * norm;
+                for iy in ys {
+                    for d in &mut gi_plane[iy * w + xs.start..iy * w + xs.end] {
+                        *d += g;
                     }
                 }
-            }
+            });
         }
         grad_in
     }
@@ -203,7 +249,7 @@ mod tests {
     fn maxpool_picks_max_and_routes_grad() {
         let x = Tensor4::from_vec(Shape4::new(1, 1, 2, 2), vec![1.0, 5.0, 3.0, 2.0]).unwrap();
         let p = MaxPool::new(2, 2);
-        let (y, arg) = p.forward(&x);
+        let (y, arg) = p.forward_with_argmax(&x);
         assert_eq!(y.as_slice(), &[5.0]);
         assert_eq!(arg, vec![1]);
         let go = Tensor4::full(y.shape(), 2.0);
@@ -216,7 +262,7 @@ mod tests {
         // AlexNet-style overlapping pooling: k=3, stride=2.
         let x = Tensor4::from_fn(Shape4::new(1, 1, 5, 5), |_, _, h, w| (h * 5 + w) as f32);
         let p = MaxPool::new(3, 2);
-        let (y, _) = p.forward(&x);
+        let y = p.forward(&x);
         assert_eq!(y.shape(), Shape4::new(1, 1, 2, 2));
         // Max of each 3x3 window is its bottom-right element.
         assert_eq!(y.as_slice(), &[12.0, 14.0, 22.0, 24.0]);
@@ -227,7 +273,7 @@ mod tests {
         // Inception pool branch: 3x3, stride 1, pad 1 — same spatial size.
         let x = Tensor4::from_fn(Shape4::new(1, 1, 3, 3), |_, _, h, w| (h * 3 + w) as f32);
         let p = MaxPool::with_pad(3, 1, 1);
-        let (y, arg) = p.forward(&x);
+        let (y, arg) = p.forward_with_argmax(&x);
         assert_eq!(y.shape(), x.shape());
         // Corner output only sees the in-bounds 2x2 region.
         assert_eq!(y[(0, 0, 0, 0)], 4.0);

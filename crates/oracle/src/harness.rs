@@ -18,9 +18,10 @@
 //!    profile's and its cycle count sits inside the analytical
 //!    [`crate::cycle_model`] bounds; the analytic PE engine is additionally
 //!    cross-checked against the cycle-stepped reference on the case's data;
-//! 6. max/avg pooling and the fully-connected layer match their naive
-//!    references (max bit-for-bit including argmax, the rest within
-//!    tolerance);
+//! 6. max pooling (both the inference form and the argmax-recording
+//!    training form) and LRN match their naive references bit for bit,
+//!    argmax included; avg pooling and the fully-connected layer match
+//!    theirs within tolerance;
 //! 7. the q16 executor, under the case's modes and a fixed-point format
 //!    drawn from the case seed, is bit-identical to the oracle's
 //!    fixed-point walk, with identical per-window op counts.
@@ -41,7 +42,7 @@ use snapea::exec::{
 use snapea::params::{KernelMode, LayerParams};
 use snapea_accel::sim::map_layer;
 use snapea_accel::{engine, AccelConfig, LayerWorkload};
-use snapea_nn::ops::{AvgPool, Conv2d, Linear, MaxPool, PoolGeom};
+use snapea_nn::ops::{AvgPool, Conv2d, Linear, Lrn, MaxPool, PoolGeom};
 use snapea_obs::Json;
 use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{Shape2, Shape4, Tensor2, Tensor4};
@@ -494,8 +495,17 @@ fn check_sim(
     checks
 }
 
-/// Pooling and fully-connected checks (6 in the module docs), parameterised
-/// from the case seed.
+/// True unless `a` and `b` have the same shape and every element's bits.
+fn bits_differ(a: &Tensor4, b: &Tensor4) -> bool {
+    a.shape() != b.shape()
+        || a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .any(|(x, y)| x.to_bits() != y.to_bits())
+}
+
+/// Pooling, LRN and fully-connected checks (6 in the module docs),
+/// parameterised from the case seed.
 fn check_aux(seed: u64, input: &Tensor4, messages: &mut Vec<String>) -> u64 {
     let mut checks = 0u64;
     let mut r = OracleRng::new(mix(seed, 3));
@@ -503,17 +513,36 @@ fn check_aux(seed: u64, input: &Tensor4, messages: &mut Vec<String>) -> u64 {
     let stride = r.range(1, 2);
     let pad = if k > 1 { r.range(0, 1) } else { 0 };
 
-    let (mp_out, mp_arg) = MaxPool::with_pad(k, stride, pad).forward(input);
+    let mp = MaxPool::with_pad(k, stride, pad);
     let (or_out, or_arg) = reference::maxpool(input, k, stride, pad);
-    if mp_out
-        .as_slice()
-        .iter()
-        .zip(or_out.as_slice())
-        .any(|(a, b)| a.to_bits() != b.to_bits())
-        || mp_arg != or_arg
-    {
+    let (mp_out, mp_arg) = mp.forward_with_argmax(input);
+    if bits_differ(&mp_out, &or_out) || mp_arg != or_arg {
         messages.push(format!(
-            "MaxPool (k={k} stride={stride} pad={pad}) diverges from naive reference"
+            "MaxPool::forward_with_argmax (k={k} stride={stride} pad={pad}) diverges from naive reference"
+        ));
+    }
+    checks += 1;
+    if bits_differ(&mp.forward(input), &or_out) {
+        messages.push(format!(
+            "MaxPool::forward (k={k} stride={stride} pad={pad}) diverges from naive reference"
+        ));
+    }
+    checks += 1;
+
+    // LRN constants from their own sub-stream, so the draws above and
+    // below are unchanged.
+    let mut lr = OracleRng::new(mix(seed, 5));
+    let lrn = Lrn::new(
+        lr.range(1, 5),
+        lr.uniform(1e-4, 1.0),
+        lr.uniform(0.5, 1.0),
+        lr.uniform(0.5, 2.0),
+    );
+    let want = reference::lrn(input, lrn.size, lrn.alpha, lrn.beta, lrn.k);
+    if bits_differ(&lrn.forward(input), &want) {
+        messages.push(format!(
+            "Lrn (size={} alpha={} beta={} k={}) diverges from naive reference",
+            lrn.size, lrn.alpha, lrn.beta, lrn.k
         ));
     }
     checks += 1;

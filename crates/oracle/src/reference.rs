@@ -16,9 +16,11 @@
 //! * output extents are `(d + 2·pad).saturating_sub(k) / stride + 1` for
 //!   convolutions (a kernel larger than the padded input still produces one
 //!   all-padding window) and `0` when `d + 2·pad < k` for pooling;
-//! * max-pool treats padding as absent (first maximum wins; an all-padding
-//!   window outputs 0 with argmax `u32::MAX`), average-pool divides by the
-//!   full window area.
+//! * max-pool treats padding as absent and keeps a tap only if it is
+//!   strictly greater than the best so far, starting from −∞ in row-major
+//!   window order (NaN never wins, the first of tied values wins, and a
+//!   window with no value above −∞ outputs 0 with argmax `u32::MAX`);
+//!   average-pool divides by the full window area.
 
 use snapea::exec::PredictionStats;
 use snapea::params::{KernelMode, LayerParams};
@@ -157,6 +159,32 @@ pub fn avgpool(input: &Tensor4, k: usize, stride: usize, pad: usize) -> Tensor4 
                         }
                     }
                     out[(n, c, oy, ox)] = acc / (k * k) as f32;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Naive cross-channel LRN (Caffe `ACROSS_CHANNELS`):
+/// `y = x / (k + alpha / size · Σ x'²)^beta`, where the sum runs in
+/// ascending channel order over the `size` channels centred on `c`,
+/// clamped at the edges (`c − size/2 ..= c + size/2`).
+pub fn lrn(input: &Tensor4, size: usize, alpha: f32, beta: f32, k: f32) -> Tensor4 {
+    let s = input.shape();
+    let half = size / 2;
+    let mut out = Tensor4::zeros(s);
+    for n in 0..s.n {
+        for c in 0..s.c {
+            for y in 0..s.h {
+                for x in 0..s.w {
+                    let mut acc = 0.0f32;
+                    for cc in c.saturating_sub(half)..(c + half + 1).min(s.c) {
+                        let v = input[(n, cc, y, x)];
+                        acc += v * v;
+                    }
+                    let scale = k + alpha / size as f32 * acc;
+                    out[(n, c, y, x)] = input[(n, c, y, x)] / scale.powf(beta);
                 }
             }
         }
@@ -716,5 +744,143 @@ mod tests {
         assert_eq!(arg, vec![1]);
         let a = avgpool(&x, 2, 2, 0);
         assert_eq!(a.as_slice(), &[2.75]);
+    }
+
+    /// A `[2, 3, 6, 7]` tensor of hostile values: plane (0, 1) holds only
+    /// ±0 (ties), plane (1, 0) only NaN and −∞, plane (1, 2) only −∞, and
+    /// the rest draw from NaN, ±∞, ±0 and a few finite values.
+    fn hostile_pool_input() -> Tensor4 {
+        const VALUES: [f32; 8] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -2.0,
+            1.5,
+        ];
+        let mut r = crate::rng::OracleRng::new(0x9001);
+        Tensor4::from_fn(Shape4::new(2, 3, 6, 7), |n, c, _, _| {
+            let v = VALUES[r.range(0, VALUES.len() - 1)];
+            match (n, c) {
+                (0, 1) => [0.0, -0.0][r.range(0, 1)],
+                (1, 0) => [f32::NAN, f32::NEG_INFINITY][r.range(0, 1)],
+                (1, 2) => f32::NEG_INFINITY,
+                _ => v,
+            }
+        })
+    }
+
+    /// Equal bits, or NaN on both sides: LLVM leaves a NaN result's sign
+    /// and payload unspecified, so only its position is pinned.
+    fn assert_same_bits(got: &Tensor4, want: &Tensor4, label: &str) {
+        assert_eq!(got.shape(), want.shape(), "{label}: shape");
+        for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{label}: element {i}: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn both_maxpool_forms_match_the_reference_bit_for_bit() {
+        use snapea_nn::ops::MaxPool;
+        let x = hostile_pool_input();
+        // The last geometry's window is taller than the input: empty output.
+        for (k, stride, pad) in [(2, 2, 0), (3, 1, 1), (3, 2, 1), (7, 1, 0)] {
+            let label = format!("k={k} stride={stride} pad={pad}");
+            let (want, want_arg) = maxpool(&x, k, stride, pad);
+            let pool = MaxPool::with_pad(k, stride, pad);
+            let (got, got_arg) = pool.forward_with_argmax(&x);
+            assert_same_bits(&got, &want, &label);
+            assert_eq!(got_arg, want_arg, "{label}: argmax");
+            assert_same_bits(&pool.forward(&x), &want, &label);
+        }
+        assert_eq!(maxpool(&x, 7, 1, 0).0.shape().len(), 0);
+    }
+
+    #[test]
+    fn maxpool_semantics_on_hostile_windows() {
+        use snapea_nn::ops::MaxPool;
+        // (window, output bits, argmax): the first of tied zeros wins, NaN
+        // never wins, and a window with nothing above −∞ outputs +0.
+        let (inf, ninf) = (f32::INFINITY, f32::NEG_INFINITY);
+        for (window, out, arg) in [
+            ([-0.0, 0.0, -0.0, 0.0], (-0.0f32).to_bits(), 0),
+            ([0.0, -0.0, 0.0, -0.0], 0.0f32.to_bits(), 0),
+            ([f32::NAN, -1.0, f32::NAN, -3.0], (-1.0f32).to_bits(), 1),
+            ([f32::NAN, ninf, ninf, f32::NAN], 0.0f32.to_bits(), u32::MAX),
+            ([ninf; 4], 0.0f32.to_bits(), u32::MAX),
+            ([1.0, inf, 2.0, inf], inf.to_bits(), 1),
+        ] {
+            let x = Tensor4::from_vec(Shape4::new(1, 1, 2, 2), window.to_vec()).unwrap();
+            let pool = MaxPool::new(2, 2);
+            let (y, a) = pool.forward_with_argmax(&x);
+            assert_eq!(y.as_slice()[0].to_bits(), out, "{window:?}");
+            assert_eq!(a, vec![arg], "{window:?}");
+            assert_eq!(pool.forward(&x).as_slice()[0].to_bits(), out, "{window:?}");
+            assert_eq!(maxpool(&x, 2, 2, 0).1, vec![arg], "{window:?}");
+        }
+    }
+
+    /// A `[2, 6, 3, 4]` input drawn from `values`.
+    fn lrn_input(values: &[f32], seed: u64) -> Tensor4 {
+        let mut r = crate::rng::OracleRng::new(seed);
+        Tensor4::from_fn(Shape4::new(2, 6, 3, 4), |_, _, _, _| {
+            values[r.range(0, values.len() - 1)]
+        })
+    }
+
+    /// `(size, alpha, beta, k)`: AlexNet's constants, an even window, and
+    /// `k = 0` (an all-zero window divides zero by zero).
+    const LRN_PARAMS: [(usize, f32, f32, f32); 4] = [
+        (5, 1e-4, 0.75, 2.0),
+        (3, 0.5, 0.75, 1.0),
+        (4, 1.0, 1.0, 0.0),
+        (1, 2.0, 0.5, 1e-3),
+    ];
+
+    #[test]
+    fn lrn_matches_the_reference_bit_for_bit() {
+        use snapea_nn::ops::Lrn;
+        // ±0, subnormals of both signs, ±∞ and ordinary values; an
+        // infinite input makes ∞/∞ = NaN at its own position.
+        let values = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -1e-40,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.75,
+            -3.0,
+            1e20,
+            -1e-3,
+        ];
+        let x = lrn_input(&values, 0x1e4);
+        assert!(x.iter().all(|v| !v.is_nan()));
+        for (size, alpha, beta, k) in LRN_PARAMS {
+            let label = format!("size={size} alpha={alpha} beta={beta} k={k}");
+            let got = Lrn::new(size, alpha, beta, k).forward(&x);
+            assert_same_bits(&got, &lrn(&x, size, alpha, beta, k), &label);
+        }
+    }
+
+    #[test]
+    fn lrn_nan_inputs_give_nan_at_the_reference_positions() {
+        use snapea_nn::ops::Lrn;
+        let x = lrn_input(&[f32::NAN, 0.0, -0.0, 0.5, -2.0, 1e-39], 0x1e5);
+        for (size, alpha, beta, k) in LRN_PARAMS {
+            let label = format!("size={size} alpha={alpha} beta={beta} k={k}");
+            let got = Lrn::new(size, alpha, beta, k).forward(&x);
+            let want = lrn(&x, size, alpha, beta, k);
+            assert!(
+                want.iter().any(|v| v.is_nan()),
+                "{label}: NaN reaches the output"
+            );
+            assert_same_bits(&got, &want, &label);
+        }
     }
 }

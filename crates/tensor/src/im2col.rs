@@ -8,6 +8,7 @@
 //! the integration tests assert.
 
 use crate::{Shape2, Tensor2, Tensor4};
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,38 +60,62 @@ pub fn im2col(input: &Tensor4, n: usize, geom: ConvGeom) -> Tensor2 {
     out
 }
 
+/// The output positions `o < out` whose tap `o·stride + k − pad` lands inside
+/// `0..d`, for kernel offset `k` along one axis: a contiguous range, empty
+/// when every position falls in the padding.
+fn valid_outputs(k: usize, d: usize, out: usize, geom: ConvGeom) -> Range<usize> {
+    let hi = (d + geom.pad)
+        .saturating_sub(k)
+        .div_ceil(geom.stride)
+        .min(out);
+    let lo = geom.pad.saturating_sub(k).div_ceil(geom.stride).min(hi);
+    lo..hi
+}
+
 /// [`im2col`] writing into a caller-provided **zeroed** flat buffer of length
 /// `c_in*kh*kw × out_h*out_w` (row-major) — the allocation-free form used by
 /// the scratch-reuse convolution path. Padding taps are left untouched, which
 /// is why the buffer must arrive zeroed (e.g. from
 /// [`crate::scratch::with_zeroed`]).
 ///
+/// Each patch-matrix row (one kernel tap `(c, ky, kx)`) resolves its valid
+/// output rows and columns once; at stride 1 each output row's valid span
+/// is then one `copy_from_slice` out of the input row.
+///
 /// # Panics
 ///
 /// Panics if `n` is out of bounds or `out` has the wrong length.
-// lint:allow(P2) rows/cols derive from the asserted buffer length; iy/ix are bounds-checked before use
+// lint:allow(P2) rows/cols derive from the asserted buffer length; valid_outputs keeps every tap inside the input plane
 pub fn im2col_into(input: &Tensor4, n: usize, geom: ConvGeom, out: &mut [f32]) {
     let s = input.shape();
     let (oh, ow) = (geom.out_h(s.h), geom.out_w(s.w));
     let rows = s.c * geom.kh * geom.kw;
     let cols = oh * ow;
     assert_eq!(out.len(), rows * cols, "im2col_into: buffer length");
+    let item = input.item(n);
+    let plane_len = s.h * s.w;
     for c in 0..s.c {
+        let plane = &item[c * plane_len..(c + 1) * plane_len];
         for ky in 0..geom.kh {
+            let ys = valid_outputs(ky, s.h, oh, geom);
             for kx in 0..geom.kw {
+                let xs = valid_outputs(kx, s.w, ow, geom);
+                if xs.is_empty() {
+                    continue;
+                }
+                let x0 = xs.start * geom.stride + kx - geom.pad;
                 let row = (c * geom.kh + ky) * geom.kw + kx;
                 let dst = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= s.h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= s.w as isize {
-                            continue;
+                for oy in ys.clone() {
+                    let iy = oy * geom.stride + ky - geom.pad;
+                    let src = &plane[iy * s.w + x0..(iy + 1) * s.w];
+                    let dst_row = &mut dst[oy * ow + xs.start..oy * ow + xs.end];
+                    if geom.stride == 1 {
+                        dst_row.copy_from_slice(&src[..dst_row.len()]);
+                    } else {
+                        for (d, &v) in dst_row.iter_mut().zip(src.iter().step_by(geom.stride)) {
+                            *d = v;
                         }
-                        dst[oy * ow + ox] = input[(n, c, iy as usize, ix as usize)];
                     }
                 }
             }
@@ -143,7 +168,7 @@ pub fn col2im_item(
 /// # Panics
 ///
 /// Panics if either slice has the wrong length for `(c, h, w, geom)`.
-// lint:allow(P2) both slice lengths are asserted above the loops; iy/ix are bounds-checked before use
+// lint:allow(P2) both slice lengths are asserted above the loops; valid_outputs keeps every tap inside the item
 pub fn col2im_item_slice(
     cols: &[f32],
     grad_item: &mut [f32],
@@ -161,21 +186,24 @@ pub fn col2im_item_slice(
         "col2im: patch matrix length mismatch"
     );
     for ci in 0..c {
+        let plane = &mut grad_item[ci * h * w..(ci + 1) * h * w];
         for ky in 0..geom.kh {
+            let ys = valid_outputs(ky, h, oh, geom);
             for kx in 0..geom.kw {
+                let xs = valid_outputs(kx, w, ow, geom);
+                if xs.is_empty() {
+                    continue;
+                }
+                let x0 = xs.start * geom.stride + kx - geom.pad;
                 let row = (ci * geom.kh + ky) * geom.kw + kx;
                 let src = &cols[row * ocols..(row + 1) * ocols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        grad_item[(ci * h + iy as usize) * w + ix as usize] += src[oy * ow + ox];
+                for oy in ys.clone() {
+                    let iy = oy * geom.stride + ky - geom.pad;
+                    let dst = plane[iy * w + x0..(iy + 1) * w]
+                        .iter_mut()
+                        .step_by(geom.stride);
+                    for (d, &v) in dst.zip(&src[oy * ow + xs.start..oy * ow + xs.end]) {
+                        *d += v;
                     }
                 }
             }
