@@ -15,57 +15,39 @@
 use crate::context::{Datasets, TrainedWorkload};
 use crate::table::{pct, Table};
 use snapea::exec::{
-    execute_conv_stats, layer_plan, GatherTable, KernelExec, LayerConfig, PredictionStats,
+    execute_conv_stats, layer_plan, observe_kernel, KernelExec, LayerConfig, PredictionStats,
+    WindowObs, WindowPlan,
 };
+use snapea::optimizer::profiling::{negative_prefixes, threshold_at};
 use snapea::params::KernelParams;
 use snapea::pau::Pau;
 use snapea::reorder::{magnitude_reorder, predictive_reorder, ReorderedKernel};
 use snapea_nn::data::{LabeledImage, SynthShapes};
-use snapea_nn::loss::argmax_rows;
+use snapea_nn::loss::accuracy;
 use snapea_obs::Json;
 use snapea_tensor::Tensor4;
 
 use crate::experiments::ExperimentResult;
 
-/// Threshold for one kernel/ordering: the `q`-quantile of the speculative
-/// partial sums of truly-negative windows over `input`.
-fn threshold_for(
-    r: &ReorderedKernel,
-    gather: &GatherTable,
+/// The kernel `r` speculating at the `q`-quantile of the speculative partial
+/// sums of truly-negative windows over `input`, read off the executor's
+/// observed walk (under a `-inf` threshold only sign checks fire); the
+/// threshold is `-inf` (never fires) when no window is negative.
+fn with_threshold(
+    r: ReorderedKernel,
+    plan: &WindowPlan,
     input: &Tensor4,
     bias: f32,
     q: f64,
-) -> f32 {
-    let mut neg_partials = Vec::new();
-    for img in 0..input.shape().n {
-        let item = input.item(img);
-        for w in 0..gather.windows() {
-            let taps = gather.window(w);
-            let mut acc = bias;
-            let mut spec = bias;
-            for (p, (&wt, &idx)) in r.weights().iter().zip(r.order()).enumerate() {
-                if p == r.spec_len() {
-                    spec = acc;
-                }
-                let off = taps[idx as usize];
-                if off >= 0 {
-                    acc += item[off as usize] * wt;
-                }
-            }
-            if r.spec_len() == r.len() {
-                spec = acc;
-            }
-            if acc < 0.0 {
-                neg_partials.push(spec);
-            }
-        }
-    }
-    if neg_partials.is_empty() {
-        return f32::NEG_INFINITY; // never fires
-    }
-    neg_partials.sort_by(f32::total_cmp);
-    let idx = ((neg_partials.len() as f64 - 1.0) * q).round() as usize;
-    neg_partials[idx.min(neg_partials.len() - 1)]
+) -> KernelExec {
+    let groups = r.spec_len();
+    let pau = Pau::predictive(&r, KernelParams::new(f32::NEG_INFINITY, groups));
+    let mut kernel = KernelExec::new(r, pau);
+    let mut obs = vec![WindowObs::default(); input.shape().n * plan.windows()];
+    observe_kernel(plan, &kernel, bias, input, &mut obs);
+    let th = threshold_at(&negative_prefixes(&obs), q).unwrap_or(f32::NEG_INFINITY);
+    kernel.pau = Pau::predictive(&kernel.reordered, KernelParams::new(th, groups));
+    kernel
 }
 
 /// Runs a whole network with every conv layer speculating through the given
@@ -87,21 +69,12 @@ fn run_with_strategy(
         // Served from the executor's memoised plan cache — the same layer
         // geometry recurs for every strategy/quantile combination.
         let plan = layer_plan(x.shape(), conv.geom(), conv.c_in());
-        let gather = plan.gather();
+        let clean = &acts[tw.net.node(id).inputs[0]];
         let kernels: Vec<KernelExec> = (0..conv.c_out())
             .map(|k| {
                 let weights = conv.weight().item(k);
-                let groups = n.min(weights.len());
-                let r = strategy(weights, groups);
-                let th = threshold_for(
-                    &r,
-                    gather,
-                    &acts[tw.net.node(id).inputs[0]],
-                    conv.bias()[k],
-                    quantile,
-                );
-                let pau = Pau::predictive(&r, KernelParams::new(th, groups));
-                KernelExec::new(r, pau)
+                let r = strategy(weights, n.min(weights.len()));
+                with_threshold(r, &plan, clean, conv.bias()[k], quantile)
             })
             .collect();
         let result = execute_conv_stats(conv, x, &LayerConfig::from_kernels(kernels));
@@ -110,15 +83,10 @@ fn run_with_strategy(
         stats.merge(&result.stats);
         Some(result.output)
     });
-    // lint:allow(P1) forward returns one activation per node and the graph is non-empty by construction
-    let logits = spec_acts.last().expect("non-empty graph").to_matrix();
-    let preds = argmax_rows(&logits);
-    let acc = preds
-        .iter()
-        .zip(images)
-        .filter(|(p, d)| **p == d.label)
-        .count() as f64
-        / images.len() as f64;
+    let labels: Vec<usize> = images.iter().map(|d| d.label).collect();
+    let acc = spec_acts
+        .last()
+        .map_or(0.0, |out| accuracy(&out.to_matrix(), &labels));
     (acc, ops, full, stats)
 }
 

@@ -355,7 +355,7 @@ fn main() {
         init::uniform4(Shape4::new(1, c_in, hw, hw), 1.0, &mut init::rng(23)).map(f32::abs);
     let exact_cfg = LayerConfig::exact(&conv);
     let pred_cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.05, 4));
-    // Profiling scans every (kernel, N, image, window) tuple; keep the image
+    // Profiling walks every (kernel, N, image, window) tuple; keep the image
     // set small so the full run stays minutes-not-hours at 1 thread.
     let prof_images = if args.smoke { 1 } else { 2 };
     let prof_input = init::uniform4(

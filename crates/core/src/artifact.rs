@@ -5,10 +5,10 @@
 //! kernel: its `(Th, N)`. An artifact stores that decision next to the
 //! network and the input shape it was made for, so `snapea-tool run` never
 //! re-runs the optimizer. Everything else the executor needs — each
-//! kernel's reordered weights and index buffer, its PAU, its lane-packed
-//! weights, and each layer's window plan — is a fixed function of those
-//! three, so [`CompiledModel::from_bytes`] derives it with the same
-//! code [`CompiledModel::compile`] runs. A loaded model is a fresh compile
+//! kernel's reordered weights and index buffer, its PAU, and each layer's
+//! window plan — is a fixed function of those three, so
+//! [`CompiledModel::from_bytes`] derives it with the same code
+//! [`CompiledModel::compile`] runs. A loaded model is a fresh compile
 //! by construction: its forward pass is byte-for-byte the freshly compiled
 //! model's, at any thread count.
 //!
@@ -448,18 +448,11 @@ impl CompiledModel {
         }
         let refs: Vec<&snapea_nn::data::LabeledImage> = images.iter().collect();
         let batch = snapea_nn::data::SynthShapes::batch_refs(&refs);
+        let labels: Vec<usize> = images.iter().map(|d| d.label).collect();
         let acts = self.forward(&batch);
-        let logits = match acts.last() {
-            Some(t) => t.to_matrix(),
-            None => return 0.0,
-        };
-        let preds = snapea_nn::loss::argmax_rows(&logits);
-        preds
-            .iter()
-            .zip(images)
-            .filter(|(p, d)| **p == d.label)
-            .count() as f64
-            / images.len() as f64
+        acts.last().map_or(0.0, |out| {
+            snapea_nn::loss::accuracy(&out.to_matrix(), &labels)
+        })
     }
 
     // ------------------------------------------------------------------

@@ -15,37 +15,19 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 /// Per-kernel execution state: the reordered weights (weight buffer + index
-/// buffer), the PAU configuration, and the lane-major packed weight copy
-/// the SIMD kernels load from.
+/// buffer) and the PAU configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelExec {
     /// The reordered kernel (weight values + index buffer).
     pub reordered: ReorderedKernel,
     /// The lane's PAU configuration for this kernel.
     pub pau: Pau,
-    /// Walk-order weights padded to whole eight-wide lane blocks
-    /// ([`snapea_tensor::lane::pack_weights`]) — built once per kernel at
-    /// configuration time (including artifact compile and load), never per
-    /// layer call.
-    packed: Vec<f32>,
 }
 
 impl KernelExec {
-    /// Builds the execution state for a reordered kernel, deriving the
-    /// packed lane layout from its walk-order weights.
+    /// Pairs a reordered kernel with its PAU configuration.
     pub fn new(reordered: ReorderedKernel, pau: Pau) -> Self {
-        let packed = snapea_tensor::lane::pack_weights(reordered.weights());
-        Self {
-            reordered,
-            pau,
-            packed,
-        }
-    }
-
-    /// The lane-major packed weights (walk-order values padded with `+0.0`
-    /// to a multiple of [`snapea_tensor::lane::LANES`]).
-    pub fn packed(&self) -> &[f32] {
-        &self.packed
+        Self { reordered, pau }
     }
 }
 
@@ -596,7 +578,7 @@ pub fn clear_plan_cache() {
 }
 
 /// Outcome of one window walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowResult {
     /// MACs executed (the paper's `Op` function, Eq. (1)).
     pub ops: u32,
@@ -605,6 +587,21 @@ pub struct WindowResult {
     pub output: f32,
     /// How the window ended.
     pub termination: Option<TerminationKind>,
+}
+
+/// One window walked to its end in *observed* mode: the PAU's decision,
+/// plus the partial sums a walk that stops early never reaches.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WindowObs {
+    /// What the PAU decided — exactly the early-terminating walk's result.
+    pub result: WindowResult,
+    /// The partial sum at the end of the probe-free prefix: a speculating
+    /// kernel's speculative partial sum (the value its predictive check
+    /// compares against `Th`), or the full sum if the speculative set spans
+    /// the window.
+    pub prefix: f32,
+    /// The full sum, every position MACed.
+    pub full: f32,
 }
 
 /// The walk position at which the PAU's *predictive* probe can first fire
@@ -721,7 +718,7 @@ impl Datapath for F32Datapath {
     type Acc = f32;
 
     fn weights<'k>(&self, kernel: &'k KernelExec) -> Cow<'k, [f32]> {
-        Cow::Borrowed(&kernel.packed()[..kernel.reordered.len()])
+        Cow::Borrowed(kernel.reordered.weights())
     }
 
     fn activations<'a>(&self, item: &'a [f32]) -> Cow<'a, [f32]> {
@@ -932,6 +929,116 @@ fn walk_from<D: Datapath>(
     }
 }
 
+/// Probes the PAU at position `p` on every lane still live (`None` in
+/// `done`), recording each lane it terminates. Returns how many it
+/// terminated.
+#[inline(always)]
+fn probe_live<D: Datapath, const L: usize>(
+    dp: &D,
+    pau: &Pau,
+    p: usize,
+    acc: &[D::Acc; L],
+    done: &mut [Option<WindowResult>; L],
+) -> usize {
+    let mut ended = 0;
+    for (d, &a) in done.iter_mut().zip(acc) {
+        if d.is_none() {
+            let probed = dp.probe(a);
+            if let PauAction::Terminate(kind) = pau.probe(p, probed) {
+                *d = Some(terminated(p, probed, kind));
+                ended += 1;
+            }
+        }
+    }
+    ended
+}
+
+/// Where a pair's walk puts each window's outcome, at the window's index,
+/// and how far it walks a window from the end of its probe-free prefix.
+trait Sink<D: Datapath> {
+    /// Finishes window `w` alone from its prefix `acc`.
+    fn one(
+        &mut self,
+        walk: &PairWalk<'_, D>,
+        w: usize,
+        acc: D::Acc,
+        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
+    );
+
+    /// Finishes a full batch of interior windows from their prefixes `acc`.
+    fn batch(
+        &mut self,
+        walk: &PairWalk<'_, D>,
+        lanes: &[(usize, i32); BATCH],
+        acc: [D::Acc; BATCH],
+    );
+}
+
+/// The early-terminating walk: the value stored and the MACs executed.
+struct Results<'s> {
+    out: &'s mut [f32],
+    ops: &'s mut [u32],
+}
+
+impl<D: Datapath> Sink<D> for Results<'_> {
+    #[inline(always)]
+    fn one(
+        &mut self,
+        walk: &PairWalk<'_, D>,
+        w: usize,
+        acc: D::Acc,
+        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
+    ) {
+        let r = walk_from(walk.dp, walk.pau, walk.weights.len(), acc, walk.stop1, mac);
+        self.out[w] = r.output;
+        self.ops[w] = r.ops;
+    }
+
+    fn batch(
+        &mut self,
+        walk: &PairWalk<'_, D>,
+        lanes: &[(usize, i32); BATCH],
+        acc: [D::Acc; BATCH],
+    ) {
+        for (&a, &(w, base)) in acc.iter().zip(lanes) {
+            self.one(walk, w, a, walk.interior(base).1);
+        }
+    }
+}
+
+/// The observed walk: every window to its end, one record per window.
+struct Observed<'s>(&'s mut [WindowObs]);
+
+impl<D: Datapath> Sink<D> for Observed<'_> {
+    #[inline(always)]
+    fn one(
+        &mut self,
+        walk: &PairWalk<'_, D>,
+        w: usize,
+        acc: D::Acc,
+        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
+    ) {
+        let [obs] = walk.observe([acc], |p, a: &mut [D::Acc; 1]| a[0] = mac(p, a[0]));
+        self.0[w] = obs;
+    }
+
+    fn batch(
+        &mut self,
+        walk: &PairWalk<'_, D>,
+        lanes: &[(usize, i32); BATCH],
+        acc: [D::Acc; BATCH],
+    ) {
+        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
+        let bases = lanes.map(|(_, b)| b);
+        let recs = walk.observe(acc, |p, a| {
+            span8::<D>(a, weights, resolved, &bases, item, p..p + 1);
+        });
+        for (&(w, _), rec) in lanes.iter().zip(recs) {
+            self.0[w] = rec;
+        }
+    }
+}
+
 /// One `(image, kernel)` pair's walk inputs, in a datapath's operands.
 struct PairWalk<'a, D: Datapath> {
     dp: &'a D,
@@ -947,7 +1054,7 @@ struct PairWalk<'a, D: Datapath> {
 
 impl<'a, D: Datapath> PairWalk<'a, D> {
     /// `weights` must be `dp.weights(kernel)` and `resolved` the kernel's
-    /// resolved taps (empty when only [`PairWalk::border`] is used).
+    /// resolved taps (empty when only gather walks are used).
     fn new(
         dp: &'a D,
         kernel: &'a KernelExec,
@@ -968,160 +1075,150 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
         }
     }
 
-    /// The MAC of the interior window at `base`.
+    /// The operands and MAC of the interior window at `base`.
     #[inline(always)]
-    fn interior_mac(&self, base: i32) -> impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a {
+    fn interior(&self, base: i32) -> (Taps<'a>, impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a) {
         let (weights, resolved, item) = (self.weights, self.resolved, self.item);
-        move |p, acc| D::mac(acc, item[(base + resolved[p]) as usize], weights[p])
+        let taps = Taps::Resolved { resolved, base };
+        (taps, move |p, acc| {
+            D::mac(acc, item[(base + resolved[p]) as usize], weights[p])
+        })
     }
 
-    /// Walks one window alone: lane prefix, the rest of the probe-free
-    /// prefix, then the probed remainder, with `mac` performing the MAC at
-    /// each position of `taps`. Folds the window into `st` when collecting
-    /// stats, completing its dot product from the end of the prefix.
+    /// The operands and MAC of a window read through its gather taps (any
+    /// window; border windows need it).
     #[inline(always)]
-    fn walk(
+    fn gather<'t>(
         &self,
-        taps: Taps<'_>,
-        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
-        st: Option<&mut PredictionStats>,
-    ) -> WindowResult {
-        let (len, stop1) = (self.weights.len(), self.stop1);
-        let m8 = lane::lane_prefix_len(stop1);
-        let mut acc = self
-            .dp
-            .lane_prefix(self.seed, self.weights, taps, self.item, m8, mac);
-        for p in m8..stop1 {
-            acc = mac(p, acc);
-        }
-        let full = st
-            .is_some()
-            .then(|| (stop1..len).fold(acc, |a, p| mac(p, a)));
-        let r = walk_from(self.dp, self.pau, len, acc, stop1, mac);
-        if let (Some(st), Some(full)) = (st, full) {
-            account_window(st, self.dp.probe(full), r.termination);
-        }
-        r
-    }
-
-    /// Walks the interior window at `base` alone.
-    #[inline]
-    fn interior(&self, base: i32, st: Option<&mut PredictionStats>) -> WindowResult {
-        let taps = Taps::Resolved {
-            resolved: self.resolved,
-            base,
-        };
-        self.walk(taps, self.interior_mac(base), st)
-    }
-
-    /// Walks a window through its gather taps (any window; border windows
-    /// need it).
-    #[inline]
-    fn border(&self, taps: &[i32], st: Option<&mut PredictionStats>) -> WindowResult {
-        let (weights, order, item) = (self.weights, self.order, self.item);
-        let mac = move |p: usize, acc| {
+        taps: &'t [i32],
+    ) -> (Taps<'t>, impl Fn(usize, D::Acc) -> D::Acc + Copy + 't)
+    where
+        'a: 't,
+    {
+        let (weights, order, item): (&'t [D::Operand], &'t [u32], &'t [D::Operand]) =
+            (self.weights, self.order, self.item);
+        (Taps::Gather { order, taps }, move |p, acc| {
             let off = taps[order[p] as usize];
             if off >= 0 {
                 D::mac(acc, item[off as usize], weights[p])
             } else {
                 acc
             }
-        };
-        self.walk(Taps::Gather { order, taps }, mac, st)
+        })
     }
 
-    /// Walks a full batch of interior windows: their probe-free prefixes
-    /// through the datapath's eight-window kernel, then each probed
-    /// remainder on its own.
-    #[inline]
-    // lint:allow(P2) lane window ids are < windows = out/ops slice length by construction
-    fn batch(
+    /// One window's probe-free prefix: the lane-blocked region, then the
+    /// rest in order, with `mac` performing the MAC at each position of
+    /// `taps`.
+    #[inline(always)]
+    fn prefix(&self, taps: Taps<'_>, mac: impl Fn(usize, D::Acc) -> D::Acc + Copy) -> D::Acc {
+        let m8 = lane::lane_prefix_len(self.stop1);
+        let mut acc = self
+            .dp
+            .lane_prefix(self.seed, self.weights, taps, self.item, m8, mac);
+        for p in m8..self.stop1 {
+            acc = mac(p, acc);
+        }
+        acc
+    }
+
+    /// Walks one window alone, stopping where the PAU says.
+    #[inline(always)]
+    fn walk(
         &self,
-        lanes: &[(usize, i32); BATCH],
-        out: &mut [f32],
-        ops: &mut [u32],
-        mut st: Option<&mut PredictionStats>,
-    ) {
-        let len = self.weights.len();
-        let bases = lanes.map(|(_, b)| b);
-        let accs = self.dp.prefix8(
-            self.seed,
-            self.weights,
-            self.resolved,
-            &bases,
-            self.item,
-            self.stop1,
-        );
-        // Each lane's full value continues its own prefix in the same order
-        // as a single window's walk; only the folds below are
-        // order-sensitive, and they run ascending.
-        let fulls = st.is_some().then(|| {
-            let mut f = accs;
-            let span = self.stop1..len;
-            span8::<D>(&mut f, self.weights, self.resolved, &bases, self.item, span);
-            f
-        });
-        for (l, &(w, base)) in lanes.iter().enumerate() {
-            let r = walk_from(
-                self.dp,
-                self.pau,
-                len,
-                accs[l],
-                self.stop1,
-                self.interior_mac(base),
-            );
-            out[w] = r.output;
-            ops[w] = r.ops;
-            if let (Some(st), Some(f)) = (st.as_deref_mut(), &fulls) {
-                account_window(st, self.dp.probe(f[l]), r.termination);
+        (taps, mac): (Taps<'_>, impl Fn(usize, D::Acc) -> D::Acc + Copy),
+    ) -> WindowResult {
+        let acc = self.prefix(taps, mac);
+        walk_from(self.dp, self.pau, self.weights.len(), acc, self.stop1, mac)
+    }
+
+    /// Walks `L` windows on from the end of their probe-free prefixes
+    /// (`acc`) to the end of the window, recording each one's
+    /// [`WindowObs`]; `mac(p, acc)` performs every lane's MAC at position
+    /// `p`, once per position.
+    ///
+    /// Phase-split like [`walk_from`]: the speculative probe once at the end
+    /// of the prefix, an unconditional run to `neg_start`, probes only on
+    /// the lanes still live, and an unconditional run once every lane has
+    /// terminated. Each lane's decision is the one [`walk_from`] makes from
+    /// the same prefix, and its full sum continues the same per-window
+    /// order.
+    #[inline(always)]
+    fn observe<const L: usize>(
+        &self,
+        mut acc: [D::Acc; L],
+        mut mac: impl FnMut(usize, &mut [D::Acc; L]),
+    ) -> [WindowObs; L] {
+        let (dp, pau, len) = (self.dp, self.pau, self.weights.len());
+        let prefix = acc.map(|a| dp.probe(a));
+        let mut done = [None; L];
+        let mut live = L;
+        let mut p = self.stop1;
+        if p < len && p == spec_probe_pos(pau) {
+            live -= probe_live(dp, pau, p, &acc, &mut done);
+            mac(p, &mut acc);
+            p += 1;
+            let stop = pau.neg_start().min(len);
+            while p < stop {
+                mac(p, &mut acc);
+                p += 1;
             }
         }
+        while live > 0 && p < len {
+            live -= probe_live(dp, pau, p, &acc, &mut done);
+            mac(p, &mut acc);
+            p += 1;
+        }
+        while p < len {
+            mac(p, &mut acc);
+            p += 1;
+        }
+        let full = acc.map(|a| dp.probe(a));
+        std::array::from_fn(|l| WindowObs {
+            result: done[l].unwrap_or(WindowResult {
+                ops: snapea_tensor::num::ops_u32(len),
+                output: full[l],
+                termination: None,
+            }),
+            prefix: prefix[l],
+            full: full[l],
+        })
     }
 
-    /// Walks every window of the pair into `out`/`ops`, folding the stats
-    /// into `st` when collecting them. Interior windows gather into
-    /// [`BATCH`]-wide groups; border windows take the gather path. Any
-    /// pending batch is drained one window at a time before a border window
-    /// (and at the end), so per-window results and the order-sensitive stats
-    /// folds still happen in ascending window order.
-    // lint:allow(P2) w < windows = out/ops length; lane fills bounded by BATCH; taps validated by the plan
-    fn walk_windows(
-        &self,
-        plan: &WindowPlan,
-        out: &mut [f32],
-        ops: &mut [u32],
-        mut st: Option<&mut PredictionStats>,
-    ) -> LaneCounts {
-        let windows = plan.windows();
+    /// Walks every window of the pair into `sink`. Interior windows gather
+    /// into [`BATCH`]-wide groups, which may span border windows, and walk
+    /// their probe-free prefixes through the datapath's eight-window
+    /// kernel; border windows take the gather path as they come, and the
+    /// interior windows still pending at the end walk one at a time. Every
+    /// outcome lands at its window's index, so the walk order never shows.
+    // lint:allow(P2) lane fills are bounded by BATCH; taps validated by the plan
+    fn walk_windows(&self, plan: &WindowPlan, sink: &mut impl Sink<D>) -> LaneCounts {
         let mut lc = LaneCounts::default();
         let mut lanes = [(0usize, 0i32); BATCH];
         let mut nl = 0usize;
-        for w in 0..windows {
+        for w in 0..plan.windows() {
             let base = plan.window_base(w);
-            if base >= 0 {
-                lanes[nl] = (w, base);
-                nl += 1;
-                if nl == BATCH {
-                    nl = 0;
-                    lc.lane += BATCH as u64;
-                    self.batch(&lanes, out, ops, st.as_deref_mut());
-                }
-            }
-            if base < 0 || w + 1 == windows {
-                lc.scalar += nl as u64;
-                for &(lw, lb) in &lanes[..nl] {
-                    let r = self.interior(lb, st.as_deref_mut());
-                    out[lw] = r.output;
-                    ops[lw] = r.ops;
-                }
-                nl = 0;
-            }
             if base < 0 {
                 lc.scalar += 1;
-                let r = self.border(plan.gather().window(w), st.as_deref_mut());
-                out[w] = r.output;
-                ops[w] = r.ops;
+                let (taps, mac) = self.gather(plan.gather().window(w));
+                sink.one(self, w, self.prefix(taps, mac), mac);
+                continue;
             }
+            lanes[nl] = (w, base);
+            nl += 1;
+            if nl == BATCH {
+                nl = 0;
+                lc.lane += BATCH as u64;
+                let bases = lanes.map(|(_, b)| b);
+                let (dp, seed, stop1) = (self.dp, self.seed, self.stop1);
+                let acc = dp.prefix8(seed, self.weights, self.resolved, &bases, self.item, stop1);
+                sink.batch(self, &lanes, acc);
+            }
+        }
+        lc.scalar += nl as u64;
+        for &(w, base) in &lanes[..nl] {
+            let (taps, mac) = self.interior(base);
+            sink.one(self, w, self.prefix(taps, mac), mac);
         }
         lc
     }
@@ -1134,11 +1231,56 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
 /// hardware walk: the weight is broadcast and the lane multiplies by zero.
 pub fn run_window(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> WindowResult {
     let weights = F32Datapath.weights(kernel);
-    PairWalk::new(&F32Datapath, kernel, &weights, &[], item, bias).border(taps, None)
+    let walk = PairWalk::new(&F32Datapath, kernel, &weights, &[], item, bias);
+    walk.walk(walk.gather(taps))
+}
+
+/// Walks every window of one kernel over every image of `input` in observed
+/// mode, through the executor's own walk: `obs[img * windows + w]` receives
+/// window `w` of image `img`. `plan` must be `input`'s plan for the layer
+/// ([`layer_plan`]). Images are walked in order on the calling thread and
+/// no `exec/*` metric is charged: Algorithm 1's Kernel Profiling pass calls
+/// this once per kernel and candidate reordering, inside its own parallel
+/// map.
+///
+/// # Panics
+///
+/// Panics if `obs.len()` is not `input`'s image count times the plan's
+/// window count, or the kernel's length is not the plan's window length.
+pub fn observe_kernel(
+    plan: &WindowPlan,
+    kernel: &KernelExec,
+    bias: f32,
+    input: &Tensor4,
+    obs: &mut [WindowObs],
+) {
+    let windows = plan.windows();
+    assert_eq!(
+        obs.len(),
+        input.shape().n * windows,
+        "one record per window"
+    );
+    if windows == 0 {
+        return;
+    }
+    let resolved = plan.resolve(&kernel.reordered);
+    let weights = F32Datapath.weights(kernel);
+    for (n, image_obs) in obs.chunks_mut(windows).enumerate() {
+        let walk = PairWalk::new(
+            &F32Datapath,
+            kernel,
+            &weights,
+            &resolved,
+            input.item(n),
+            bias,
+        );
+        walk.walk_windows(plan, &mut Observed(image_obs));
+    }
 }
 
 /// How many windows took the eight-wide batched interior path (`lane`)
-/// versus the scalar gather/partial-drain path (`scalar`) — surfaced as
+/// versus the one-window path (`scalar`: border windows and the interior
+/// windows left over at the end of a pair) — surfaced as
 /// the `exec/lane_windows` / `exec/scalar_windows` counters and on the
 /// `exec/layer` event.
 #[derive(Debug, Default, Clone, Copy)]
@@ -1273,6 +1415,7 @@ fn execute<D: Datapath>(
             .collect();
         let per_block: Vec<Vec<(PredictionStats, LaneCounts)>> =
             snapea_tensor::par::run_tasks(blocks, |bi, (out_blk, ops_blk)| {
+                let mut obs = vec![WindowObs::default(); if collect_stats { windows } else { 0 }];
                 out_blk
                     .chunks_mut(windows)
                     .zip(ops_blk.chunks_mut(windows))
@@ -1295,12 +1438,22 @@ fn execute<D: Datapath>(
                             conv.bias()[k],
                         );
                         let mut st = PredictionStats::default();
-                        let lc = walk.walk_windows(
-                            &plan,
-                            out_slice,
-                            ops_slice,
-                            collect_stats.then_some(&mut st),
-                        );
+                        if !collect_stats {
+                            let mut sink = Results {
+                                out: out_slice,
+                                ops: ops_slice,
+                            };
+                            return (st, walk.walk_windows(&plan, &mut sink));
+                        }
+                        let lc = walk.walk_windows(&plan, &mut Observed(&mut obs));
+                        // The stats fold after the walk, in ascending window
+                        // order, whatever order the windows were walked in.
+                        let slots = out_slice.iter_mut().zip(ops_slice.iter_mut());
+                        for (o, (out, op)) in obs.iter().zip(slots) {
+                            *out = o.result.output;
+                            *op = o.result.ops;
+                            account_window(&mut st, o.full, o.result.termination);
+                        }
                         (st, lc)
                     })
                     .collect()
@@ -1430,41 +1583,41 @@ pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
 }
 
 /// Op counts when zero-input skipping **combines** with SnaPEA's early
-/// termination: the window walks the reordered weights, zero-input taps are
-/// free, and the PAU terminates as usual. Shows the two mechanisms are
-/// complementary (they eliminate different MACs).
-// lint:allow(P2) p < weights.len(); gather offsets checked >= 0 and in-bounds by construction
+/// termination: the window walks the reordered weights and the PAU
+/// terminates as usual, but zero-input taps are free — a window costs the
+/// non-zero-input taps among the positions the executor's walk performs.
+/// Shows the two mechanisms are complementary (they eliminate different
+/// MACs).
+// lint:allow(P2) gather offsets are >= 0 checked and built in-bounds for the item slice
 pub fn combined_profile(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> LayerProfile {
-    assert_eq!(cfg.kernels.len(), conv.c_out(), "config kernel count");
-    let s = input.shape();
-    let plan = layer_plan(s, conv.geom(), conv.c_in());
-    let gather = plan.gather();
-    let windows = gather.windows();
-    let mut ops = Vec::with_capacity(s.n * conv.c_out() * windows);
-    for n in 0..s.n {
+    let walked = execute_conv(conv, input, cfg).profile;
+    let plan = layer_plan(input.shape(), conv.geom(), conv.c_in());
+    let windows = plan.windows();
+    let mut ops = Vec::with_capacity(walked.ops.len());
+    for n in 0..walked.images() {
         let item = input.item(n);
         for (k, kexec) in cfg.kernels.iter().enumerate() {
-            let weights = kexec.reordered.weights();
             let order = kexec.reordered.order();
-            for w in 0..windows {
-                let taps = gather.window(w);
-                let mut acc = conv.bias()[k];
-                let mut effectual = 0u32;
-                for p in 0..weights.len() {
-                    if let PauAction::Terminate(_) = kexec.pau.probe(p, acc) {
-                        break;
-                    }
-                    let off = taps[order[p] as usize];
-                    if off >= 0 && item[off as usize] != 0.0 {
-                        acc += item[off as usize] * weights[p];
-                        effectual += 1; // zero-input taps cost nothing
-                    }
-                }
-                ops.push(effectual);
+            for (w, &walked_ops) in walked.kernel_ops(n, k).iter().enumerate() {
+                let taps = plan.gather().window(w);
+                let effectual = order[..walked_ops as usize]
+                    .iter()
+                    .filter(|&&i| {
+                        let off = taps[i as usize];
+                        off >= 0 && item[off as usize] != 0.0
+                    })
+                    .count();
+                ops.push(snapea_tensor::num::ops_u32(effectual));
             }
         }
     }
-    LayerProfile::from_ops(s.n, conv.c_out(), windows, conv.window_len(), ops)
+    LayerProfile::from_ops(
+        walked.images(),
+        conv.c_out(),
+        windows,
+        conv.window_len(),
+        ops,
+    )
 }
 
 #[cfg(test)]
@@ -1782,9 +1935,17 @@ mod tests {
 
     /// Interior windows walk through resolved taps; any window can also
     /// walk through its gather taps. On an interior window both must give
-    /// the same result, on either datapath.
+    /// the same result, walked or observed, on either datapath.
     #[test]
     fn resolved_walk_matches_gather_walk_on_interior_windows() {
+        fn observe_one<D: Datapath>(
+            walk: &PairWalk<'_, D>,
+            (taps, mac): (Taps<'_>, impl Fn(usize, D::Acc) -> D::Acc + Copy),
+        ) -> WindowObs {
+            let mut rec = [WindowObs::default()];
+            Observed(&mut rec).one(walk, 0, walk.prefix(taps, mac), mac);
+            rec[0]
+        }
         fn check<D: Datapath>(dp: &D, conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) {
             let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
             let item = dp.activations(input.item(0));
@@ -1797,9 +1958,13 @@ mod tests {
                     if base < 0 {
                         continue;
                     }
-                    let gather = walk.border(plan.gather().window(w), None);
-                    let resolved = walk.interior(base, None);
+                    let taps = plan.gather().window(w);
+                    let gather = walk.walk(walk.gather(taps));
+                    let resolved = walk.walk(walk.interior(base));
                     assert_eq!(gather, resolved, "kernel {k} window {w}");
+                    let observed = observe_one(&walk, walk.gather(taps));
+                    assert_eq!(observed, observe_one(&walk, walk.interior(base)));
+                    assert_eq!(observed.result, gather, "kernel {k} window {w}");
                 }
             }
         }

@@ -27,7 +27,7 @@ use crate::spec_net::{profile_network, SpecNet};
 use profiling::{profile_layer_kernels, KernelTable};
 use snapea_nn::data::{LabeledImage, SynthShapes};
 use snapea_nn::graph::{Graph, NodeId, Op};
-use snapea_nn::loss::argmax_rows;
+use snapea_nn::loss::accuracy;
 use snapea_tensor::Tensor4;
 use std::collections::BTreeMap;
 
@@ -160,16 +160,11 @@ impl<'a> Optimizer<'a> {
         Self { net, data, cfg }
     }
 
-    fn accuracy_from_acts(&self, acts: &[Tensor4]) -> f64 {
-        // lint:allow(P1) forward returns one activation per node and the graph is non-empty by construction
-        let logits = acts.last().expect("non-empty graph").to_matrix();
-        let preds = argmax_rows(&logits);
-        preds
-            .iter()
-            .zip(self.data)
-            .filter(|(p, d)| **p == d.label)
-            .count() as f64
-            / self.data.len() as f64
+    /// Top-1 accuracy on the optimization set of a forward pass's output
+    /// (its last activation; 0 for an empty graph).
+    fn accuracy_of(&self, output: Option<&Tensor4>) -> f64 {
+        let labels: Vec<usize> = self.data.iter().map(|d| d.label).collect();
+        output.map_or(0.0, |out| accuracy(&out.to_matrix(), &labels))
     }
 
     /// Runs all three passes and returns the outcome.
@@ -178,7 +173,7 @@ impl<'a> Optimizer<'a> {
         let refs: Vec<&LabeledImage> = self.data.iter().collect();
         let batch = SynthShapes::batch_refs(&refs);
         let cached = self.net.forward(&batch);
-        let baseline_accuracy = self.accuracy_from_acts(&cached);
+        let baseline_accuracy = self.accuracy_of(cached.last());
 
         // Eligible layers: conv nodes whose output feeds only ReLU.
         let eligible: Vec<NodeId> = self
@@ -253,8 +248,7 @@ impl<'a> Optimizer<'a> {
 
         // Final reporting profiles.
         let spec = SpecNet::new(self.net, &params);
-        let final_acts = spec.forward(&batch);
-        let final_accuracy = self.accuracy_from_acts(&final_acts);
+        let final_accuracy = self.accuracy_of(spec.forward(&batch).last());
         let final_profile = profile_network(self.net, &params, &batch, false);
         let exact_profile = profile_network(self.net, &NetworkParams::new(), &batch, false);
 
@@ -341,7 +335,7 @@ impl<'a> Optimizer<'a> {
                 np.set(layer, params.clone());
                 let spec = SpecNet::new(self.net, &np);
                 let acts = spec.forward_from(batch, cached, layer);
-                baseline - self.accuracy_from_acts(&acts)
+                baseline - self.accuracy_of(acts.last().map(|out| out.as_ref()))
             } else {
                 0.0
             };
@@ -386,7 +380,7 @@ impl<'a> Optimizer<'a> {
                 params.set(l, options[&l][t].params.clone());
             }
             let spec = SpecNet::new(self.net, &params);
-            baseline - spec_accuracy(&spec, self.data, batch)
+            baseline - self.accuracy_of(spec.forward(batch).last())
         };
         let mut err = simulate(&current);
         let mut iters = 0usize;
@@ -423,19 +417,6 @@ impl<'a> Optimizer<'a> {
         }
         (current, iters)
     }
-}
-
-fn spec_accuracy(spec: &SpecNet<'_>, data: &[LabeledImage], batch: &Tensor4) -> f64 {
-    let acts = spec.forward(batch);
-    // lint:allow(P1) forward returns one activation per node and the graph is non-empty by construction
-    let logits = acts.last().expect("non-empty graph").to_matrix();
-    let preds = argmax_rows(&logits);
-    preds
-        .iter()
-        .zip(data)
-        .filter(|(p, d)| **p == d.label)
-        .count() as f64
-        / data.len() as f64
 }
 
 #[cfg(test)]

@@ -18,9 +18,10 @@
 //! measure *real* network accuracy, exactly as in the paper, so surrogate
 //! mis-rankings are corrected before any parameter is adopted.
 
-use crate::exec::{layer_plan, WindowPlan};
-use crate::params::KernelMode;
-use crate::reorder::{predictive_reorder, sign_reorder, ReorderedKernel};
+use crate::exec::{layer_plan, observe_kernel, KernelExec, WindowObs};
+use crate::params::{KernelMode, KernelParams};
+use crate::pau::Pau;
+use crate::reorder::{predictive_reorder, sign_reorder};
 use snapea_nn::ops::Conv2d;
 use snapea_tensor::Tensor4;
 
@@ -68,173 +69,25 @@ impl KernelTable {
     }
 }
 
-/// Scan of one window under one reordering: the partial sum after the
-/// speculative set, the sign-check termination op count, and the full value.
-#[derive(Debug, Clone, Copy)]
-struct WindowScan {
-    spec_partial: f32,
-    term_ops: u32,
-    full: f32,
+/// The speculative partial sums of the truly-negative windows among `obs`
+/// (full sum `< 0`), sorted ascending: the distribution a speculating
+/// kernel's threshold is picked from.
+pub fn negative_prefixes(obs: &[WindowObs]) -> Vec<f32> {
+    let mut prefixes: Vec<f32> = obs
+        .iter()
+        .filter(|o| o.full < 0.0)
+        .map(|o| o.prefix)
+        .collect();
+    prefixes.sort_by(f32::total_cmp);
+    prefixes
 }
 
-/// The extent of a scan's probe-free region: neither the speculative
-/// partial (read at `spec_len`, which can be 0 — the bias itself) nor a
-/// sign check (from `neg_start`) observes the accumulator before
-/// `min(spec_len if > 0, neg_start, len)` — the same boundary as the
-/// executor's `unconditional_prefix_len`, so the lane-blocked region
-/// `0..m8` below matches the executor's walk position for position.
-fn scan_prefix_m8(r: &ReorderedKernel, len: usize) -> usize {
-    let spec_pos = if r.spec_len() > 0 {
-        r.spec_len()
-    } else {
-        usize::MAX
-    };
-    snapea_tensor::lane::lane_prefix_len(spec_pos.min(r.neg_start()).min(len))
-}
-
-/// Scans one window: computes the running prefix of the reordered MAC chain
-/// and extracts the three quantities every `(Th, N)` candidate needs. The
-/// probe semantics mirror [`crate::pau::Pau::probe`]: a sign check fires
-/// before MAC `p` (for `p ≥ neg_start`) when the prefix after `p` MACs is
-/// negative. Accumulation follows the pinned lane order (`snapea_tensor::
-/// lane`): lane-tree prefix over `0..m8`, sequential from there — the same
-/// bits the executor's walk produces at every observed position.
-fn scan_window(r: &ReorderedKernel, taps: &[i32], item: &[f32], bias: f32) -> WindowScan {
-    let weights = r.weights();
-    let order = r.order();
-    let len = weights.len();
-    let spec_len = r.spec_len();
-    let neg_start = r.neg_start();
-    let m8 = scan_prefix_m8(r, len);
-    let mut acc = bias;
-    if m8 > 0 {
-        acc = bias + snapea_tensor::lane::lane_dot_gather(weights, order, taps, item, m8);
-    }
-    let mut spec_partial = bias;
-    let mut term_ops = len as u32;
-    let mut terminated = false;
-    for p in m8..len {
-        if p == spec_len {
-            spec_partial = acc;
-        }
-        if !terminated && p >= neg_start && acc < 0.0 {
-            term_ops = p as u32;
-            terminated = true;
-        }
-        let off = taps[order[p] as usize];
-        if off >= 0 {
-            acc += item[off as usize] * weights[p];
-        }
-    }
-    if spec_len == len {
-        spec_partial = acc;
-    }
-    WindowScan {
-        spec_partial,
-        term_ops,
-        full: acc,
-    }
-}
-
-/// Interior windows scanned per batch. Eight independent accumulator chains
-/// hide the `fadd` latency that bounds [`scan_window`]'s strictly-ordered
-/// walk; each lane's own accumulation order (and thus every f32 result) is
-/// unchanged.
-const SCAN_BATCH: usize = 8;
-
-/// [`scan_window`] for [`SCAN_BATCH`] interior windows at once, via resolved
-/// taps (`offset = base + rt[p]`, see [`WindowPlan::resolve`]). Per-lane
-/// results are bit-identical to the scalar scan.
-fn scan_windows_batch(
-    r: &ReorderedKernel,
-    rt: &[i32],
-    item: &[f32],
-    bases: &[i32; SCAN_BATCH],
-    bias: f32,
-) -> [WindowScan; SCAN_BATCH] {
-    let weights = r.weights();
-    let len = weights.len();
-    let spec_len = r.spec_len();
-    let neg_start = r.neg_start();
-    let m8 = scan_prefix_m8(r, len);
-    let mut acc = [bias; SCAN_BATCH];
-    if m8 > 0 {
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a = bias + snapea_tensor::lane::lane_dot_resolved(weights, rt, b, item, m8);
-        }
-    }
-    let mut spec = [bias; SCAN_BATCH];
-    let mut term = [u32::MAX; SCAN_BATCH];
-    for p in m8..len {
-        if p == spec_len {
-            spec = acc;
-        }
-        if p >= neg_start {
-            for (t, &a) in term.iter_mut().zip(acc.iter()) {
-                if *t == u32::MAX && a < 0.0 {
-                    *t = p as u32;
-                }
-            }
-        }
-        let d = rt[p];
-        let wt = weights[p];
-        for (a, &b) in acc.iter_mut().zip(bases.iter()) {
-            *a += item[(b + d) as usize] * wt;
-        }
-    }
-    if spec_len == len {
-        spec = acc;
-    }
-    std::array::from_fn(|l| WindowScan {
-        spec_partial: spec[l],
-        term_ops: term[l].min(len as u32),
-        full: acc[l],
-    })
-}
-
-/// Scans every `(image, window)` of the layer under reordering `r`, writing
-/// `out[img * windows + w]`. Interior windows run through the batched
-/// resolved-tap scan; border windows take the scalar gather path. Results
-/// are indexed, not pushed, so downstream order-sensitive folds (the f64
-/// mass sums) see the same ascending `(img, w)` order as the scalar loop.
-fn scan_layer(
-    r: &ReorderedKernel,
-    plan: &WindowPlan,
-    rt: &[i32],
-    input: &Tensor4,
-    bias: f32,
-    out: &mut [WindowScan],
-) {
-    let windows = plan.windows();
-    let gather = plan.gather();
-    for img in 0..input.shape().n {
-        let item = input.item(img);
-        let row = &mut out[img * windows..(img + 1) * windows];
-        let mut lanes = [(0usize, 0i32); SCAN_BATCH];
-        let mut nl = 0usize;
-        for w in 0..windows {
-            let base = plan.window_base(w);
-            if base >= 0 {
-                lanes[nl] = (w, base);
-                nl += 1;
-                if nl == SCAN_BATCH {
-                    nl = 0;
-                    let bases = lanes.map(|(_, b)| b);
-                    let scans = scan_windows_batch(r, rt, item, &bases, bias);
-                    for (l, &(lw, _)) in lanes.iter().enumerate() {
-                        row[lw] = scans[l];
-                    }
-                }
-            } else {
-                row[w] = scan_window(r, gather.window(w), item, bias);
-            }
-        }
-        // Partial tail: the generic scalar scan is bit-identical on
-        // interior windows (no padding taps to skip).
-        for &(lw, _) in &lanes[..nl] {
-            row[lw] = scan_window(r, gather.window(lw), item, bias);
-        }
-    }
+/// The threshold at quantile `q` of ascending-sorted speculative partial
+/// sums (nearest rank), or `None` when there are none.
+pub fn threshold_at(sorted: &[f32], q: f64) -> Option<f32> {
+    let last = sorted.len().checked_sub(1)?;
+    let idx = (last as f64 * q).round() as usize;
+    sorted.get(idx.min(last)).copied()
 }
 
 /// Profiles every kernel of `conv` against the layer input `input` (a batch
@@ -257,82 +110,72 @@ pub fn profile_layer_kernels(
     let windows = plan.windows();
     let images = s.n;
     let window_len = conv.window_len();
-    let blank = WindowScan {
-        spec_partial: 0.0,
-        term_ops: 0,
-        full: 0.0,
-    };
 
-    // Kernels are profiled in isolation, so the candidate scans — the
+    // Kernels are profiled in isolation, so the candidate walks — the
     // optimizer's dominant loop — fan out in blocks of kernels; the result
     // vector preserves kernel order and each kernel's numbers never depend
-    // on the thread count or the block size. A kernel's cost is one full
-    // layer scan per candidate (the exact reorder plus each in-range N),
-    // and the pool's walk floor groups kernels — or collapses the whole
-    // profile to an inline call — when the scans are too small to amortise
-    // a dispatch (tiny layers used to pay ~1.5× dispatch overhead here).
-    let grid_scans = 1 + group_candidates
+    // on the thread count or the block size. A kernel's cost is one
+    // observed layer walk per candidate (the exact reorder plus each
+    // in-range N), and the pool's walk floor groups kernels — or collapses
+    // the whole profile to an inline call — when the walks are too small to
+    // amortise a dispatch (tiny layers used to pay ~1.5× dispatch overhead
+    // here).
+    let grid_walks = 1 + group_candidates
         .iter()
         .filter(|&&n| n > 0 && n < window_len)
         .count();
-    let kernel_cost = grid_scans * images * windows * window_len;
+    let kernel_cost = grid_walks * images * windows * window_len;
     let chunk = snapea_tensor::par::chunk_for(
         conv.c_out(),
         kernel_cost,
         snapea_tensor::par::WALK_TASK_FLOOR_OPS,
     );
     snapea_tensor::par::parallel_map(conv.c_out(), chunk, |k| {
-        let mut scans: Vec<WindowScan> = vec![blank; images * windows];
+        let mut obs = vec![WindowObs::default(); images * windows];
         let weights = conv.weight().item(k);
         let bias = conv.bias()[k];
         let mut candidates: Vec<KernelCandidate> = Vec::new();
 
-        // Exact-mode candidate.
+        // Exact-mode candidate: the executor's exact walk.
         let exact = sign_reorder(weights);
-        let rt = plan.resolve(&exact);
-        scan_layer(&exact, &plan, &rt, input, bias, &mut scans);
-        let exact_ops: u64 = scans.iter().map(|sc| sc.term_ops as u64).sum();
+        let pau = Pau::exact(&exact);
+        observe_kernel(&plan, &KernelExec::new(exact, pau), bias, input, &mut obs);
         candidates.push(KernelCandidate {
             mode: KernelMode::Exact,
-            ops: exact_ops,
+            ops: obs.iter().map(|o| u64::from(o.result.ops)).sum(),
             surrogate_err: 0.0,
         });
 
-        // Predictive candidates.
+        // Predictive candidates. Each reordering is walked once with a
+        // threshold no partial sum is below, so only sign checks fire: a
+        // window's `ops` is its sign-check op count, its `prefix` the
+        // speculative partial sum every threshold is compared against.
         for &n in group_candidates {
             if n == 0 || n >= window_len {
                 continue;
             }
             let r = predictive_reorder(weights, n);
-            let rt = plan.resolve(&r);
-            scan_layer(&r, &plan, &rt, input, bias, &mut scans);
+            let pau = Pau::predictive(&r, KernelParams::new(f32::NEG_INFINITY, n));
+            observe_kernel(&plan, &KernelExec::new(r, pau), bias, input, &mut obs);
             // Threshold grid: quantiles of the speculative partial sums of
             // truly-negative windows. No negative windows → nothing for this
             // kernel to gain from speculating at this N.
-            let mut neg_partials: Vec<f32> = scans
+            let neg_prefixes = negative_prefixes(&obs);
+            let positive_mass: f64 = obs.iter().map(|o| o.full.max(0.0) as f64).sum();
+            for th in threshold_quantiles
                 .iter()
-                .filter(|sc| sc.full < 0.0)
-                .map(|sc| sc.spec_partial)
-                .collect();
-            if neg_partials.is_empty() {
-                continue;
-            }
-            neg_partials.sort_by(f32::total_cmp);
-            let positive_mass: f64 = scans.iter().map(|sc| sc.full.max(0.0) as f64).sum();
-
-            for &q in threshold_quantiles {
-                let idx = ((neg_partials.len() as f64 - 1.0) * q).round() as usize;
-                let th = neg_partials[idx.min(neg_partials.len() - 1)];
+                .filter_map(|&q| threshold_at(&neg_prefixes, q))
+            {
                 let mut ops = 0u64;
                 let mut squashed = 0.0f64;
-                for sc in &scans {
-                    if sc.spec_partial < th {
+                for o in &obs {
+                    if o.prefix < th {
                         ops += n as u64;
-                        if sc.full >= 0.0 {
-                            squashed += sc.full as f64;
+                        if o.full >= 0.0 {
+                            squashed += o.full as f64;
                         }
                     } else {
-                        ops += sc.term_ops as u64;
+                        ops += u64::from(o.result.ops);
                     }
                 }
                 let surrogate_err = if positive_mass > 0.0 {
@@ -436,34 +279,13 @@ mod tests {
         }
     }
 
+    /// Every candidate's `ops` is the executor's op total for that kernel
+    /// run alone in that mode on the profiling input — on padded,
+    /// unpadded and strided layers, so border windows, full batches and
+    /// batches spanning border windows all count.
     #[test]
-    fn scan_window_agrees_with_executor() {
-        use crate::exec::{run_window, GatherTable, KernelExec};
-        use crate::pau::Pau;
-        let (conv, input) = setup();
-        let gather = GatherTable::build(input.shape(), conv.geom(), conv.c_in());
-        for k in 0..conv.c_out() {
-            let weights = conv.weight().item(k);
-            let bias = conv.bias()[k];
-            let r = sign_reorder(weights);
-            let kexec = KernelExec::new(r.clone(), Pau::exact(&r));
-            for w in 0..gather.windows() {
-                let taps = gather.window(w);
-                let item = input.item(0);
-                let scan = scan_window(&r, taps, item, bias);
-                let exec = run_window(&kexec, taps, item, bias);
-                assert_eq!(scan.term_ops, exec.ops, "kernel {k} window {w}");
-            }
-        }
-    }
-
-    /// The batched resolved-tap scan must reproduce the scalar gather scan
-    /// bit-for-bit on every window: interior windows go through
-    /// `scan_windows_batch`, border windows and partial tails through
-    /// `scan_window`, and the candidates' order-sensitive f64 folds consume
-    /// both.
-    #[test]
-    fn batched_scans_match_scalar_scans_on_every_window() {
+    fn candidate_ops_match_the_executor() {
+        use crate::exec::{execute_conv, LayerConfig};
         for geom in [
             ConvGeom::square(3, 1, 1),
             ConvGeom::square(3, 1, 0),
@@ -471,35 +293,20 @@ mod tests {
         ] {
             let mut rng = init::rng(77);
             let conv = Conv2d::new(3, 4, geom, &mut rng);
-            let input = init::uniform4(Shape4::new(2, 3, 8, 8), 1.0, &mut rng).map(f32::abs);
-            let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
-            let windows = plan.windows();
-            for k in 0..conv.c_out() {
-                let weights = conv.weight().item(k);
-                let bias = conv.bias()[k];
-                let mut reorders = vec![sign_reorder(weights)];
-                reorders.extend([1, 2, 4, 8].map(|n| predictive_reorder(weights, n)));
-                for r in &reorders {
-                    let rt = plan.resolve(r);
-                    let blank = WindowScan {
-                        spec_partial: 0.0,
-                        term_ops: 0,
-                        full: 0.0,
-                    };
-                    let mut scans = vec![blank; input.shape().n * windows];
-                    scan_layer(r, &plan, &rt, &input, bias, &mut scans);
-                    for (i, got) in scans.iter().enumerate() {
-                        let (img, w) = (i / windows, i % windows);
-                        let want = scan_window(r, plan.gather().window(w), input.item(img), bias);
-                        let at = format!("geom {geom:?} kernel {k} image {img} window {w}");
-                        assert_eq!(got.term_ops, want.term_ops, "{at}");
-                        assert_eq!(
-                            got.spec_partial.to_bits(),
-                            want.spec_partial.to_bits(),
-                            "{at}"
-                        );
-                        assert_eq!(got.full.to_bits(), want.full.to_bits(), "{at}");
-                    }
+            let input = init::uniform4(Shape4::new(2, 3, 9, 9), 1.0, &mut rng).map(f32::abs);
+            let tables =
+                profile_layer_kernels(&conv, &input, &[1, 2, 4, 8], &[0.25, 0.5, 0.9, 1.0], 1.0);
+            for (k, t) in tables.iter().enumerate() {
+                for c in t.candidates() {
+                    let mut modes = vec![KernelMode::Exact; conv.c_out()];
+                    modes[k] = c.mode;
+                    let cfg = LayerConfig::predictive(&conv, &modes);
+                    let p = execute_conv(&conv, &input, &cfg).profile;
+                    let ops: u64 = (0..p.images())
+                        .flat_map(|n| p.kernel_ops(n, k))
+                        .map(|&o| u64::from(o))
+                        .sum();
+                    assert_eq!(c.ops, ops, "{geom:?} kernel {k} {:?}", c.mode);
                 }
             }
         }

@@ -9,8 +9,9 @@ use crate::exec::{execute_conv, execute_conv_stats, LayerConfig, LayerProfile, P
 use crate::params::{LayerParams, NetworkParams};
 use snapea_nn::data::LabeledImage;
 use snapea_nn::graph::{Graph, NodeId, Op};
-use snapea_nn::loss::argmax_rows;
+use snapea_nn::loss::accuracy;
 use snapea_tensor::Tensor4;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A network bound to a set of speculation parameters.
@@ -64,8 +65,14 @@ impl<'a> SpecNet<'a> {
     }
 
     /// Forward pass reusing `cached` activations of an unspeculated forward,
-    /// recomputing only from `root` on (the Local-Optimization fast path).
-    pub fn forward_from(&self, input: &Tensor4, cached: &[Tensor4], root: NodeId) -> Vec<Tensor4> {
+    /// recomputing only from `root` on (the Local-Optimization fast path);
+    /// the activations upstream of `root` are borrowed from `cached`.
+    pub fn forward_from<'c>(
+        &self,
+        input: &Tensor4,
+        cached: &'c [Tensor4],
+        root: NodeId,
+    ) -> Vec<Cow<'c, Tensor4>> {
         let configs = self.configs();
         self.net
             .forward_from(input, cached, root, &mut |id, conv, x| {
@@ -82,16 +89,10 @@ impl<'a> SpecNet<'a> {
         }
         let refs: Vec<&LabeledImage> = images.iter().collect();
         let batch = snapea_nn::data::SynthShapes::batch_refs(&refs);
+        let labels: Vec<usize> = images.iter().map(|d| d.label).collect();
         let acts = self.forward(&batch);
-        // lint:allow(P1) forward returns one activation per node and the graph is non-empty by construction
-        let logits = acts.last().expect("non-empty graph").to_matrix();
-        let preds = argmax_rows(&logits);
-        preds
-            .iter()
-            .zip(images)
-            .filter(|(p, d)| **p == d.label)
-            .count() as f64
-            / images.len() as f64
+        acts.last()
+            .map_or(0.0, |out| accuracy(&out.to_matrix(), &labels))
     }
 }
 
@@ -223,6 +224,7 @@ mod tests {
     use super::*;
     use crate::params::KernelParams;
     use snapea_nn::data::SynthShapes;
+    use snapea_nn::loss::argmax_rows;
     use snapea_nn::zoo;
 
     #[test]
@@ -364,6 +366,13 @@ mod tests {
         let spec = SpecNet::new(&net, &params);
         let fast = spec.forward_from(&batch, &cached, conv);
         let slow = spec.forward(&batch);
-        assert_eq!(fast.last(), slow.last());
+        assert_eq!(fast.len(), slow.len());
+        for (id, (f, s)) in fast.iter().zip(&slow).enumerate() {
+            assert_eq!(**f, *s, "node {id}");
+            // Nodes upstream of the recomputed conv come from the cache.
+            if id < conv {
+                assert!(matches!(f, Cow::Borrowed(_)), "node {id} was copied");
+            }
+        }
     }
 }

@@ -18,9 +18,11 @@ use snapea_tensor::{im2col::ConvGeom, init, Shape4};
 
 #[test]
 fn executor_emits_layer_spans_events_and_kernel_detail() {
-    // Padded and multi-image: 2 images × 4 kernels × 144 windows; each
-    // output row holds 10 interior windows between two border windows, so
-    // both the batched and the one-at-a-time paths run.
+    // Padded and multi-image: 2 images × 4 kernels × 144 windows, of which
+    // 100 per pair are interior (10 per inner output row, between two
+    // border windows). Interior windows batch eight at a time across the
+    // border windows, so each pair walks 12 batches (96 lane windows) and
+    // 4 leftover interior plus 44 border windows one at a time (48 scalar).
     let mut rng = init::rng(9);
     let conv = Conv2d::new(3, 4, ConvGeom::square(3, 1, 1), &mut rng);
     let input = init::uniform4(Shape4::new(2, 3, 12, 12), 1.0, &mut rng).map(f32::abs);
@@ -109,7 +111,8 @@ fn executor_emits_layer_spans_events_and_kernel_detail() {
             assert_eq!(count(e, field), count(layer_events[0], field), "{field}");
         }
     }
-    assert!(count(layer_events[0], "lane_windows") > 0);
+    assert_eq!(count(layer_events[0], "lane_windows"), 2 * 4 * 96);
+    assert_eq!(count(layer_events[0], "scalar_windows"), 2 * 4 * 48);
 
     // The latency histogram saw every call (≥, not ==: other layer calls in
     // this process would also be charged — there are none today, but the

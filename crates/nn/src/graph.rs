@@ -9,6 +9,7 @@ use crate::ops::{
     concat_channels, relu, relu_backward, split_channels, AvgPool, Conv2d, Linear, Lrn, MaxPool,
 };
 use snapea_tensor::{Shape4, Tensor2, Tensor4};
+use std::borrow::{Borrow, Cow};
 
 /// Identifier of a node within its [`Graph`] (its index in topological
 /// order).
@@ -233,14 +234,15 @@ impl Graph {
     ///
     /// `cached` must come from a forward pass over the same input. The
     /// activation of `root` itself is recomputed (through the override hook
-    /// if it is a conv node), as is everything reachable from it.
-    pub fn forward_from(
+    /// if it is a conv node), as is everything reachable from it; every
+    /// other node's activation is borrowed from `cached`, never copied.
+    pub fn forward_from<'c>(
         &self,
         input: &Tensor4,
-        cached: &[Tensor4],
+        cached: &'c [Tensor4],
         root: NodeId,
         conv_override: &mut ConvOverride<'_>,
-    ) -> Vec<Tensor4> {
+    ) -> Vec<Cow<'c, Tensor4>> {
         assert_eq!(cached.len(), self.nodes.len(), "cache length");
         let mut dirty = vec![false; self.nodes.len()];
         dirty[root] = true;
@@ -249,27 +251,27 @@ impl Graph {
                 dirty[id] = true;
             }
         }
-        let mut acts: Vec<Tensor4> = Vec::with_capacity(self.nodes.len());
+        let mut acts: Vec<Cow<'c, Tensor4>> = Vec::with_capacity(self.nodes.len());
         for (id, node) in self.nodes.iter().enumerate() {
             let out = if dirty[id] {
-                self.eval_node(id, node, input, &acts, conv_override)
+                Cow::Owned(self.eval_node(id, node, input, &acts, conv_override))
             } else {
-                cached[id].clone()
+                Cow::Borrowed(&cached[id])
             };
             acts.push(out);
         }
         acts
     }
 
-    fn eval_node(
+    fn eval_node<A: Borrow<Tensor4>>(
         &self,
         id: NodeId,
         node: &Node,
         input: &Tensor4,
-        acts: &[Tensor4],
+        acts: &[A],
         conv_override: &mut ConvOverride<'_>,
     ) -> Tensor4 {
-        let arg = |k: usize| -> &Tensor4 { &acts[node.inputs[k]] };
+        let arg = |k: usize| -> &Tensor4 { acts[node.inputs[k]].borrow() };
         match &node.op {
             Op::Input => input.clone(),
             Op::Conv(c) => conv_override(id, c, arg(0)).unwrap_or_else(|| c.forward(arg(0))),
@@ -277,7 +279,7 @@ impl Graph {
             Op::MaxPool(p) => p.forward(arg(0)),
             Op::AvgPool(p) => p.forward(arg(0)),
             Op::Concat => {
-                let refs: Vec<&Tensor4> = node.inputs.iter().map(|&i| &acts[i]).collect();
+                let refs: Vec<&Tensor4> = node.inputs.iter().map(|&i| acts[i].borrow()).collect();
                 concat_channels(&refs)
             }
             Op::Flatten => {
@@ -607,13 +609,15 @@ mod tests {
             Some(Tensor4::zeros(c.out_shape(inp.shape())))
         });
         assert!(acts[1].iter().all(|&v| v == 0.0));
+        // Nodes upstream of the root are borrowed from the cache.
+        assert!(matches!(acts[0], Cow::Borrowed(_)));
         // Final logits must equal a full forward with the same override.
         let full = g.forward_with(&x, &mut |_, c, inp| {
             Some(Tensor4::zeros(c.out_shape(inp.shape())))
         });
-        assert_eq!(acts[5], full[5]);
+        assert_eq!(*acts[5], full[5]);
         // And differ from the unmodified network (with overwhelming probability).
-        assert_ne!(acts[5], cached[5]);
+        assert_ne!(*acts[5], cached[5]);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   fixed-bucket histograms. Always on; an increment is one
 //!   `fetch_add(Relaxed)` with no allocation, cheap enough for the
 //!   executor's per-layer hot path.
-//! * [`span`] — hierarchical wall-time span timers ([`span!`]) that nest via
-//!   a thread-local path stack and charge totals into the metrics registry.
+//! * [`span`](mod@span) — hierarchical wall-time span timers ([`span!`])
+//!   that nest via a thread-local path stack and charge totals into the
+//!   metrics registry.
 //! * [`sink`] — pluggable event sinks ([`event!`]): a stderr pretty-printer
 //!   for interactive runs and a JSONL file sink for run manifests. With no
 //!   sink installed, [`sink::enabled`] is one relaxed load and no event

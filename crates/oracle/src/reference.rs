@@ -401,7 +401,7 @@ fn pinned_prefix(
 /// the partial sum is below the threshold; from `neg_start` on, any negative
 /// partial sum terminates. Positions below the pinned lane boundary (which
 /// never carry a probe) accumulate through the eight-lane tree of
-/// [`pinned_prefix`]; the rest run sequentially. Input taps are decoded from
+/// `pinned_prefix`; the rest run sequentially. Input taps are decoded from
 /// the original weight index (`o → (c, ky, kx)`); out-of-bounds (padding)
 /// taps occupy a MAC slot but add nothing.
 #[allow(clippy::too_many_arguments)]

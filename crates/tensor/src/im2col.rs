@@ -1,6 +1,6 @@
 //! im2col / col2im transforms used by the fast convolution path.
 //!
-//! The forward/backward passes of [`snapea-nn`]'s convolution layer lower a
+//! The forward/backward passes of `snapea-nn`'s convolution layer lower a
 //! convolution to a matrix product: weights `[c_out, c_in*kh*kw]` times the
 //! im2col patch matrix `[c_in*kh*kw, out_h*out_w]`. The SnaPEA executor in the
 //! `snapea` crate does *not* use this path — it walks windows weight-by-weight

@@ -12,8 +12,9 @@
 //!
 //! Splitting a dot product across eight lanes changes float accumulation
 //! order, so the order is *pinned* once, here, and every `f32`
-//! implementation in the workspace (executor, oracle reference, optimizer
-//! scans) reproduces it bit-for-bit:
+//! implementation in the workspace (the executor's window walk, which the
+//! optimizer's profiling observes, and the oracle reference) reproduces it
+//! bit-for-bit:
 //!
 //! * positions `0..m8` (where `m8 = lane_prefix_len(stop1)` is the largest
 //!   multiple of [`LANES`] no larger than the probe-free prefix) are summed
@@ -44,23 +45,6 @@ pub const LANES: usize = 8;
 #[inline]
 pub const fn lane_prefix_len(stop1: usize) -> usize {
     stop1 - stop1 % LANES
-}
-
-/// Length of a weight vector padded up to a whole number of lane blocks.
-#[inline]
-pub const fn packed_len(len: usize) -> usize {
-    len.div_ceil(LANES) * LANES
-}
-
-/// The lane-major packed copy of a reordered weight vector: the walk-order
-/// weights padded with `+0.0` to a whole number of eight-wide blocks, so
-/// every aligned block is one full vector load and kernels never branch on
-/// the tail. Produced at compile time and carried through the `.snapea`
-/// artifact (which validates it bitwise against this function).
-pub fn pack_weights(weights: &[f32]) -> Vec<f32> {
-    let mut packed = weights.to_vec();
-    packed.resize(packed_len(weights.len()), 0.0);
-    packed
 }
 
 /// The pinned eight-way reduction tree: `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
@@ -390,32 +374,18 @@ mod tests {
     }
 
     #[test]
-    fn lane_prefix_and_packed_lengths() {
-        for (len, m8, pl) in [
-            (0, 0, 0),
-            (1, 0, 8),
-            (7, 0, 8),
-            (8, 8, 8),
-            (9, 8, 16),
-            (15, 8, 16),
-            (16, 16, 16),
-            (17, 16, 24),
+    fn lane_prefix_lengths() {
+        for (len, m8) in [
+            (0, 0),
+            (1, 0),
+            (7, 0),
+            (8, 8),
+            (9, 8),
+            (15, 8),
+            (16, 16),
+            (17, 16),
         ] {
             assert_eq!(lane_prefix_len(len), m8, "m8 for {len}");
-            assert_eq!(packed_len(len), pl, "packed for {len}");
-        }
-    }
-
-    #[test]
-    fn pack_weights_pads_with_positive_zero() {
-        for len in [0usize, 1, 7, 8, 9, 23] {
-            let w = lcg(len as u64 + 3, len);
-            let p = pack_weights(&w);
-            assert_eq!(p.len(), packed_len(len));
-            assert_eq!(&p[..len], &w[..], "prefix preserved for {len}");
-            for pad in &p[len..] {
-                assert_eq!(pad.to_bits(), 0.0f32.to_bits(), "padding is +0.0");
-            }
         }
     }
 

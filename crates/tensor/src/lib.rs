@@ -1,6 +1,6 @@
 //! Minimal dense tensor library underpinning the SnaPEA reproduction.
 //!
-//! The crate provides exactly what the CNN substrate ([`snapea-nn`]) and the
+//! The crate provides exactly what the CNN substrate (`snapea-nn`) and the
 //! SnaPEA core need:
 //!
 //! * [`Tensor4`] — a dense, row-major, NCHW `f32` tensor used for activations

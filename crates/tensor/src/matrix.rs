@@ -431,8 +431,8 @@ impl Tensor2 {
     ///
     /// For finite inputs this returns the same values as [`Tensor2::matmul`]
     /// (the skipped contributions are exact zeros). It shares the dense
-    /// path's column tiling and single-`k` [`axpy`] loop; the per-`k` zero
-    /// test means it cannot use the fused [`axpy_k8`] blocks the dense path
+    /// path's column tiling and single-`k` `axpy` loop; the per-`k` zero
+    /// test means it cannot use the fused `axpy_k8` blocks the dense path
     /// runs, so the dense-vs-sparse crossover keeps moving as the dense
     /// kernel improves. The `gemm` section of `BENCH_parallel.json` records
     /// the current trade (re-measured after the lane engine, DESIGN.md §11):

@@ -39,9 +39,9 @@
 //! (`std::thread::scope` is the only safe primitive for non-`'static`
 //! borrows, and it spawns fresh threads per call — the overhead this
 //! rewrite removes). The pool therefore erases the dispatch behind a small,
-//! audited unsafe core ([`pool`]): a raw pointer to the caller-stack task
-//! set plus a monomorphized runner function. Soundness rests on one
-//! bracketing invariant, enforced by a drop guard:
+//! audited unsafe core (the private `pool` module): a raw pointer to the
+//! caller-stack task set plus a monomorphized runner function. Soundness
+//! rests on one bracketing invariant, enforced by a drop guard:
 //!
 //! > A worker dereferences the erased pointer only between *joining* a
 //! > batch (under the queue lock, while the batch is open) and *leaving*

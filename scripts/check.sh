@@ -41,6 +41,11 @@ cargo fmt --all --check
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc gate: intra-doc links must resolve and must not point at private
+# items, so deleting or renaming a public item cannot leave a dangling link.
+echo "==> cargo doc --no-deps --offline (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Domain-specific static analysis (DESIGN.md §8): the workspace must lint
 # clean — both the per-file token pass and the call-graph pass (R1
 # determinism-reachability, R2 panic-reachability, R3 parallel-capture) —

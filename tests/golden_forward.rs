@@ -12,10 +12,11 @@
 //! On an intentional numerical change, the failure message prints the new
 //! digest to commit.
 
-use snapea_suite::nn::data::SynthShapes;
+mod golden_common;
+
+use golden_common::{batches, Fnv};
 use snapea_suite::nn::graph::{Aux, Graph};
-use snapea_suite::nn::zoo::{Workload, INPUT_SIZE};
-use snapea_suite::tensor::Tensor4;
+use snapea_suite::nn::zoo::Workload;
 
 /// `(workload, Graph::forward digest, Graph::forward_train digest)`, each
 /// over the n = 1 and n = 3 batches.
@@ -41,38 +42,6 @@ const GOLDEN: [(Workload, u64, u64); 4] = [
         0xf152_34b6_7b20_d8af,
     ),
 ];
-
-/// Streaming FNV-1a-64.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Shape, then every element's bit pattern.
-    fn tensor(&mut self, t: &Tensor4) {
-        let s = t.shape();
-        for d in [s.n, s.c, s.h, s.w] {
-            self.bytes(&(d as u64).to_le_bytes());
-        }
-        for v in t.as_slice() {
-            self.bytes(&v.to_bits().to_le_bytes());
-        }
-    }
-}
-
-/// The fixed batches: the first image alone, then the first three.
-fn batches() -> [Tensor4; 2] {
-    let data = SynthShapes::new(INPUT_SIZE, 10).generate(3, 0x60_1D);
-    [SynthShapes::batch(&data[..1]), SynthShapes::batch(&data)]
-}
 
 fn forward_digest(net: &Graph) -> u64 {
     let mut h = Fnv::new();
