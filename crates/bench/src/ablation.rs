@@ -247,7 +247,7 @@ pub fn related_zeroskip(trained: &[TrainedWorkload], data: &Datasets) -> Experim
             let cfg = LayerConfig::exact(conv);
             let p_sn = execute_conv(conv, input, &cfg).profile;
             let p_zs = zero_skip_profile(conv, input);
-            let p_co = combined_profile(conv, input, &cfg);
+            let p_co = combined_profile(conv, input, &cfg, &p_sn);
             sn += p_sn.total_ops();
             zs += p_zs.total_ops();
             co += p_co.total_ops();

@@ -1022,6 +1022,7 @@ impl<D: Datapath> Sink<D> for Observed<'_> {
         self.0[w] = obs;
     }
 
+    // lint:allow(P2) each lane's w < plan.windows() by walk_windows' loop bound, and the record slice holds one entry per window
     fn batch(
         &mut self,
         walk: &PairWalk<'_, D>,
@@ -1588,11 +1589,28 @@ pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
 /// non-zero-input taps among the positions the executor's walk performs.
 /// Shows the two mechanisms are complementary (they eliminate different
 /// MACs).
+///
+/// `walked` is the profile of that walk, `execute_conv(conv, input,
+/// cfg).profile`, which the caller has already run.
+///
+/// # Panics
+///
+/// Panics if `walked` does not have one op count per (image, kernel,
+/// window) of `conv` over `input`.
 // lint:allow(P2) gather offsets are >= 0 checked and built in-bounds for the item slice
-pub fn combined_profile(conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) -> LayerProfile {
-    let walked = execute_conv(conv, input, cfg).profile;
+pub fn combined_profile(
+    conv: &Conv2d,
+    input: &Tensor4,
+    cfg: &LayerConfig,
+    walked: &LayerProfile,
+) -> LayerProfile {
     let plan = layer_plan(input.shape(), conv.geom(), conv.c_in());
     let windows = plan.windows();
+    assert_eq!(
+        (walked.images(), walked.kernels(), walked.windows()),
+        (input.shape().n, conv.c_out(), windows),
+        "walked profile of this layer's walk"
+    );
     let mut ops = Vec::with_capacity(walked.ops.len());
     for n in 0..walked.images() {
         let item = input.item(n);
@@ -1829,7 +1847,7 @@ mod tests {
         let cfg = LayerConfig::exact(&conv);
         let snapea = execute_conv(&conv, &input, &cfg).profile;
         let zskip = zero_skip_profile(&conv, &input);
-        let combined = combined_profile(&conv, &input, &cfg);
+        let combined = combined_profile(&conv, &input, &cfg, &snapea);
         // Combining the two mechanisms never costs more than either alone.
         assert!(combined.total_ops() <= snapea.total_ops());
         assert!(combined.total_ops() <= zskip.total_ops());

@@ -15,7 +15,8 @@
 //!    configuration; while the combined accuracy loss exceeds `ε`, move the
 //!    layer/configuration with the best merit `−Δerr/Δop` one step more
 //!    conservative (the paper's `ADJUSTPARAM`), re-simulating after each
-//!    adjustment.
+//!    adjustment. A re-simulation recomputes only what the adjusted layer
+//!    feeds; every other activation carries over from the previous one.
 //!
 //! The optimizer runs **offline** — exactly as in the paper, it adds no
 //! runtime cost to inference.
@@ -29,6 +30,7 @@ use snapea_nn::data::{LabeledImage, SynthShapes};
 use snapea_nn::graph::{Graph, NodeId, Op};
 use snapea_nn::loss::accuracy;
 use snapea_tensor::Tensor4;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Hyper-parameters of the optimizer.
@@ -234,8 +236,12 @@ impl<'a> Optimizer<'a> {
             }
         }
 
+        // The unspeculated activations are the Local pass's alone: release
+        // them before the Global pass builds its own.
+        drop(cached);
+
         // Pass 3: global optimization.
-        let (current, global_iterations) = {
+        let (current, global_iterations, final_accuracy) = {
             let _span = snapea_obs::span!("optimizer/global");
             self.global_pass(&options, &batch, baseline_accuracy)
         };
@@ -247,8 +253,6 @@ impl<'a> Optimizer<'a> {
         }
 
         // Final reporting profiles.
-        let spec = SpecNet::new(self.net, &params);
-        let final_accuracy = self.accuracy_of(spec.forward(&batch).last());
         let final_profile = profile_network(self.net, &params, &batch, false);
         let exact_profile = profile_network(self.net, &NetworkParams::new(), &batch, false);
 
@@ -365,26 +369,31 @@ impl<'a> Optimizer<'a> {
         opts
     }
 
-    /// The paper's `GLOBALOPTIMIZATIONPASS` + `ADJUSTPARAM`.
+    /// The paper's `GLOBALOPTIMIZATIONPASS` + `ADJUSTPARAM`: returns the
+    /// chosen option per layer, the iterations used and the accuracy of the
+    /// chosen setting.
+    ///
+    /// Each probe is incremental. The pass keeps the activations of the
+    /// setting it is on; a move re-derives only the moved layer's config
+    /// and recomputes only the nodes that layer feeds. Every other node
+    /// keeps its inputs and its config, so its activation is the one a
+    /// full forward would compute.
     fn global_pass(
         &self,
         options: &BTreeMap<NodeId, Vec<LayerOption>>,
         batch: &Tensor4,
         baseline: f64,
-    ) -> (BTreeMap<NodeId, usize>, usize) {
+    ) -> (BTreeMap<NodeId, usize>, usize, f64) {
         let mut current: BTreeMap<NodeId, usize> = options.keys().map(|&l| (l, 0usize)).collect();
-        let simulate = |cur: &BTreeMap<NodeId, usize>| -> f64 {
-            snapea_obs::counter("optimizer/probes").inc();
-            let mut params = NetworkParams::new();
-            for (&l, &t) in cur {
-                params.set(l, options[&l][t].params.clone());
-            }
-            let spec = SpecNet::new(self.net, &params);
-            baseline - self.accuracy_of(spec.forward(batch).last())
-        };
-        let mut err = simulate(&current);
+        let mut spec = SpecNet::new(self.net, &NetworkParams::new());
+        for (&l, opts) in options {
+            spec.set_layer(l, &opts[0].params);
+        }
+        snapea_obs::counter("optimizer/probes").inc();
+        let mut acts = spec.forward(batch);
+        let mut acc = self.accuracy_of(acts.last());
         let mut iters = 0usize;
-        while err > self.cfg.epsilon && iters < self.cfg.max_global_iters {
+        while baseline - acc > self.cfg.epsilon && iters < self.cfg.max_global_iters {
             // ADJUSTPARAM: best merit −Δerr/Δop over every possible move.
             let mut best: Option<(NodeId, usize, f64)> = None;
             for (&l, opts) in options {
@@ -400,7 +409,8 @@ impl<'a> Optimizer<'a> {
                 }
             }
             let Some((l, t, _)) = best else {
-                // Nothing left to adjust: fall back to all-exact.
+                // Nothing left to adjust: fall back to all-exact, which is
+                // the unspeculated network.
                 for (&l, opts) in options {
                     let exact_idx = opts
                         .iter()
@@ -408,14 +418,29 @@ impl<'a> Optimizer<'a> {
                         .unwrap_or(opts.len() - 1);
                     current.insert(l, exact_idx);
                 }
+                acc = baseline;
                 iters += 1;
                 break;
             };
             current.insert(l, t);
-            err = simulate(&current);
+            spec.set_layer(l, &options[&l][t].params);
+            snapea_obs::counter("optimizer/probes").inc();
+            let recomputed: Vec<(NodeId, Tensor4)> = spec
+                .forward_from(batch, &acts, l)
+                .into_iter()
+                .enumerate()
+                .filter_map(|(id, a)| match a {
+                    Cow::Owned(t) => Some((id, t)),
+                    Cow::Borrowed(_) => None,
+                })
+                .collect();
+            for (id, a) in recomputed {
+                acts[id] = a;
+            }
+            acc = self.accuracy_of(acts.last());
             iters += 1;
         }
-        (current, iters)
+        (current, iters, acc)
     }
 }
 

@@ -10,6 +10,7 @@ use crate::params::{LayerParams, NetworkParams};
 use snapea_nn::data::LabeledImage;
 use snapea_nn::graph::{Graph, NodeId, Op};
 use snapea_nn::loss::accuracy;
+use snapea_nn::ops::Conv2d;
 use snapea_tensor::Tensor4;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -18,67 +19,71 @@ use std::collections::BTreeMap;
 ///
 /// Layers with [`LayerParams::Predictive`] run through the SnaPEA executor
 /// (their outputs may change); all other conv layers take the dense path,
-/// which produces post-ReLU-identical outputs to exact-mode SnaPEA and is
-/// much faster in software.
+/// which produces post-ReLU outputs equal to exact-mode SnaPEA's (up to
+/// summation order) and is much faster in software.
+///
+/// Each predictive layer's [`LayerConfig`] (reordering plus PAU) is derived
+/// once, when the parameters are bound; [`SpecNet::set_layer`] re-derives a
+/// single layer's.
 #[derive(Debug, Clone)]
 pub struct SpecNet<'a> {
     net: &'a Graph,
-    params: &'a NetworkParams,
+    configs: BTreeMap<NodeId, LayerConfig>,
 }
 
 impl<'a> SpecNet<'a> {
     /// Binds `net` to `params`.
-    pub fn new(net: &'a Graph, params: &'a NetworkParams) -> Self {
-        Self { net, params }
+    pub fn new(net: &'a Graph, params: &NetworkParams) -> Self {
+        let mut spec = Self {
+            net,
+            configs: BTreeMap::new(),
+        };
+        for (id, p) in params.iter() {
+            spec.set_layer(id, p);
+        }
+        spec
     }
 
-    /// The underlying network.
-    pub fn net(&self) -> &Graph {
-        self.net
-    }
-
-    /// The bound parameters.
-    pub fn params(&self) -> &NetworkParams {
-        self.params
-    }
-
-    fn configs(&self) -> BTreeMap<NodeId, LayerConfig> {
-        let mut map = BTreeMap::new();
-        for (id, p) in self.params.iter() {
-            if let LayerParams::Predictive(_) = p {
-                if let Op::Conv(conv) = &self.net.node(id).op {
-                    map.insert(id, LayerConfig::from_params(conv, p));
-                }
+    /// Rebinds conv layer `id` to `params`, deriving its config again and
+    /// leaving every other layer's as it is.
+    pub fn set_layer(&mut self, id: NodeId, params: &LayerParams) {
+        match (&self.net.node(id).op, params) {
+            (Op::Conv(conv), LayerParams::Predictive(_)) => {
+                self.configs
+                    .insert(id, LayerConfig::from_params(conv, params));
+            }
+            _ => {
+                self.configs.remove(&id);
             }
         }
-        map
+    }
+
+    /// The conv override hook: predictive layers run through the executor,
+    /// all others dense.
+    fn run_conv(&self, id: NodeId, conv: &Conv2d, x: &Tensor4) -> Option<Tensor4> {
+        self.configs
+            .get(&id)
+            .map(|cfg| execute_conv(conv, x, cfg).output)
     }
 
     /// Forward pass with speculation applied; returns all activations.
     pub fn forward(&self, input: &Tensor4) -> Vec<Tensor4> {
-        let configs = self.configs();
-        self.net.forward_with(input, &mut |id, conv, x| {
-            configs
-                .get(&id)
-                .map(|cfg| execute_conv(conv, x, cfg).output)
-        })
+        self.net
+            .forward_with(input, &mut |id, conv, x| self.run_conv(id, conv, x))
     }
 
-    /// Forward pass reusing `cached` activations of an unspeculated forward,
-    /// recomputing only from `root` on (the Local-Optimization fast path);
-    /// the activations upstream of `root` are borrowed from `cached`.
+    /// Forward pass reusing `cached` activations of a forward under the
+    /// same configs everywhere except at `root`, recomputing only `root`
+    /// and what it feeds; the other activations are borrowed from `cached`.
     pub fn forward_from<'c>(
         &self,
         input: &Tensor4,
         cached: &'c [Tensor4],
         root: NodeId,
     ) -> Vec<Cow<'c, Tensor4>> {
-        let configs = self.configs();
         self.net
             .forward_from(input, cached, root, &mut |id, conv, x| {
-                configs
-                    .get(&id)
-                    .map(|cfg| execute_conv(conv, x, cfg).output)
+                self.run_conv(id, conv, x)
             })
     }
 

@@ -714,7 +714,7 @@ pub(crate) fn analyze(ctx: &FileCtx<'_>, source: &str) -> FileAnalysis {
                 if is_hot
                     && brace_stack.iter().any(|&l| l)
                     && i >= 1
-                    && is_index_base(&code[i - 1].kind) =>
+                    && is_index_base(&code, i - 1) =>
             {
                 push(RuleId::P2, line);
             }
@@ -741,12 +741,14 @@ pub(crate) fn analyze(ctx: &FileCtx<'_>, source: &str) -> FileAnalysis {
     }
 }
 
-/// True when `kind` can be the base expression of an index (`x[`, `)[`,
-/// `][`), as opposed to a type position (`&mut [f32]`) or attribute.
-fn is_index_base(kind: &TokKind) -> bool {
-    match kind {
+/// True when `code[j]` can end the base expression of an index (`x[`,
+/// `)[`, `][`, a tuple field's `.0[`), as opposed to a type position
+/// (`&mut [f32]`) or attribute.
+fn is_index_base(code: &[&Token], j: usize) -> bool {
+    match &code[j].kind {
         TokKind::Punct(')') | TokKind::Punct(']') => true,
         TokKind::Ident(id) => !NON_INDEX_KEYWORDS.contains(&id.as_str()),
+        TokKind::Num => j >= 1 && code[j - 1].kind == TokKind::Punct('.'),
         _ => false,
     }
 }

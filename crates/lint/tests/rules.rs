@@ -140,6 +140,24 @@ fn p2_fires_on_indexing_in_hot_loops_only() {
 }
 
 #[test]
+fn p2_sees_tuple_field_bases() {
+    let hot = lib_ctx("crates/tensor/src/matrix.rs", "tensor");
+    let src = "struct Rows(Vec<f32>);\n\
+               impl Rows {\n\
+                   fn k(&mut self, b: &[f32]) {\n\
+                       for w in 0..8 {\n\
+                           self.0[w] = b.len() as f32;\n\
+                       }\n\
+                       let first = self.0[0];\n\
+                   }\n\
+               }\n";
+    let f = lint_source(&hot, src);
+    // `self.0[w]` inside the loop is indexing; `self.0[0]` outside is free.
+    assert_eq!(rules_of(&f), vec![RuleId::P2]);
+    assert_eq!(f[0].line, 5);
+}
+
+#[test]
 fn p2_fn_scoped_allow_covers_the_whole_body() {
     let hot = lib_ctx("crates/tensor/src/matrix.rs", "tensor");
     let src = "// lint:allow(P2) j < out.len() by the loop bound; b pinned same length\n\

@@ -294,8 +294,9 @@ fn check_conv(
     );
     checks += 1;
 
-    // 2. Exact mode: bit-identical walk, identical op counts, dense-equal
-    //    post-ReLU (the paper's zero-accuracy-loss contract).
+    // 2. Exact mode: bit-identical walk, identical op counts, post-ReLU
+    //    equal to dense within summation-order tolerance (the paper's
+    //    zero-accuracy-loss contract).
     let exact_cfg = LayerConfig::exact(conv);
     let er = execute_conv(conv, input, &exact_cfg);
     let eo = reference::execute_layer(conv.weight(), conv.bias(), geom, input, &LayerParams::Exact);

@@ -1,8 +1,8 @@
 //! Shared setup of the golden-digest suites: a streaming FNV-1a-64 over
-//! bit patterns, and the fixed SynthShapes batches every digest is taken
+//! bit patterns, and the fixed SynthShapes images every digest is taken
 //! on.
 
-use snapea_suite::nn::data::SynthShapes;
+use snapea_suite::nn::data::{LabeledImage, SynthShapes};
 use snapea_suite::nn::zoo::INPUT_SIZE;
 use snapea_suite::tensor::Tensor4;
 
@@ -38,8 +38,14 @@ impl Fnv {
     }
 }
 
+/// `n` images of the fixed SynthShapes set.
+pub fn images(n: usize) -> Vec<LabeledImage> {
+    SynthShapes::new(INPUT_SIZE, 10).generate(n, 0x60_1D)
+}
+
 /// The fixed batches: the first image alone, then the first three.
+#[allow(dead_code)]
 pub fn batches() -> [Tensor4; 2] {
-    let data = SynthShapes::new(INPUT_SIZE, 10).generate(3, 0x60_1D);
+    let data = images(3);
     [SynthShapes::batch(&data[..1]), SynthShapes::batch(&data)]
 }
