@@ -15,8 +15,8 @@
 use crate::context::{Datasets, TrainedWorkload};
 use crate::table::{pct, Table};
 use snapea::exec::{
-    execute_conv_stats, layer_plan, observe_kernel, KernelExec, LayerConfig, PredictionStats,
-    WindowObs, WindowPlan,
+    execute_conv_stats, observe_kernel, KernelExec, LayerConfig, PredictionStats, WindowObs,
+    WindowPlan,
 };
 use snapea::optimizer::profiling::{negative_prefixes, threshold_at};
 use snapea::params::KernelParams;
@@ -66,9 +66,8 @@ fn run_with_strategy(
     let mut full = 0u64;
     let mut stats = PredictionStats::default();
     let spec_acts = tw.net.forward_with(&batch, &mut |id, conv, x| {
-        // Served from the executor's memoised plan cache — the same layer
-        // geometry recurs for every strategy/quantile combination.
-        let plan = layer_plan(x.shape(), conv.geom(), conv.c_in());
+        // One plan per layer, shared by its kernels' threshold walks.
+        let plan = WindowPlan::build(x.shape(), conv.geom(), conv.c_in());
         let clean = &acts[tw.net.node(id).inputs[0]];
         let kernels: Vec<KernelExec> = (0..conv.c_out())
             .map(|k| {

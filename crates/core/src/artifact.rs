@@ -5,12 +5,11 @@
 //! kernel: its `(Th, N)`. An artifact stores that decision next to the
 //! network and the input shape it was made for, so `snapea-tool run` never
 //! re-runs the optimizer. Everything else the executor needs — each
-//! kernel's reordered weights and index buffer, its PAU, and each layer's
-//! window plan — is a fixed function of those three, so
-//! [`CompiledModel::from_bytes`] derives it with the same code
-//! [`CompiledModel::compile`] runs. A loaded model is a fresh compile
-//! by construction: its forward pass is byte-for-byte the freshly compiled
-//! model's, at any thread count.
+//! kernel's reordered weights and index buffer, and its PAU — is a fixed
+//! function of those three, so [`CompiledModel::from_bytes`] derives it
+//! with the same code [`CompiledModel::compile`] runs. A loaded model is a
+//! fresh compile by construction: its forward pass is byte-for-byte the
+//! freshly compiled model's, at any thread count.
 //!
 //! # On-disk format (version 3)
 //!
@@ -39,12 +38,13 @@
 //! bit flip, truncation, region swap — yields a typed [`ArtifactError`],
 //! never a panic or a silently wrong model. Beyond the checksums, loading
 //! validates the structure of GRAPH and PARAMS: known op tags,
-//! non-degenerate geometry, tensor sizes, topology, and parameters that
-//! name a convolution of the graph with one mode per kernel and
-//! `1 <= N <= window length`. Format changes require bumping [`VERSION`];
-//! old readers reject newer files with [`ArtifactError::UnsupportedVersion`].
+//! non-degenerate geometry, tensor sizes, topology, layer shapes that
+//! compose for META's input, and parameters that name a convolution of the
+//! graph with one mode per kernel and `1 <= N <= window length`. Format
+//! changes require bumping [`VERSION`]; old readers reject newer files with
+//! [`ArtifactError::UnsupportedVersion`].
 
-use crate::exec::{self, KernelExec, LayerConfig, WindowPlan};
+use crate::exec::{self, KernelExec, LayerConfig};
 use crate::params::{KernelMode, LayerParams, NetworkParams};
 use snapea_nn::graph::{Graph, Node, NodeId, Op};
 use snapea_nn::ops::{AvgPool, Conv2d, Linear, Lrn, MaxPool, PoolGeom};
@@ -52,7 +52,6 @@ use snapea_tensor::im2col::ConvGeom;
 use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{Shape2, Shape4, Tensor2, Tensor4};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// File magic: the first four bytes of every `.snapea` artifact.
 pub const MAGIC: [u8; 4] = *b"SNPA";
@@ -250,15 +249,11 @@ impl SectionSizes {
 }
 
 /// One compiled convolution layer: the executor configuration its `(Th, N)`
-/// parameters dictate (reordered kernels with their PAUs) and the window
-/// plan of its input geometry.
+/// parameters dictate (reordered kernels with their PAUs).
 #[derive(Debug, Clone)]
 pub struct CompiledLayer {
     node: NodeId,
-    in_h: usize,
-    in_w: usize,
     config: LayerConfig,
-    plan: Arc<WindowPlan>,
 }
 
 impl CompiledLayer {
@@ -267,19 +262,9 @@ impl CompiledLayer {
         self.node
     }
 
-    /// Input activation height/width the plan was resolved for.
-    pub fn input_hw(&self) -> (usize, usize) {
-        (self.in_h, self.in_w)
-    }
-
     /// Per-kernel execution states (reordered weights + PAU).
     pub fn kernels(&self) -> &[KernelExec] {
         self.config.kernels()
-    }
-
-    /// The resolved window plan for the layer's compile-time geometry.
-    pub fn plan(&self) -> &Arc<WindowPlan> {
-        &self.plan
     }
 }
 
@@ -302,13 +287,12 @@ pub struct CompiledModel {
 impl CompiledModel {
     /// Compiles `graph` under `params` for inputs of shape
     /// `[n, input_c, input_h, input_w]` (any batch size `n`): reorders every
-    /// kernel of every predictive layer, configures its PAU, and resolves
-    /// the window plan of each layer's input geometry.
+    /// kernel of every predictive layer and configures its PAU.
     ///
     /// # Panics
     ///
     /// Panics if the graph cannot execute an input of the given shape (the
-    /// same shape errors `Graph::forward` raises).
+    /// shape errors [`Graph::shapes`] reports and `Graph::forward` raises).
     pub fn compile(
         graph: &Graph,
         params: &NetworkParams,
@@ -316,6 +300,11 @@ impl CompiledModel {
         fmt: Q16Format,
     ) -> Self {
         let _span = snapea_obs::span!("artifact/compile");
+        let (c, h, w) = input_dims;
+        if let Err(e) = graph.shapes(Shape4::new(1, c, h, w)) {
+            // lint:allow(P1) documented precondition: compile-time callers build the graph for this input
+            panic!("graph cannot execute a {c}x{h}x{w} input: {e}");
+        }
         let model = Self::derive(graph.clone(), params.clone(), input_dims, fmt);
         snapea_obs::event!(
             "artifact/compiled",
@@ -327,32 +316,22 @@ impl CompiledModel {
 
     /// The derivation behind both [`Self::compile`] and
     /// [`Self::from_bytes`]: for every predictive conv, the configuration
-    /// [`LayerConfig::from_params`] builds and the [`exec::layer_plan`] of
-    /// the conv's input geometry.
+    /// [`LayerConfig::from_params`] builds.
     fn derive(
         graph: Graph,
         params: NetworkParams,
         (input_c, input_h, input_w): (usize, usize, usize),
         fmt: Q16Format,
     ) -> Self {
-        // Shape inference: an empty-batch forward gives every node the
-        // `(c, h, w)` a one-image forward would, without computing any
-        // activation, so each plan is resolved for exactly the geometry run
-        // time will present.
-        let acts = graph.forward(&Tensor4::zeros(Shape4::new(0, input_c, input_h, input_w)));
         let layers = params
             .iter()
             .filter_map(|(id, p)| {
                 let (LayerParams::Predictive(_), Op::Conv(conv)) = (p, &graph.node(id).op) else {
                     return None;
                 };
-                let in_shape = acts[*graph.node(id).inputs.first()?].shape();
                 Some(CompiledLayer {
                     node: id,
-                    in_h: in_shape.h,
-                    in_w: in_shape.w,
                     config: LayerConfig::from_params(conv, p),
-                    plan: exec::layer_plan(in_shape, conv.geom(), conv.c_in()),
                 })
             })
             .collect();
@@ -377,7 +356,7 @@ impl CompiledModel {
         &self.params
     }
 
-    /// The `(c, h, w)` input shape the plans were resolved for.
+    /// The `(c, h, w)` input shape the model was compiled for.
     pub fn input_dims(&self) -> (usize, usize, usize) {
         (self.input_c, self.input_h, self.input_w)
     }
@@ -392,22 +371,10 @@ impl CompiledModel {
         &self.layers
     }
 
-    /// Primes the executor's plan cache with every compiled layer's resolved
-    /// window plan, so the first execution skips plan construction.
-    pub fn install_plans(&self) {
-        for l in &self.layers {
-            let Op::Conv(conv) = &self.graph.node(l.node).op else {
-                continue;
-            };
-            exec::install_plan(
-                l.in_h,
-                l.in_w,
-                conv.c_in(),
-                conv.geom(),
-                Arc::clone(&l.plan),
-            );
-        }
-    }
+    /// Does nothing: the executor builds each layer's window plan per call,
+    /// so there is nothing to install. Kept because the end-to-end benchmark
+    /// (`e2ebench/`) still calls it.
+    pub fn install_plans(&self) {}
 
     /// Per-layer executor configurations, keyed by conv node.
     pub fn configs(&self) -> BTreeMap<NodeId, LayerConfig> {
@@ -422,8 +389,7 @@ impl CompiledModel {
     ///
     /// # Panics
     ///
-    /// Panics if `input`'s `(c, h, w)` disagree with [`Self::input_dims`]
-    /// (the plans would not match) or the graph cannot execute the shape.
+    /// Panics if `input`'s `(c, h, w)` disagree with [`Self::input_dims`].
     pub fn forward(&self, input: &Tensor4) -> Vec<Tensor4> {
         let s = input.shape();
         assert_eq!(
@@ -432,7 +398,6 @@ impl CompiledModel {
             "input shape differs from the artifact's compiled shape"
         );
         let _span = snapea_obs::span!("artifact/forward");
-        self.install_plans();
         // `self.layers` is in node order; the configs are used in place.
         self.graph.forward_with(input, &mut |id, conv, x| {
             let i = self.layers.binary_search_by_key(&id, |l| l.node).ok()?;
@@ -503,14 +468,8 @@ impl CompiledModel {
     }
 
     /// Deserializes and fully validates artifact bytes, then derives the
-    /// layers exactly as [`Self::compile`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a checksum-valid GRAPH describes a network that cannot
-    /// execute the META input shape (the shape errors `Graph::forward`
-    /// raises). Only a crafted file can get there: corrupting a compiled
-    /// artifact fails a checksum first.
+    /// layers exactly as [`Self::compile`] does. A GRAPH that cannot execute
+    /// META's input shape is an [`ArtifactError::Invalid`] GRAPH error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         Self::from_bytes_with(bytes, LoadOptions::default())
     }
@@ -563,6 +522,14 @@ impl CompiledModel {
 
         let (input_c, input_h, input_w, fmt) = decode_meta(&meta)?;
         let graph = decode_graph(&graph_bytes)?;
+        graph
+            .shapes(Shape4::new(1, input_c, input_h, input_w))
+            .map_err(|detail| ArtifactError::Invalid {
+                region: "GRAPH",
+                detail: format!(
+                    "does not compose for the {input_c}x{input_h}x{input_w} input: {detail}"
+                ),
+            })?;
         let params = decode_params(&params_bytes, &graph)?;
         let model = Self::derive(graph, params, (input_c, input_h, input_w), fmt);
         snapea_obs::event!(
@@ -1278,13 +1245,5 @@ mod tests {
         let (bytes, sizes) = cm.to_bytes_sized();
         assert_eq!(sizes.total(), bytes.len());
         assert_eq!(sizes.header, 24);
-    }
-
-    #[test]
-    fn install_plans_primes_the_cache() {
-        let cm = compile_tiny();
-        exec::clear_plan_cache();
-        cm.install_plans();
-        assert_eq!(exec::plan_cache_len(), 2);
     }
 }

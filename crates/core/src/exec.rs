@@ -8,7 +8,7 @@ use crate::pau::{Pau, PauAction, TerminationKind};
 use crate::reorder::{predictive_reorder, sign_reorder, ReorderedKernel};
 use snapea_nn::ops::Conv2d;
 use snapea_tensor::im2col::ConvGeom;
-use snapea_tensor::lane;
+use snapea_tensor::lane::{self, BorderTaps};
 use snapea_tensor::q16::{quantize_slice, Q16Format, QAcc, Q16};
 use snapea_tensor::{Shape4, Tensor4};
 use std::borrow::Cow;
@@ -304,278 +304,165 @@ pub struct ExecResult {
     pub stats: PredictionStats,
 }
 
-/// Per-window input gather table: `taps[w][orig_idx]` is the offset into the
-/// image's item slice, or `-1` for a padding tap.
-#[derive(Debug, Clone)]
-pub struct GatherTable {
-    windows: usize,
-    taps: Vec<i32>,
-    window_len: usize,
-}
-
-impl GatherTable {
-    /// Builds the gather table for `geom` over inputs of shape `input`
-    /// (shared by every kernel of the layer).
-    pub fn build(input: Shape4, geom: ConvGeom, c_in: usize) -> Self {
-        let (oh, ow) = (geom.out_h(input.h), geom.out_w(input.w));
-        let window_len = c_in * geom.kh * geom.kw;
-        let mut taps = Vec::with_capacity(oh * ow * window_len);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for c in 0..c_in {
-                    for ky in 0..geom.kh {
-                        for kx in 0..geom.kw {
-                            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                            if iy < 0 || ix < 0 || iy >= input.h as isize || ix >= input.w as isize
-                            {
-                                taps.push(-1);
-                            } else {
-                                taps.push(snapea_tensor::num::idx_i32(
-                                    (c * input.h + iy as usize) * input.w + ix as usize,
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            windows: oh * ow,
-            taps,
-            window_len,
-        }
-    }
-
-    /// Number of windows.
-    pub fn windows(&self) -> usize {
-        self.windows
-    }
-
-    /// Window length `c_in × kh × kw`.
-    pub fn window_len(&self) -> usize {
-        self.window_len
-    }
-
-    /// Tap offsets of window `w`.
-    #[inline]
-    pub fn window(&self, w: usize) -> &[i32] {
-        &self.taps[w * self.window_len..(w + 1) * self.window_len]
-    }
-}
-
-/// Kernel-independent execution plan for one layer geometry: the gather
-/// table plus the *resolved-tap* factorisation of its interior windows.
+/// Kernel-independent execution plan for one layer geometry, built per
+/// call: each window's corner and base, and each weight's tap delta and
+/// kernel position. Nothing in it is sized `windows × window_len`.
 ///
-/// For a window with no padding taps, tap `i`'s offset decomposes as
-/// `base + delta[i]`, where `delta[i] = (c*h + ky)*w + kx` depends only on
-/// the original weight index and the input shape, and `base` is the window's
-/// top-left input offset. Permuting `delta` by a kernel's reorder
-/// ([`WindowPlan::resolve`]) yields taps already in walk order, so the
-/// interior hot loop needs no `order[p]` indirection and no `off >= 0`
-/// padding branch. Border windows (any padding tap) keep the general
-/// gather-table path.
-///
-/// Plans depend only on `(input.h, input.w, c_in, geom)` and are memoised by
-/// [`layer_plan`].
+/// Tap `i = (c*kh + ky)*kw + kx` of the window whose top-left tap sits at
+/// input row `y0`, column `x0` reads input row `y0 + ky`, column `x0 + kx`,
+/// at offset `base + delta[i]` into the image's item slice, where
+/// `base = y0*w + x0` and `delta[i] = (c*h + ky)*w + kx`. Permuting `delta`
+/// and `(ky, kx)` by a kernel's reorder (`WindowPlan::resolve`) yields
+/// taps already in walk order, so no walk needs an `order[p]` indirection.
+/// Interior windows (no padding tap) need no bounds check either; a border
+/// window checks each tap's row and column against the image and treats a
+/// tap outside it as padding.
 #[derive(Debug, Clone)]
 pub struct WindowPlan {
-    gather: GatherTable,
-    /// `delta[i]` for each original weight index `i` (valid for interior
-    /// windows only).
+    /// Input height and width.
+    dims: [i32; 2],
+    /// `delta[i]` for each original weight index `i`.
     delta: Vec<i32>,
-    /// Per window: the window's base offset into the item slice (≥ 0) for
-    /// interior windows, `-1` for border windows.
+    /// `(ky, kx)` for each original weight index `i`.
+    kyx: Vec<[i32; 2]>,
+    /// Per window: the input row and column of its top-left tap (negative
+    /// inside the padding).
+    corners: Vec<[i32; 2]>,
+    /// Per window: the base offset (≥ 0) of an interior window, `-1` for a
+    /// border window.
     bases: Vec<i32>,
-    interior: usize,
+}
+
+/// A kernel's taps in walk order (`WindowPlan::resolve`).
+#[derive(Debug)]
+struct ResolvedTaps {
+    /// `delta[order[p]]`: an interior window at `base` reads
+    /// `item[base + delta[p]]` at walk position `p`.
+    delta: Vec<i32>,
+    /// `(ky, kx)` of walk position `p`, for the border bounds check.
+    kyx: Vec<[i32; 2]>,
 }
 
 impl WindowPlan {
-    /// Builds the plan for `geom` over inputs of shape `input`. Prefer
-    /// [`layer_plan`], which memoises the result per geometry.
+    /// Builds the plan for `geom` over inputs of shape `input`.
     pub fn build(input: Shape4, geom: ConvGeom, c_in: usize) -> Self {
-        let gather = GatherTable::build(input, geom, c_in);
-        let window_len = gather.window_len();
-        let mut delta = Vec::with_capacity(window_len);
+        use snapea_tensor::num::idx_i32;
+        let (h, w) = (input.h, input.w);
+        let mut delta = Vec::with_capacity(c_in * geom.kh * geom.kw);
+        let mut kyx = Vec::with_capacity(delta.capacity());
         for c in 0..c_in {
             for ky in 0..geom.kh {
                 for kx in 0..geom.kw {
-                    delta.push(snapea_tensor::num::idx_i32(
-                        (c * input.h + ky) * input.w + kx,
-                    ));
+                    delta.push(idx_i32((c * h + ky) * w + kx));
+                    kyx.push([idx_i32(ky), idx_i32(kx)]);
                 }
             }
         }
-        let mut bases = Vec::with_capacity(gather.windows());
-        let mut interior = 0usize;
-        for w in 0..gather.windows() {
-            let taps = gather.window(w);
-            // A window is interior iff none of its taps fall in the padding.
-            // With `window_len == 0` there are no taps, so the window is
-            // vacuously interior with an (unused) base of 0.
-            if taps.iter().any(|&off| off < 0) {
-                bases.push(-1);
-            } else {
-                let base = taps.first().copied().unwrap_or(0);
-                debug_assert!(taps.iter().zip(delta.iter()).all(|(&t, &d)| t == base + d));
-                bases.push(base);
-                interior += 1;
+        // Per output row (column): the corner's input row (column), and
+        // whether every kernel row (column) lands inside the image.
+        let axis = |out: usize, k: usize, extent: usize| -> Vec<(i32, bool)> {
+            (0..out)
+                .map(|o| {
+                    let start = o * geom.stride;
+                    let inside = start >= geom.pad && start - geom.pad + k <= extent;
+                    (idx_i32(start) - idx_i32(geom.pad), inside)
+                })
+                .collect()
+        };
+        let rows = axis(geom.out_h(h), geom.kh, h);
+        let cols = axis(geom.out_w(w), geom.kw, w);
+        let mut corners = Vec::with_capacity(rows.len() * cols.len());
+        let mut bases = Vec::with_capacity(corners.capacity());
+        for &(y0, row_inside) in &rows {
+            for &(x0, col_inside) in &cols {
+                corners.push([y0, x0]);
+                // A window is interior iff none of its taps fall in the
+                // padding. With `c_in == 0` there are no taps, so every
+                // window is vacuously interior with an (unused) base of 0.
+                bases.push(if c_in == 0 {
+                    0
+                } else if row_inside && col_inside {
+                    y0 * idx_i32(w) + x0
+                } else {
+                    -1
+                });
             }
         }
         Self {
-            gather,
+            dims: [idx_i32(h), idx_i32(w)],
             delta,
+            kyx,
+            corners,
             bases,
-            interior,
         }
-    }
-
-    /// The underlying gather table (border windows, tests, profiling).
-    #[inline]
-    pub fn gather(&self) -> &GatherTable {
-        &self.gather
     }
 
     /// Number of windows.
     #[inline]
     pub fn windows(&self) -> usize {
-        self.gather.windows()
+        self.bases.len()
     }
 
     /// Window length `c_in × kh × kw`.
     #[inline]
     pub fn window_len(&self) -> usize {
-        self.gather.window_len()
+        self.delta.len()
+    }
+
+    /// The item offset tap `i` (an original weight index) of window `w`
+    /// reads, or `None` for a padding tap.
+    pub fn tap(&self, w: usize, i: usize) -> Option<usize> {
+        self.border_taps(w, &self.delta, &self.kyx).offset(i)
     }
 
     /// Base offset of window `w`: `≥ 0` for an interior window (tap `p` of a
     /// resolved kernel lives at `base + resolved[p]`), `-1` for a border
     /// window.
     #[inline]
-    pub fn window_base(&self, w: usize) -> i32 {
+    fn window_base(&self, w: usize) -> i32 {
         self.bases[w]
     }
 
-    /// Number of interior (padding-free) windows.
+    /// Window `w`'s taps through the given tap deltas and kernel positions,
+    /// each bounds-checked against the image.
     #[inline]
-    pub fn interior_windows(&self) -> usize {
-        self.interior
+    fn border_taps<'t>(
+        &self,
+        w: usize,
+        resolved: &'t [i32],
+        kyx: &'t [[i32; 2]],
+    ) -> BorderTaps<'t> {
+        let [y0, x0] = self.corners[w];
+        BorderTaps {
+            resolved,
+            kyx,
+            base: y0 * self.dims[1] + x0,
+            corner: [y0, x0],
+            dims: self.dims,
+        }
     }
 
-    /// The tap deltas permuted into `kernel`'s walk order: the resolved taps
-    /// of every interior window (`offset(p) = base + resolved[p]`).
+    /// The tap deltas and kernel positions permuted into `kernel`'s walk
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if the kernel's length differs from the plan's window length.
-    pub fn resolve(&self, kernel: &ReorderedKernel) -> Vec<i32> {
+    fn resolve(&self, kernel: &ReorderedKernel) -> ResolvedTaps {
         assert_eq!(kernel.len(), self.delta.len(), "kernel/plan window length");
-        kernel
+        let (delta, kyx) = kernel
             .order()
             .iter()
-            .map(|&i| self.delta[i as usize])
-            .collect()
+            .map(|&i| (self.delta[i as usize], self.kyx[i as usize]))
+            .unzip();
+        ResolvedTaps { delta, kyx }
     }
 }
 
-/// Key of the memoised plan cache: everything [`WindowPlan::build`] reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PlanKey {
-    h: usize,
-    w: usize,
-    c_in: usize,
-    geom: ConvGeom,
-}
-
-/// Entry cap before the plan cache is wiped wholesale — the executor sees a
-/// handful of geometries per network, but fuzzers (selfcheck) churn through
-/// hundreds; the cap bounds their footprint without an LRU's bookkeeping.
-const PLAN_CACHE_CAP: usize = 256;
-
-fn plan_cache(
-) -> &'static std::sync::Mutex<std::collections::BTreeMap<PlanKey, std::sync::Arc<WindowPlan>>> {
-    static CACHE: std::sync::OnceLock<
-        std::sync::Mutex<std::collections::BTreeMap<PlanKey, std::sync::Arc<WindowPlan>>>,
-    > = std::sync::OnceLock::new();
-    CACHE.get_or_init(Default::default)
-}
-
-/// Locks the plan cache, recovering from poisoning: entries are immutable
-/// `Arc`s inserted whole, so a panic elsewhere cannot leave a half-built
-/// plan behind.
-fn lock_plan_cache(
-) -> std::sync::MutexGuard<'static, std::collections::BTreeMap<PlanKey, std::sync::Arc<WindowPlan>>>
-{
-    plan_cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The memoised [`WindowPlan`] for `(input, geom, c_in)` — built once per
-/// layer geometry and shared by every subsequent call (the Algorithm 1
-/// optimizer re-profiles the same layer hundreds of times). Charges the
-/// `exec/gather_cache_hits` / `exec/gather_cache_misses` counters.
-pub fn layer_plan(input: Shape4, geom: ConvGeom, c_in: usize) -> std::sync::Arc<WindowPlan> {
-    layer_plan_entry(input, geom, c_in).0
-}
-
-/// [`layer_plan`] plus whether the plan was served from the cache (recorded
-/// on the `exec/layer` event).
-fn layer_plan_entry(
-    input: Shape4,
-    geom: ConvGeom,
-    c_in: usize,
-) -> (std::sync::Arc<WindowPlan>, bool) {
-    let key = PlanKey {
-        h: input.h,
-        w: input.w,
-        c_in,
-        geom,
-    };
-    let mut map = lock_plan_cache();
-    if let Some(p) = map.get(&key) {
-        snapea_obs::counter("exec/gather_cache_hits").inc();
-        return (std::sync::Arc::clone(p), true);
-    }
-    snapea_obs::counter("exec/gather_cache_misses").inc();
-    if map.len() >= PLAN_CACHE_CAP {
-        map.clear();
-    }
-    let plan = std::sync::Arc::new(WindowPlan::build(input, geom, c_in));
-    map.insert(key, std::sync::Arc::clone(&plan));
-    (plan, false)
-}
-
-/// Installs a prebuilt plan into the memoised cache under the key
-/// [`layer_plan`] would compute for `(input h/w, geom, c_in)` — a compiled
-/// model uses this to re-prime the cache with the plans it holds, so its
-/// first execution skips plan construction even after the cache was
-/// cleared. An already-cached plan for the key is left in place (both are
-/// deterministic functions of the key).
-pub fn install_plan(
-    h: usize,
-    w: usize,
-    c_in: usize,
-    geom: ConvGeom,
-    plan: std::sync::Arc<WindowPlan>,
-) {
-    let key = PlanKey { h, w, c_in, geom };
-    let mut map = lock_plan_cache();
-    if map.len() >= PLAN_CACHE_CAP {
-        map.clear();
-    }
-    map.entry(key).or_insert(plan);
-}
-
-/// Number of plans currently cached (test hook).
-pub fn plan_cache_len() -> usize {
-    lock_plan_cache().len()
-}
-
-/// Empties the plan cache (test hook; the executor repopulates on demand).
-pub fn clear_plan_cache() {
-    lock_plan_cache().clear();
-}
+/// Does nothing: window plans are built per call, so there is no plan cache
+/// to empty. Kept because the end-to-end benchmark (`e2ebench/`) still calls
+/// it.
+pub fn clear_plan_cache() {}
 
 /// Outcome of one window walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -646,13 +533,13 @@ const BATCH: usize = 8;
 #[derive(Debug, Clone, Copy)]
 enum Taps<'a> {
     /// An interior window of a [`WindowPlan`]: walk position `p` reads
-    /// `item[base + resolved[p]]` ([`WindowPlan::resolve`]).
+    /// `item[base + resolved[p]]`.
     Resolved { resolved: &'a [i32], base: i32 },
-    /// Any window, through its gather taps: walk position `p` reads
-    /// `item[taps[order[p]]]`. A negative offset is a padding tap, which
-    /// still occupies a MAC slot in the hardware walk (the weight is
-    /// broadcast and the lane multiplies by zero) but adds nothing.
-    Gather { order: &'a [u32], taps: &'a [i32] },
+    /// A border window: the same reads, each tap bounds-checked against the
+    /// image. A tap outside it is a padding tap, which still occupies a MAC
+    /// slot in the hardware walk (the weight is broadcast and the lane
+    /// multiplies by zero) but adds nothing.
+    Border(BorderTaps<'a>),
 }
 
 /// The arithmetic of one PE lane: everything the window walk needs to know
@@ -758,7 +645,7 @@ impl Datapath for F32Datapath {
             Taps::Resolved { resolved, base } => {
                 lane::lane_dot_resolved(weights, resolved, base, item, m8)
             }
-            Taps::Gather { order, taps } => lane::lane_dot_gather(weights, order, taps, item, m8),
+            Taps::Border(taps) => lane::lane_dot_border(weights, taps, item, m8),
         }
     }
 
@@ -1044,9 +931,9 @@ impl<D: Datapath> Sink<D> for Observed<'_> {
 struct PairWalk<'a, D: Datapath> {
     dp: &'a D,
     pau: &'a Pau,
-    order: &'a [u32],
     weights: &'a [D::Operand],
     resolved: &'a [i32],
+    kyx: &'a [[i32; 2]],
     item: &'a [D::Operand],
     seed: D::Acc,
     /// The probe-free prefix length ([`unconditional_prefix_len`]).
@@ -1054,22 +941,22 @@ struct PairWalk<'a, D: Datapath> {
 }
 
 impl<'a, D: Datapath> PairWalk<'a, D> {
-    /// `weights` must be `dp.weights(kernel)` and `resolved` the kernel's
-    /// resolved taps (empty when only gather walks are used).
+    /// `weights` must be `dp.weights(kernel)` and `taps` the kernel's
+    /// resolved taps.
     fn new(
         dp: &'a D,
         kernel: &'a KernelExec,
         weights: &'a [D::Operand],
-        resolved: &'a [i32],
+        taps: &'a ResolvedTaps,
         item: &'a [D::Operand],
         bias: f32,
     ) -> Self {
         Self {
             dp,
             pau: &kernel.pau,
-            order: kernel.reordered.order(),
             weights,
-            resolved,
+            resolved: &taps.delta,
+            kyx: &taps.kyx,
             item,
             seed: dp.seed(bias),
             stop1: unconditional_prefix_len(&kernel.pau, weights.len()),
@@ -1086,26 +973,28 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
         })
     }
 
-    /// The operands and MAC of a window read through its gather taps (any
-    /// window; border windows need it).
+    /// The operands and MAC of window `w` of `plan` with every tap
+    /// bounds-checked: a padding tap is a skipped MAC.
     #[inline(always)]
-    fn gather<'t>(
+    fn border(
         &self,
-        taps: &'t [i32],
-    ) -> (Taps<'t>, impl Fn(usize, D::Acc) -> D::Acc + Copy + 't)
-    where
-        'a: 't,
-    {
-        let (weights, order, item): (&'t [D::Operand], &'t [u32], &'t [D::Operand]) =
-            (self.weights, self.order, self.item);
-        (Taps::Gather { order, taps }, move |p, acc| {
-            let off = taps[order[p] as usize];
-            if off >= 0 {
-                D::mac(acc, item[off as usize], weights[p])
-            } else {
-                acc
-            }
+        plan: &WindowPlan,
+        w: usize,
+    ) -> (Taps<'a>, impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a) {
+        let (weights, item) = (self.weights, self.item);
+        let taps = plan.border_taps(w, self.resolved, self.kyx);
+        (Taps::Border(taps), move |p, acc| match taps.offset(p) {
+            Some(off) => D::mac(acc, item[off], weights[p]),
+            None => acc,
         })
+    }
+
+    /// Walks border window `w` of `plan` into `sink`. Out of line, so the
+    /// interior path compiles as if border windows did not exist.
+    #[inline(never)]
+    fn walk_border(&self, plan: &WindowPlan, w: usize, sink: &mut impl Sink<D>) {
+        let (taps, mac) = self.border(plan, w);
+        sink.one(self, w, self.prefix(taps, mac), mac);
     }
 
     /// One window's probe-free prefix: the lane-blocked region, then the
@@ -1189,10 +1078,11 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
     /// Walks every window of the pair into `sink`. Interior windows gather
     /// into [`BATCH`]-wide groups, which may span border windows, and walk
     /// their probe-free prefixes through the datapath's eight-window
-    /// kernel; border windows take the gather path as they come, and the
-    /// interior windows still pending at the end walk one at a time. Every
-    /// outcome lands at its window's index, so the walk order never shows.
-    // lint:allow(P2) lane fills are bounded by BATCH; taps validated by the plan
+    /// kernel; border windows take the bounds-checked path as they come,
+    /// and the interior windows still pending at the end walk one at a
+    /// time. Every outcome lands at its window's index, so the walk order
+    /// never shows.
+    // lint:allow(P2) lane fills are bounded by BATCH
     fn walk_windows(&self, plan: &WindowPlan, sink: &mut impl Sink<D>) -> LaneCounts {
         let mut lc = LaneCounts::default();
         let mut lanes = [(0usize, 0i32); BATCH];
@@ -1201,8 +1091,7 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
             let base = plan.window_base(w);
             if base < 0 {
                 lc.scalar += 1;
-                let (taps, mac) = self.gather(plan.gather().window(w));
-                sink.one(self, w, self.prefix(taps, mac), mac);
+                self.walk_border(plan, w, sink);
                 continue;
             }
             lanes[nl] = (w, base);
@@ -1226,23 +1115,36 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
 }
 
 /// Walks a single convolution window: probes the PAU exactly as the hardware
-/// lanes do before each MAC, terminates when it says so. `item` is the
-/// image's contiguous `c*h*w` slice; `taps` maps original weight indices to
-/// offsets (−1 = padding). Padding taps still occupy a MAC slot in the
-/// hardware walk: the weight is broadcast and the lane multiplies by zero.
-pub fn run_window(kernel: &KernelExec, taps: &[i32], item: &[f32], bias: f32) -> WindowResult {
+/// lanes do before each MAC, terminates when it says so. `values[i]` is the
+/// input under original weight index `i`.
+///
+/// # Panics
+///
+/// Panics if `values` is shorter than the kernel.
+pub fn run_window(kernel: &KernelExec, values: &[f32], bias: f32) -> WindowResult {
+    // `values` is an interior window at base 0 whose tap deltas are the
+    // weight indices themselves.
+    let taps = ResolvedTaps {
+        delta: kernel
+            .reordered
+            .order()
+            .iter()
+            .map(|&i| snapea_tensor::num::idx_i32(i as usize))
+            .collect(),
+        kyx: Vec::new(),
+    };
     let weights = F32Datapath.weights(kernel);
-    let walk = PairWalk::new(&F32Datapath, kernel, &weights, &[], item, bias);
-    walk.walk(walk.gather(taps))
+    let walk = PairWalk::new(&F32Datapath, kernel, &weights, &taps, values, bias);
+    walk.walk(walk.interior(0))
 }
 
 /// Walks every window of one kernel over every image of `input` in observed
 /// mode, through the executor's own walk: `obs[img * windows + w]` receives
-/// window `w` of image `img`. `plan` must be `input`'s plan for the layer
-/// ([`layer_plan`]). Images are walked in order on the calling thread and
-/// no `exec/*` metric is charged: Algorithm 1's Kernel Profiling pass calls
-/// this once per kernel and candidate reordering, inside its own parallel
-/// map.
+/// window `w` of image `img`. `plan` must be the layer's plan for `input`'s
+/// shape ([`WindowPlan::build`]). Images are walked in order on the calling
+/// thread and no `exec/*` metric is charged: Algorithm 1's Kernel Profiling
+/// pass calls this once per kernel and candidate reordering, inside its own
+/// parallel map.
 ///
 /// # Panics
 ///
@@ -1264,17 +1166,10 @@ pub fn observe_kernel(
     if windows == 0 {
         return;
     }
-    let resolved = plan.resolve(&kernel.reordered);
+    let taps = plan.resolve(&kernel.reordered);
     let weights = F32Datapath.weights(kernel);
     for (n, image_obs) in obs.chunks_mut(windows).enumerate() {
-        let walk = PairWalk::new(
-            &F32Datapath,
-            kernel,
-            &weights,
-            &resolved,
-            input.item(n),
-            bias,
-        );
+        let walk = PairWalk::new(&F32Datapath, kernel, &weights, &taps, input.item(n), bias);
         walk.walk_windows(plan, &mut Observed(image_obs));
     }
 }
@@ -1367,16 +1262,16 @@ fn execute<D: Datapath>(
     let trace_kernels = snapea_obs::enabled() && snapea_obs::detail_enabled();
     let layer_clock = snapea_obs::Stopwatch::start();
     let s = input.shape();
-    let (plan, cache_hit) = layer_plan_entry(s, conv.geom(), conv.c_in());
+    let plan = WindowPlan::build(s, conv.geom(), conv.c_in());
     let out_shape = conv.out_shape(s);
     let windows = plan.windows();
     debug_assert_eq!(windows, out_shape.plane_len());
 
-    // Resolved taps (walk-order tap deltas) and operand weights once per
-    // kernel, operand activations once per image, shared by every pair's
-    // task. Quantisation is deterministic, so hoisting it out of the
-    // per-MAC loop changes nothing numerically.
-    let resolved: Vec<Vec<i32>> = cfg
+    // Resolved taps (walk-order tap deltas and kernel positions) and
+    // operand weights once per kernel, operand activations once per image,
+    // shared by every pair's task. Quantisation is deterministic, so
+    // hoisting it out of the per-MAC loop changes nothing numerically.
+    let resolved: Vec<ResolvedTaps> = cfg
         .kernels
         .iter()
         .map(|k| plan.resolve(&k.reordered))
@@ -1476,7 +1371,6 @@ fn execute<D: Datapath>(
         &profile,
         collect_stats.then_some(&stats),
         lane_counts,
-        cache_hit,
         layer_clock.elapsed_ms(),
     );
     ExecResult {
@@ -1496,7 +1390,6 @@ fn record_layer_execution(
     profile: &LayerProfile,
     stats: Option<&PredictionStats>,
     lane_counts: LaneCounts,
-    gather_cache_hit: bool,
     elapsed_ms: f64,
 ) {
     let performed = profile.total_ops();
@@ -1524,7 +1417,6 @@ fn record_layer_execution(
                 performed_macs = performed,
                 full_macs = dense,
                 savings = profile.savings(),
-                gather_cache_hit = gather_cache_hit,
                 elapsed_ms = elapsed_ms,
                 lane_windows = lane_counts.lane,
                 scalar_windows = lane_counts.scalar,
@@ -1541,7 +1433,6 @@ fn record_layer_execution(
                 performed_macs = performed,
                 full_macs = dense,
                 savings = profile.savings(),
-                gather_cache_hit = gather_cache_hit,
                 elapsed_ms = elapsed_ms,
                 lane_windows = lane_counts.lane,
                 scalar_windows = lane_counts.scalar,
@@ -1555,12 +1446,11 @@ fn record_layer_execution(
 /// non-zero — zero activations (the output of upstream ReLUs) are skipped
 /// outright, regardless of weight signs. This is the orthogonal,
 /// input-sparsity approach SnaPEA is contrasted against.
-// lint:allow(P2) gather offsets are >= 0 checked and built in-bounds for the item slice
+// lint:allow(P2) the plan's tap offsets lie inside the item slice of the shape it was built for
 pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
     let s = input.shape();
-    let plan = layer_plan(s, conv.geom(), conv.c_in());
-    let gather = plan.gather();
-    let windows = gather.windows();
+    let plan = WindowPlan::build(s, conv.geom(), conv.c_in());
+    let windows = plan.windows();
     let mut ops = Vec::with_capacity(s.n * conv.c_out() * windows);
     for n in 0..s.n {
         let item = input.item(n);
@@ -1568,10 +1458,8 @@ pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
         // once and replicate across kernels.
         let mut per_window = Vec::with_capacity(windows);
         for w in 0..windows {
-            let count = gather
-                .window(w)
-                .iter()
-                .filter(|&&off| off >= 0 && item[off as usize] != 0.0)
+            let count = (0..plan.window_len())
+                .filter(|&i| plan.tap(w, i).is_some_and(|off| item[off] != 0.0))
                 .count();
             let count = snapea_tensor::num::ops_u32(count);
             per_window.push(count);
@@ -1597,14 +1485,14 @@ pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
 ///
 /// Panics if `walked` does not have one op count per (image, kernel,
 /// window) of `conv` over `input`.
-// lint:allow(P2) gather offsets are >= 0 checked and built in-bounds for the item slice
+// lint:allow(P2) the plan's tap offsets lie inside the item slice of the shape it was built for
 pub fn combined_profile(
     conv: &Conv2d,
     input: &Tensor4,
     cfg: &LayerConfig,
     walked: &LayerProfile,
 ) -> LayerProfile {
-    let plan = layer_plan(input.shape(), conv.geom(), conv.c_in());
+    let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
     let windows = plan.windows();
     assert_eq!(
         (walked.images(), walked.kernels(), walked.windows()),
@@ -1617,13 +1505,9 @@ pub fn combined_profile(
         for (k, kexec) in cfg.kernels.iter().enumerate() {
             let order = kexec.reordered.order();
             for (w, &walked_ops) in walked.kernel_ops(n, k).iter().enumerate() {
-                let taps = plan.gather().window(w);
                 let effectual = order[..walked_ops as usize]
                     .iter()
-                    .filter(|&&i| {
-                        let off = taps[i as usize];
-                        off >= 0 && item[off as usize] != 0.0
-                    })
+                    .filter(|&&i| plan.tap(w, i as usize).is_some_and(|off| item[off] != 0.0))
                     .count();
                 ops.push(snapea_tensor::num::ops_u32(effectual));
             }
@@ -1898,15 +1782,22 @@ mod tests {
         );
     }
 
-    /// Brute-force interior test straight from the definition: a window is
-    /// border iff any of its gather taps is a padding tap.
-    fn brute_force_is_border(gather: &GatherTable, w: usize) -> bool {
-        gather.window(w).iter().any(|&off| off < 0)
+    /// The input offset of tap `(c, ky, kx)` of output position `(oy, ox)`,
+    /// straight from the convolution's definition (`None` in the padding).
+    fn brute_force_tap(
+        (h, w): (usize, usize),
+        geom: ConvGeom,
+        (oy, ox): (usize, usize),
+        (c, ky, kx): (usize, usize, usize),
+    ) -> Option<usize> {
+        let iy = (oy * geom.stride + ky).checked_sub(geom.pad)?;
+        let ix = (ox * geom.stride + kx).checked_sub(geom.pad)?;
+        (iy < h && ix < w).then(|| (c * h + iy) * w + ix)
     }
 
     proptest::proptest! {
         #[test]
-        fn plan_partition_matches_brute_force_scan(
+        fn plan_taps_match_brute_force_scan(
             h in 1usize..10,
             w in 1usize..10,
             c_in in 1usize..4,
@@ -1918,44 +1809,39 @@ mod tests {
             let shape = Shape4::new(1, c_in, h, w);
             let geom = ConvGeom { kh, kw, stride, pad };
             let plan = WindowPlan::build(shape, geom, c_in);
-            let gather = plan.gather();
-            let mut interior = 0usize;
+            let (oh, ow) = (geom.out_h(h), geom.out_w(w));
+            proptest::prop_assert_eq!(plan.windows(), oh * ow);
+            proptest::prop_assert_eq!(plan.window_len(), c_in * kh * kw);
             for win in 0..plan.windows() {
                 let base = plan.window_base(win);
-                let border = brute_force_is_border(gather, win);
-                proptest::prop_assert_eq!(base >= 0, !border, "window {}", win);
-                if base >= 0 {
-                    interior += 1;
-                    // Interior windows must reconstruct their gather taps
-                    // exactly from base + delta (here via an identity-order
-                    // kernel's resolved taps).
-                    let taps = gather.window(win);
-                    for (i, &t) in taps.iter().enumerate() {
-                        let delta = {
-                            let per_c = geom.kh * geom.kw;
-                            let (c, r) = (i / per_c, i % per_c);
-                            let (ky, kx) = (r / geom.kw, r % geom.kw);
-                            ((c * h + ky) * w + kx) as i32
-                        };
-                        proptest::prop_assert_eq!(t, base + delta);
+                let mut border = false;
+                for i in 0..plan.window_len() {
+                    let tap = (i / (kh * kw), i / kw % kh, i % kw);
+                    let want = brute_force_tap((h, w), geom, (win / ow, win % ow), tap);
+                    proptest::prop_assert_eq!(plan.tap(win, i), want, "window {} tap {}", win, i);
+                    border |= want.is_none();
+                    // An interior window reads base + delta with no check.
+                    if base >= 0 {
+                        proptest::prop_assert_eq!(Some((base + plan.delta[i]) as usize), want);
                     }
                 }
+                proptest::prop_assert_eq!(base >= 0, !border, "window {}", win);
             }
-            proptest::prop_assert_eq!(interior, plan.interior_windows());
             // pad == 0 with a kernel that fits the input means no window can
             // touch padding. (A kernel *larger* than the input still yields
             // one out-of-bounds window under the saturating output formula.)
             if pad == 0 && kh <= h && kw <= w {
-                proptest::prop_assert_eq!(plan.interior_windows(), plan.windows());
+                proptest::prop_assert!((0..plan.windows()).all(|win| plan.window_base(win) >= 0));
             }
         }
     }
 
-    /// Interior windows walk through resolved taps; any window can also
-    /// walk through its gather taps. On an interior window both must give
-    /// the same result, walked or observed, on either datapath.
+    /// The bounds-checked border path, taken on an interior window, must
+    /// match the interior path, walked or observed, on either datapath; on
+    /// every window, the f32 walk must match [`run_window`] over the
+    /// window's input values.
     #[test]
-    fn resolved_walk_matches_gather_walk_on_interior_windows() {
+    fn border_walk_matches_interior_walk_and_window_values() {
         fn observe_one<D: Datapath>(
             walk: &PairWalk<'_, D>,
             (taps, mac): (Taps<'_>, impl Fn(usize, D::Acc) -> D::Acc + Copy),
@@ -1967,67 +1853,85 @@ mod tests {
         fn check<D: Datapath>(dp: &D, conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) {
             let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
             let item = dp.activations(input.item(0));
+            let mut border_windows = 0;
             for (k, kexec) in cfg.kernels().iter().enumerate() {
                 let rt = plan.resolve(&kexec.reordered);
                 let weights = dp.weights(kexec);
                 let walk = PairWalk::new(dp, kexec, &weights, &rt, &item, conv.bias()[k]);
                 for w in 0..plan.windows() {
+                    let border = walk.walk(walk.border(&plan, w));
                     let base = plan.window_base(w);
                     if base < 0 {
+                        border_windows += 1;
                         continue;
                     }
-                    let taps = plan.gather().window(w);
-                    let gather = walk.walk(walk.gather(taps));
-                    let resolved = walk.walk(walk.interior(base));
-                    assert_eq!(gather, resolved, "kernel {k} window {w}");
-                    let observed = observe_one(&walk, walk.gather(taps));
+                    let interior = walk.walk(walk.interior(base));
+                    assert_eq!(border, interior, "kernel {k} window {w}");
+                    let observed = observe_one(&walk, walk.border(&plan, w));
                     assert_eq!(observed, observe_one(&walk, walk.interior(base)));
-                    assert_eq!(observed.result, gather, "kernel {k} window {w}");
+                    assert_eq!(observed.result, border, "kernel {k} window {w}");
                 }
             }
+            assert!(border_windows > 0, "the geometry must have border windows");
         }
         let mut rng = init::rng(70);
-        let conv = Conv2d::new(2, 3, ConvGeom::square(3, 1, 1), &mut rng);
-        let input = nonneg_input(Shape4::new(1, 2, 7, 7), 71);
-        let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.1, 4));
-        check(&F32Datapath, &conv, &input, &cfg);
-        check(&Q16Datapath(Q16Format::new(10)), &conv, &input, &cfg);
-    }
-
-    #[test]
-    fn layer_plan_cache_hits_and_misses_are_counted() {
-        // A deliberately odd geometry no other test uses, so the first call
-        // must miss and the second must hit even with tests running in
-        // parallel against the shared cache and counters.
-        let shape = Shape4::new(1, 3, 23, 19);
+        // A non-square kernel with an uneven stride on a non-square input,
+        // so a swapped row/column anywhere in the plan shows.
         let geom = ConvGeom {
-            kh: 2,
-            kw: 3,
+            kh: 3,
+            kw: 2,
             stride: 2,
             pad: 1,
         };
-        let hits0 = snapea_obs::counter("exec/gather_cache_hits").get();
-        let misses0 = snapea_obs::counter("exec/gather_cache_misses").get();
-        let a = layer_plan(shape, geom, 3);
-        let b = layer_plan(shape, geom, 3);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "second call must be cached");
-        assert!(snapea_obs::counter("exec/gather_cache_misses").get() > misses0);
-        assert!(snapea_obs::counter("exec/gather_cache_hits").get() > hits0);
-        assert!(plan_cache_len() >= 1);
+        let conv = Conv2d::new(2, 3, geom, &mut rng);
+        let input = nonneg_input(Shape4::new(1, 2, 7, 9), 71);
+        let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.1, 4));
+        check(&F32Datapath, &conv, &input, &cfg);
+        check(&Q16Datapath(Q16Format::new(10)), &conv, &input, &cfg);
+
+        let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
+        let item = input.item(0);
+        for (k, kexec) in cfg.kernels().iter().enumerate() {
+            let rt = plan.resolve(&kexec.reordered);
+            let walk = PairWalk::new(
+                &F32Datapath,
+                kexec,
+                kexec.reordered.weights(),
+                &rt,
+                item,
+                conv.bias()[k],
+            );
+            for w in 0..plan.windows() {
+                let values: Vec<f32> = (0..plan.window_len())
+                    .map(|i| plan.tap(w, i).map_or(0.0, |off| item[off]))
+                    .collect();
+                let want = run_window(kexec, &values, conv.bias()[k]);
+                assert_eq!(
+                    walk.walk(walk.border(&plan, w)),
+                    want,
+                    "kernel {k} window {w}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn gather_table_matches_im2col_layout() {
-        let shape = Shape4::new(1, 2, 5, 5);
-        let geom = ConvGeom::square(3, 2, 1);
-        let g = GatherTable::build(shape, geom, 2);
+    fn plan_taps_match_im2col_layout() {
+        let shape = Shape4::new(1, 2, 5, 6);
+        let geom = ConvGeom {
+            kh: 3,
+            kw: 2,
+            stride: 2,
+            pad: 1,
+        };
+        let plan = WindowPlan::build(shape, geom, 2);
         let x = Tensor4::from_fn(shape, |_, c, h, w| (c * 100 + h * 10 + w) as f32);
         let cols = snapea_tensor::im2col::im2col(&x, 0, geom);
         let item = x.item(0);
-        for w in 0..g.windows() {
-            for (idx, &off) in g.window(w).iter().enumerate() {
+        for w in 0..plan.windows() {
+            for idx in 0..plan.window_len() {
                 let expect = cols[(idx, w)];
-                let got = if off < 0 { 0.0 } else { item[off as usize] };
+                let got = plan.tap(w, idx).map_or(0.0, |off| item[off]);
                 assert_eq!(got, expect, "window {w} tap {idx}");
             }
         }

@@ -18,7 +18,7 @@
 //! measure *real* network accuracy, exactly as in the paper, so surrogate
 //! mis-rankings are corrected before any parameter is adopted.
 
-use crate::exec::{layer_plan, observe_kernel, KernelExec, WindowObs};
+use crate::exec::{observe_kernel, KernelExec, WindowObs, WindowPlan};
 use crate::params::{KernelMode, KernelParams};
 use crate::pau::Pau;
 use crate::reorder::{predictive_reorder, sign_reorder};
@@ -106,7 +106,7 @@ pub fn profile_layer_kernels(
     budget: f64,
 ) -> Vec<KernelTable> {
     let s = input.shape();
-    let plan = layer_plan(s, conv.geom(), conv.c_in());
+    let plan = WindowPlan::build(s, conv.geom(), conv.c_in());
     let windows = plan.windows();
     let images = s.n;
     let window_len = conv.window_len();

@@ -209,6 +209,79 @@ impl Graph {
         self.param_count() * 4
     }
 
+    /// Every node's output shape for an input of shape `input`, read off the
+    /// ops' geometry without computing an activation: `result[id]` is the
+    /// shape [`Graph::forward`] gives node `id`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first node that `forward` would reject: a missing input, a
+    /// conv whose input channels or a linear layer whose input features
+    /// disagree with its weights, a concat whose inputs differ in batch or
+    /// spatial dims, or a flattened size that overflows `usize`.
+    pub fn shapes(&self, input: Shape4) -> Result<Vec<Shape4>, String> {
+        let mut shapes: Vec<Shape4> = Vec::with_capacity(self.nodes.len());
+        for (id, node) in self.nodes.iter().enumerate() {
+            let fail = |what: String| format!("node {id} ({}): {what}", node.name);
+            // `from_nodes` guarantees every producer precedes its consumer.
+            let arg = |k: usize| {
+                node.inputs
+                    .get(k)
+                    .and_then(|&i| shapes.get(i).copied())
+                    .ok_or_else(|| fail(format!("missing input {k}")))
+            };
+            let features = |s: Shape4| {
+                s.c.checked_mul(s.h)
+                    .and_then(|v| v.checked_mul(s.w))
+                    .ok_or_else(|| fail(format!("{}x{}x{} features overflow", s.c, s.h, s.w)))
+            };
+            let out = match &node.op {
+                Op::Input => input,
+                Op::Conv(c) => {
+                    let x = arg(0)?;
+                    if x.c != c.c_in() {
+                        return Err(fail(format!("conv input channels {} != {}", x.c, c.c_in())));
+                    }
+                    c.out_shape(x)
+                }
+                Op::Relu | Op::Lrn(_) => arg(0)?,
+                Op::MaxPool(p) => p.geom.out_shape(arg(0)?),
+                Op::AvgPool(p) => p.geom.out_shape(arg(0)?),
+                Op::Concat => {
+                    let first = arg(0)?;
+                    let mut c = 0usize;
+                    for k in 0..node.inputs.len() {
+                        let s = arg(k)?;
+                        if (s.n, s.h, s.w) != (first.n, first.h, first.w) {
+                            return Err(fail(format!(
+                                "concat input {k} is {}x{}x{}x{}, input 0 {}x{}x{}x{}",
+                                s.n, s.c, s.h, s.w, first.n, first.c, first.h, first.w
+                            )));
+                        }
+                        c = c
+                            .checked_add(s.c)
+                            .ok_or_else(|| fail("concat channels overflow".to_string()))?;
+                    }
+                    Shape4::new(first.n, c, first.h, first.w)
+                }
+                Op::Flatten => {
+                    let x = arg(0)?;
+                    Shape4::new(x.n, features(x)?, 1, 1)
+                }
+                Op::Linear(l) => {
+                    let x = arg(0)?;
+                    let f = features(x)?;
+                    if f != l.c_in() {
+                        return Err(fail(format!("linear input features {f} != {}", l.c_in())));
+                    }
+                    Shape4::new(x.n, l.c_out(), 1, 1)
+                }
+            };
+            shapes.push(out);
+        }
+        Ok(shapes)
+    }
+
     /// Runs the forward pass, returning every node's activation
     /// (`result[id]` is node `id`'s output; `result[0]` is the input itself).
     pub fn forward(&self, input: &Tensor4) -> Vec<Tensor4> {
@@ -637,6 +710,41 @@ mod tests {
         assert_eq!(g.conv_ids(), vec![1, 3]);
         assert!(g.feeds_only_relu(1));
         assert!(!g.feeds_only_relu(cat));
+    }
+
+    #[test]
+    fn shapes_match_the_forward_and_name_each_mismatch() {
+        let mut rng = init::rng(8);
+        let mut b = GraphBuilder::new();
+        let x = b.input();
+        let a = b.conv("a", x, 2, 3, ConvGeom::square(1, 1, 0), &mut rng);
+        let p = b.max_pool_padded("p", x, 3, 1, 1);
+        let cat = b.concat("cat", vec![a, p]);
+        let f = b.flatten("f", cat);
+        let _ = b.linear("fc", f, 5 * 4 * 3, 2, &mut rng);
+        let g = b.build();
+        let input = Tensor4::full(Shape4::new(2, 2, 4, 3), 0.5);
+        let want: Vec<Shape4> = g.forward(&input).iter().map(Tensor4::shape).collect();
+        assert_eq!(g.shapes(input.shape()), Ok(want));
+
+        // Each op the forward would panic on is an error naming its node.
+        let err = |s: Shape4| g.shapes(s).expect_err("shape mismatch");
+        assert!(err(Shape4::new(1, 3, 4, 3)).starts_with("node 1 (a): conv input channels 3 != 2"));
+        assert!(err(Shape4::new(1, 2, 4, 4)).starts_with("node 5 (fc): linear input features 80"));
+        let mut nodes = g.nodes().to_vec();
+        nodes[2].op = Op::MaxPool(MaxPool::new(2, 2));
+        let g = Graph::from_nodes(nodes).unwrap();
+        assert!(g
+            .shapes(input.shape())
+            .unwrap_err()
+            .starts_with("node 3 (cat): concat input 1"));
+        let mut nodes = g.nodes().to_vec();
+        nodes[1].inputs.clear();
+        let g = Graph::from_nodes(nodes).unwrap();
+        assert_eq!(
+            g.shapes(input.shape()),
+            Err("node 1 (a): missing input 0".to_string())
+        );
     }
 
     #[test]

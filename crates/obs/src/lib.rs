@@ -5,7 +5,7 @@
 //! by every layer of the workspace:
 //!
 //! * [`metrics`] — a global registry of relaxed-atomic counters, gauges, and
-//!   fixed-bucket histograms. Always on; an increment is one
+//!   log-bucketed latency histograms. Always on; an increment is one
 //!   `fetch_add(Relaxed)` with no allocation, cheap enough for the
 //!   executor's per-layer hot path.
 //! * [`span`](mod@span) — hierarchical wall-time span timers ([`span!`])
@@ -53,8 +53,8 @@ pub mod span;
 pub use chrome::{chrome_trace, validate_chrome_trace, Selection};
 pub use json::{parse, Json, JsonError};
 pub use metrics::{
-    counter, gauge, histogram, log_histogram, registry, Counter, Gauge, Histogram, LogHistogram,
-    LogHistogramSnapshot, Registry,
+    counter, gauge, log_histogram, registry, Counter, Gauge, LogHistogram, LogHistogramSnapshot,
+    Registry,
 };
 pub use perfdiff::{DiffRow, PerfDiff};
 pub use report::Report;

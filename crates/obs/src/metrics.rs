@@ -1,4 +1,4 @@
-//! The global metrics registry: counters, gauges, and fixed-bucket
+//! The global metrics registry: counters, gauges, and log-bucketed
 //! histograms.
 //!
 //! Metrics are **always on**: increments are relaxed atomic operations with
@@ -50,82 +50,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// A histogram with fixed, caller-supplied bucket upper bounds.
-///
-/// `bounds` are inclusive upper edges; one implicit overflow bucket catches
-/// everything above the last bound. The sum is accumulated in nanos-style
-/// fixed point (×1e6) so it stays an atomic integer.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    /// Total observations.
-    count: AtomicU64,
-    /// Sum of observations, scaled by 1e6 and rounded.
-    sum_micro: AtomicU64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given inclusive upper bounds (must be
-    /// sorted ascending).
-    pub fn new(bounds: Vec<f64>) -> Self {
-        let n = bounds.len() + 1;
-        Self {
-            bounds,
-            counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_micro: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation (relaxed atomics, no allocation).
-    #[inline]
-    pub fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let micro = (v.max(0.0) * 1e6).round() as u64;
-        self.sum_micro.fetch_add(micro, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum_micro.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
-    /// Per-bucket counts, one per bound plus the overflow bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The configured bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 }
 
@@ -382,7 +306,6 @@ impl LogHistogramSnapshot {
 struct Instruments {
     counters: BTreeMap<String, &'static Counter>,
     gauges: BTreeMap<String, &'static Gauge>,
-    histograms: BTreeMap<String, &'static Histogram>,
     log_histograms: BTreeMap<String, &'static LogHistogram>,
 }
 
@@ -430,18 +353,6 @@ impl Registry {
         v
     }
 
-    /// Interns (or retrieves) the histogram `name` with `bounds` (bounds are
-    /// fixed at first registration).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> &'static Histogram {
-        let mut g = self.lock();
-        if let Some(h) = g.histograms.get(name) {
-            return h;
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new(bounds.to_vec())));
-        g.histograms.insert(name.to_string(), h);
-        h
-    }
-
     /// Interns (or retrieves) the log-bucketed histogram `name`.
     pub fn log_histogram(&self, name: &str) -> &'static LogHistogram {
         let mut g = self.lock();
@@ -454,8 +365,8 @@ impl Registry {
     }
 
     /// Snapshot of every instrument as a JSON object (counters and gauges as
-    /// scalars, fixed-bucket histograms as `{count, sum, mean}`, log
-    /// histograms as their full mergeable form with p50/p90/p99).
+    /// scalars, log histograms as their full mergeable form with
+    /// p50/p90/p99).
     pub fn snapshot(&self) -> Json {
         let g = self.lock();
         let mut pairs: Vec<(String, Json)> = Vec::new();
@@ -464,16 +375,6 @@ impl Registry {
         }
         for (name, v) in &g.gauges {
             pairs.push((name.clone(), Json::F64(v.get())));
-        }
-        for (name, h) in &g.histograms {
-            pairs.push((
-                name.clone(),
-                Json::obj(vec![
-                    ("count", Json::U64(h.count())),
-                    ("sum", Json::F64(h.sum())),
-                    ("mean", Json::F64(h.mean())),
-                ]),
-            ));
         }
         for (name, h) in &g.log_histograms {
             pairs.push((name.clone(), h.snapshot().to_json()));
@@ -503,11 +404,6 @@ pub fn counter(name: &str) -> &'static Counter {
 /// Shorthand for `registry().gauge(name)`.
 pub fn gauge(name: &str) -> &'static Gauge {
     registry().gauge(name)
-}
-
-/// Shorthand for `registry().histogram(name, bounds)`.
-pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
-    registry().histogram(name, bounds)
 }
 
 /// Shorthand for `registry().log_histogram(name)`.
@@ -540,22 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_mean() {
-        let h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        for v in [0.5, 5.0, 50.0, 500.0, 0.5] {
-            h.observe(v);
-        }
-        assert_eq!(h.bucket_counts(), vec![2, 1, 1, 1]);
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 556.0).abs() < 1e-3);
-        assert!((h.mean() - 111.2).abs() < 1e-3);
-    }
-
-    #[test]
     fn snapshot_contains_registered_instruments() {
         counter("test/metrics/snap").add(7);
         gauge("test/metrics/snapg").set(0.5);
-        histogram("test/metrics/snaph", &[1.0]).observe(0.25);
         let snap = registry().snapshot();
         assert!(
             snap.get("test/metrics/snap")
@@ -567,10 +450,6 @@ mod tests {
             snap.get("test/metrics/snapg").and_then(Json::as_f64),
             Some(0.5)
         );
-        assert!(snap
-            .get("test/metrics/snaph")
-            .and_then(|h| h.get("count"))
-            .is_some());
     }
 
     #[test]

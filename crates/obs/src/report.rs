@@ -41,11 +41,6 @@ pub struct ExecSummary {
     pub full_macs: u64,
     /// MACs actually performed under early termination.
     pub performed_macs: u64,
-    /// Layer runs that reused a cached window plan (`gather_cache_hit`
-    /// on the event; absent on logs from older builds counts as neither).
-    pub gather_cache_hits: u64,
-    /// Layer runs that had to build their window plan.
-    pub gather_cache_misses: u64,
     /// Windows that ran through the eight-wide lane-blocked batch path
     /// (`lane_windows` on the event; 0 on logs from older builds).
     pub lane_windows: u64,
@@ -173,8 +168,6 @@ impl Report {
                         layers: 0,
                         full_macs: 0,
                         performed_macs: 0,
-                        gather_cache_hits: 0,
-                        gather_cache_misses: 0,
                         lane_windows: 0,
                         scalar_windows: 0,
                     });
@@ -183,11 +176,6 @@ impl Report {
                     x.performed_macs += u(&e, "performed_macs").unwrap_or(0);
                     x.lane_windows += u(&e, "lane_windows").unwrap_or(0);
                     x.scalar_windows += u(&e, "scalar_windows").unwrap_or(0);
-                    match e.get("gather_cache_hit").and_then(Json::as_bool) {
-                        Some(true) => x.gather_cache_hits += 1,
-                        Some(false) => x.gather_cache_misses += 1,
-                        None => {}
-                    }
                 }
                 "sim/layer" => {
                     let s = report.sim.get_or_insert(SimSummary {
@@ -286,8 +274,6 @@ impl Report {
                     ("full_macs", Json::U64(x.full_macs)),
                     ("performed_macs", Json::U64(x.performed_macs)),
                     ("saved_fraction", Json::F64(x.saved_fraction())),
-                    ("gather_cache_hits", Json::U64(x.gather_cache_hits)),
-                    ("gather_cache_misses", Json::U64(x.gather_cache_misses)),
                     ("lane_windows", Json::U64(x.lane_windows)),
                     ("scalar_windows", Json::U64(x.scalar_windows)),
                     ("lane_fraction", Json::F64(x.lane_fraction())),
@@ -347,12 +333,6 @@ impl Report {
                 x.performed_macs,
                 x.saved_fraction() * 100.0
             ));
-            if x.gather_cache_hits + x.gather_cache_misses > 0 {
-                out.push_str(&format!(
-                    "  window-plan cache: {} hits, {} misses\n",
-                    x.gather_cache_hits, x.gather_cache_misses
-                ));
-            }
             if x.lane_windows + x.scalar_windows > 0 {
                 out.push_str(&format!(
                     "  lane engine: {} windows lane-blocked, {} scalar ({:.1}% lane)\n",
@@ -386,8 +366,8 @@ mod tests {
             r#"{"seq":2,"t_ms":0.3,"kind":"span","span_id":2,"parent_id":1,"name":"optimizer/local","path":"optimizer > optimizer/local","depth":2,"ms":4.0}"#,
             r#"{"seq":3,"t_ms":0.3,"kind":"span","span_id":1,"parent_id":0,"name":"optimizer","path":"optimizer","depth":1,"ms":10.0}"#,
             r#"{"seq":8,"t_ms":0.4,"kind":"span","span_id":3,"parent_id":0,"name":"optimizer","path":"optimizer","depth":1,"ms":5.0}"#,
-            r#"{"seq":4,"t_ms":0.5,"kind":"exec/layer","layer":"conv1","full_macs":1000,"performed_macs":600,"gather_cache_hit":false,"lane_windows":24,"scalar_windows":8}"#,
-            r#"{"seq":5,"t_ms":0.6,"kind":"exec/layer","layer":"conv2","full_macs":1000,"performed_macs":400,"gather_cache_hit":true,"lane_windows":16,"scalar_windows":0}"#,
+            r#"{"seq":4,"t_ms":0.5,"kind":"exec/layer","layer":"conv1","full_macs":1000,"performed_macs":600,"lane_windows":24,"scalar_windows":8}"#,
+            r#"{"seq":5,"t_ms":0.6,"kind":"exec/layer","layer":"conv2","full_macs":1000,"performed_macs":400,"lane_windows":16,"scalar_windows":0}"#,
             r#"{"seq":6,"t_ms":0.7,"kind":"sim/layer","layer":"conv1","cycles":100,"utilization":0.5,"imbalance":1.5}"#,
             r#"{"seq":7,"t_ms":0.8,"kind":"sim/layer","layer":"conv2","cycles":300,"utilization":0.9,"imbalance":1.1}"#,
             "",
@@ -410,8 +390,6 @@ mod tests {
         assert_eq!(x.full_macs, 2000);
         assert_eq!(x.performed_macs, 1000);
         assert!((x.saved_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(x.gather_cache_hits, 1);
-        assert_eq!(x.gather_cache_misses, 1);
         assert_eq!(x.lane_windows, 40);
         assert_eq!(x.scalar_windows, 8);
         assert!((x.lane_fraction() - 40.0 / 48.0).abs() < 1e-12);
@@ -455,7 +433,6 @@ mod tests {
         assert!(text.contains("self ms"));
         assert!(text.contains("optimizer"));
         assert!(text.contains("50.0% saved"));
-        assert!(text.contains("window-plan cache: 1 hits, 1 misses"));
         assert!(text.contains("lane engine: 40 windows lane-blocked, 8 scalar (83.3% lane)"));
         assert!(text.contains("mean PE utilization 80.0%"));
 
@@ -471,9 +448,9 @@ mod tests {
             .is_some());
         assert_eq!(
             j.get("exec")
-                .and_then(|x| x.get("gather_cache_hits"))
+                .and_then(|x| x.get("lane_windows"))
                 .and_then(Json::as_u64),
-            Some(1)
+            Some(40)
         );
         // The JSON form must itself parse back.
         let round = crate::json::parse(&j.to_string()).unwrap();

@@ -11,9 +11,11 @@
 //!
 //! With no sinks installed, [`enabled`] is `false` and instrumented code
 //! must skip event construction entirely — a single relaxed atomic load is
-//! the whole cost of the disabled path. Environment control:
+//! the whole cost of the disabled path. The binaries that install sinks
+//! (`repro`) honour two environment knobs:
 //!
-//! * `SNAPEA_LOG=off|0|none|quiet` suppresses the stderr sink;
+//! * `SNAPEA_LOG=off|0|none|quiet` suppresses the stderr sink
+//!   ([`stderr_wanted`]);
 //! * `SNAPEA_LOG_FILE=<path>` additionally installs a JSONL file sink.
 
 use crate::json::Json;
@@ -289,25 +291,6 @@ pub fn stderr_wanted() -> bool {
         ),
         Err(_) => true,
     }
-}
-
-/// Installs the environment-selected default sinks: a [`StderrSink`] unless
-/// suppressed (see [`stderr_wanted`]) and a [`FileSink`] at `SNAPEA_LOG_FILE`
-/// when that variable is set. Returns `true` if any sink was installed.
-pub fn init_from_env() -> bool {
-    let mut any = false;
-    if stderr_wanted() {
-        install(Box::new(StderrSink));
-        any = true;
-    }
-    #[allow(clippy::disallowed_methods)] // sanctioned config read (R1)
-    if let Ok(path) = std::env::var("SNAPEA_LOG_FILE") {
-        if let Ok(fs) = FileSink::create(Path::new(&path)) {
-            install(Box::new(fs));
-            any = true;
-        }
-    }
-    any
 }
 
 /// Emits a structured event when any sink is installed.

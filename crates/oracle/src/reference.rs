@@ -2,7 +2,7 @@
 //!
 //! Everything here is written from the paper's definitions (and the
 //! workspace's documented layout conventions) using direct coordinate
-//! loops: no im2col, no GEMM, no worker pool, no `GatherTable`. The window
+//! loops: no im2col, no GEMM, no worker pool, no `WindowPlan`. The window
 //! walk re-derives the sign/predictive weight ordering, the PAU decision
 //! rule, and the pinned eight-lane reduction order of the SIMD engine
 //! (DESIGN.md §11) from their specifications so the executor's output can

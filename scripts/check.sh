@@ -35,6 +35,19 @@ SNAPEA_THREADS=4 SNAPEA_OVERSUBSCRIBE=1 cargo test --workspace -q --offline
 echo "==> cargo test -q --offline --test determinism (SNAPEA_THREADS=2, oversubscribed)"
 SNAPEA_THREADS=2 SNAPEA_OVERSUBSCRIBE=1 cargo test -q --offline --test determinism
 
+# The end-to-end benchmark (e2ebench/, its own workspace) builds against the
+# library's public API, so a library change that breaks it must fail here
+# rather than in the benchmark run. Cargo rewrites its lock file on build;
+# the committed one is restored whatever the outcome.
+echo "==> cargo test --release --offline --manifest-path e2ebench/Cargo.toml"
+E2E_LOCK=$(mktemp)
+cp e2ebench/Cargo.lock "$E2E_LOCK"
+e2e_status=0
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml || e2e_status=$?
+cp "$E2E_LOCK" e2ebench/Cargo.lock
+rm -f "$E2E_LOCK"
+[ "$e2e_status" -eq 0 ] || { echo "ERROR: e2ebench self-tests failed"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -220,8 +220,9 @@ fn header_errors_carry_their_typed_variants() {
     ));
 }
 
-/// Loading derives every layer's shape from an empty-batch forward: each
-/// node must get exactly the `(c, h, w)` a one-image forward gives it.
+/// An empty-batch forward and the shape walk the loader checks GRAPH with
+/// (`Graph::shapes`) must both give every node exactly the `(c, h, w)` a
+/// one-image forward gives it.
 #[test]
 fn empty_batch_forward_gives_every_zoo_node_its_one_image_shape() {
     for w in Workload::ALL {
@@ -229,29 +230,32 @@ fn empty_batch_forward_gives_every_zoo_node_its_one_image_shape() {
         let dims = |n| Shape4::new(n, 3, INPUT_SIZE, INPUT_SIZE);
         let empty = net.forward(&Tensor4::zeros(dims(0)));
         let one = net.forward(&Tensor4::zeros(dims(1)));
+        let walked = net.shapes(dims(1)).expect("zoo nets compose");
         assert_eq!(empty.len(), one.len(), "{}", w.name());
-        for (id, (e, o)) in empty.iter().zip(&one).enumerate() {
+        assert_eq!(walked.len(), one.len(), "{}", w.name());
+        for (id, ((e, o), s)) in empty.iter().zip(&one).zip(&walked).enumerate() {
             let (e, o) = (e.shape(), o.shape());
             assert_eq!(e.n, 0, "{} node {id}", w.name());
             assert_eq!((e.c, e.h, e.w), (o.c, o.h, o.w), "{} node {id}", w.name());
+            assert_eq!(*s, o, "{} node {id}", w.name());
         }
     }
 }
 
-/// Rebuilds `bytes` with the PARAMS payload (section tag 3) edited by
-/// `edit`, re-framing its length and repairing its checksum, so only the
-/// loader's structural validation can object.
-fn with_params_payload(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+/// Rebuilds `bytes` with the payload of section `tag` edited by `edit`,
+/// re-framing its length and repairing its checksum, so only the loader's
+/// structural validation can object.
+fn with_section_payload(bytes: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     // Header is 24 bytes; each section is tag u32 · len u64 · payload · fnv u64.
     let mut pos = 24usize;
     loop {
-        let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let found = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
         let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-        if tag == 3 {
+        if found == tag {
             let mut payload = bytes[pos + 12..pos + 12 + len].to_vec();
             edit(&mut payload);
             let mut framed = Vec::new();
-            framed.extend_from_slice(&3u32.to_le_bytes());
+            framed.extend_from_slice(&tag.to_le_bytes());
             framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             framed.extend_from_slice(&payload);
             let fnv = fnv64(&framed);
@@ -263,6 +267,52 @@ fn with_params_payload(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8>
         }
         pos += 12 + len + 8;
     }
+}
+
+/// [`with_section_payload`] on PARAMS (section tag 3).
+fn with_params_payload(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    with_section_payload(bytes, 3, edit)
+}
+
+/// A checksum-valid META whose input GRAPH cannot take is a typed GRAPH
+/// error, not a panic inside load; every artifact whose shapes compose
+/// still loads.
+#[test]
+fn meta_input_the_graph_cannot_take_is_a_typed_error() {
+    let bytes = compile_fixture().to_bytes();
+    // META payload (section tag 1): input c, h, w as u32, then frac_bits.
+    let set_meta = |at: usize, v: u32| {
+        with_section_payload(&bytes, 1, |p| {
+            p[at..at + 4].copy_from_slice(&v.to_le_bytes())
+        })
+    };
+    for (b, want) in [
+        // conv1 takes 3 channels.
+        (set_meta(0, 4), "node 1 (conv1): conv input channels 4 != 3"),
+        // A 12-row input flattens to 6·4·2 = 48 features; fc takes 24.
+        (
+            set_meta(4, 12),
+            "node 7 (fc): linear input features 48 != 24",
+        ),
+    ] {
+        match CompiledModel::from_bytes(&b) {
+            Err(ArtifactError::Invalid { region, detail }) => {
+                assert_eq!(region, "GRAPH");
+                assert!(detail.contains(want), "{detail}");
+            }
+            other => panic!("expected a GRAPH shape rejection ({want}), got {other:?}"),
+        }
+    }
+
+    for w in Workload::ALL {
+        let net = w.build(10);
+        let dims = (3, INPUT_SIZE, INPUT_SIZE);
+        let compiled =
+            CompiledModel::compile(&net, &NetworkParams::new(), dims, Q16Format::default());
+        CompiledModel::from_bytes(&compiled.to_bytes())
+            .unwrap_or_else(|e| panic!("{}: artifact rejected: {e}", w.name()));
+    }
+    CompiledModel::read_file(std::path::Path::new(&golden_path())).expect("golden artifact loads");
 }
 
 /// PARAMS payloads with valid framing checksums but parameters the stored

@@ -23,17 +23,26 @@ fn assert_walk_matches(label: &str, got: &ExecResult, want: &OracleLayer) {
 
 #[test]
 fn executor_matches_the_oracle_across_geometries_and_modes() {
-    for (seed, geom) in [
-        (50, ConvGeom::square(3, 1, 1)), // borders on every edge
-        (51, ConvGeom::square(3, 1, 0)), // all interior
-        (52, ConvGeom::square(3, 2, 1)), // strided
-        (53, ConvGeom::square(1, 1, 0)), // 1x1
-        (54, ConvGeom::square(5, 1, 2)), // wide borders
+    // A non-square kernel on a non-square input: a swapped row/column in the
+    // border bounds check or the window plan shows only here.
+    let tall = ConvGeom {
+        kh: 3,
+        kw: 1,
+        stride: 2,
+        pad: 1,
+    };
+    for (seed, geom, (h, w)) in [
+        (50, ConvGeom::square(3, 1, 1), (9, 9)), // borders on every edge
+        (51, ConvGeom::square(3, 1, 0), (9, 9)), // all interior
+        (52, ConvGeom::square(3, 2, 1), (9, 9)), // strided
+        (53, ConvGeom::square(1, 1, 0), (9, 9)), // 1x1
+        (54, ConvGeom::square(5, 1, 2), (9, 9)), // wide borders
+        (55, tall, (7, 11)),                     // 3x1 kernel on a 7x11 input
     ] {
         let mut rng = init::rng(seed);
         let conv = Conv2d::new(3, 5, geom, &mut rng);
         let input =
-            init::uniform4(Shape4::new(2, 3, 9, 9), 1.0, &mut init::rng(seed + 100)).map(f32::abs);
+            init::uniform4(Shape4::new(2, 3, h, w), 1.0, &mut init::rng(seed + 100)).map(f32::abs);
         let groups = 4.min(conv.window_len());
         for (mode, params) in [
             ("exact", LayerParams::Exact),

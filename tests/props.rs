@@ -71,14 +71,13 @@ proptest! {
         bias in -0.5f32..0.5,
     ) {
         let groups = groups_raw.min(w.len());
-        let taps: Vec<i32> = (0..w.len() as i32).collect();
         let item = &xs[..w.len().min(xs.len())];
         prop_assume!(item.len() == w.len());
 
         let r = predictive_reorder(&w, groups);
         let pau = Pau::predictive(&r, KernelParams::new(th, groups));
         let k = KernelExec::new(r, pau);
-        let res = run_window(&k, &taps, item, bias);
+        let res = run_window(&k, item, bias);
         prop_assert!(res.ops as usize <= w.len());
         match res.termination {
             Some(TerminationKind::Predicted) => {
@@ -102,11 +101,10 @@ proptest! {
     ) {
         prop_assume!(xs.len() >= w.len());
         let item = &xs[..w.len()];
-        let taps: Vec<i32> = (0..w.len() as i32).collect();
         let r = sign_reorder(&w);
         let pau = Pau::exact(&r);
         let k = KernelExec::new(r, pau);
-        let res = run_window(&k, &taps, item, bias);
+        let res = run_window(&k, item, bias);
         let dense: f32 = bias + w.iter().zip(item).map(|(a, b)| a * b).sum::<f32>();
         prop_assert!(
             (res.output.max(0.0) - dense.max(0.0)).abs() < 1e-3,
