@@ -317,6 +317,12 @@ pub struct ExecResult {
 /// Interior windows (no padding tap) need no bounds check either; a border
 /// window checks each tap's row and column against the image and treats a
 /// tap outside it as padding.
+///
+/// The executor and Kernel Profiling take their plan from
+/// `WindowPlan::for_layer`: wherever a padding MAC is provably a no-op,
+/// they walk a zero-padded copy of the input through a pad-0 plan whose
+/// windows are all interior, so border windows remain only on a layer with
+/// a `-0.0` bias or a non-finite weight.
 #[derive(Debug, Clone)]
 pub struct WindowPlan {
     /// Input height and width.
@@ -397,6 +403,31 @@ impl WindowPlan {
         }
     }
 
+    /// The input `conv`'s walk reads and the plan it reads it through: a
+    /// zero-padded copy of `input` with a pad-0 plan, every window
+    /// interior, where a padding MAC is a no-op
+    /// ([`padding_macs_are_noops`]); otherwise `input` itself with its
+    /// bordered plan. An input whose windows cannot reach padding (`pad ==
+    /// 0` and a kernel that fits) is borrowed, never copied.
+    ///
+    /// The copy is `max(h + 2·pad, kh) × max(w + 2·pad, kw)`, so the pad-0
+    /// plan has `conv.out_shape`'s windows in the same order, the one
+    /// all-padding window of a kernel larger than its padded input
+    /// included, and each reads at every tap the value the bordered plan
+    /// reads, `0.0` at a padding tap. The q16 datapath quantises the copy,
+    /// and padding quantises to 0.
+    pub(crate) fn for_layer<'a>(conv: &Conv2d, input: &'a Tensor4) -> (Cow<'a, Tensor4>, Self) {
+        let (s, geom) = (input.shape(), conv.geom());
+        let h = (s.h + 2 * geom.pad).max(geom.kh);
+        let w = (s.w + 2 * geom.pad).max(geom.kw);
+        if (h, w) == (s.h, s.w) || !padding_macs_are_noops(conv) {
+            return (Cow::Borrowed(input), Self::build(s, geom, conv.c_in()));
+        }
+        let padded = zero_padded(input, geom.pad, (h, w));
+        let plan = Self::build(padded.shape(), ConvGeom { pad: 0, ..geom }, conv.c_in());
+        (Cow::Owned(padded), plan)
+    }
+
     /// Number of windows.
     #[inline]
     pub fn windows(&self) -> usize {
@@ -457,6 +488,39 @@ impl WindowPlan {
             .unzip();
         ResolvedTaps { delta, kyx }
     }
+}
+
+/// Whether MACing every padding tap of `conv` as `0.0 · w` leaves each
+/// partial sum bit-identical to skipping the tap, as the oracle does. The
+/// product is `±0.0` for a finite `w`, and `a + ±0.0` is `a` for every `a`
+/// but `-0.0` (`-0.0 + 0.0` is `+0.0`). Under round-to-nearest a sum is
+/// `-0.0` only when both addends are, so a partial sum is `-0.0` only if
+/// its bias is. The MAC is therefore a no-op unless some bias is `-0.0` or
+/// some weight is infinite or NaN (`0.0 · ±inf` is NaN).
+fn padding_macs_are_noops(conv: &Conv2d) -> bool {
+    conv.bias()
+        .iter()
+        .all(|b| b.to_bits() != (-0.0f32).to_bits())
+        && conv.weight().iter().all(|w| w.is_finite())
+}
+
+/// A copy of `input` with `h × w` planes: each input plane sits `pad` rows
+/// down and `pad` columns in, and every other element is `+0.0`.
+fn zero_padded(input: &Tensor4, pad: usize, (h, w): (usize, usize)) -> Tensor4 {
+    let s = input.shape();
+    let mut out = Tensor4::zeros(Shape4::new(s.n, s.c, h, w));
+    if s.h * s.w > 0 {
+        let rows = out
+            .as_mut_slice()
+            .chunks_exact_mut(h * w)
+            .flat_map(|plane| plane.chunks_exact_mut(w).skip(pad).take(s.h));
+        for (dst, src) in rows.zip(input.as_slice().chunks_exact(s.w)) {
+            for (d, &v) in dst.iter_mut().skip(pad).zip(src) {
+                *d = v;
+            }
+        }
+    }
+    out
 }
 
 /// Does nothing: window plans are built per call, so there is no plan cache
@@ -538,7 +602,10 @@ enum Taps<'a> {
     /// A border window: the same reads, each tap bounds-checked against the
     /// image. A tap outside it is a padding tap, which still occupies a MAC
     /// slot in the hardware walk (the weight is broadcast and the lane
-    /// multiplies by zero) but adds nothing.
+    /// multiplies by zero) but adds nothing. The executor and Kernel
+    /// Profiling walk border windows only on a layer whose padding MACs
+    /// are not no-ops (a `-0.0` bias or a non-finite weight); elsewhere
+    /// they pad the input (`WindowPlan::for_layer`).
     Border(BorderTaps<'a>),
 }
 
@@ -1081,7 +1148,8 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
     /// kernel; border windows take the bounds-checked path as they come,
     /// and the interior windows still pending at the end walk one at a
     /// time. Every outcome lands at its window's index, so the walk order
-    /// never shows.
+    /// never shows. Over a padded plan (`WindowPlan::for_layer`) every
+    /// window is interior, so only the last `windows % BATCH` walk alone.
     // lint:allow(P2) lane fills are bounded by BATCH
     fn walk_windows(&self, plan: &WindowPlan, sink: &mut impl Sink<D>) -> LaneCounts {
         let mut lc = LaneCounts::default();
@@ -1141,7 +1209,8 @@ pub fn run_window(kernel: &KernelExec, values: &[f32], bias: f32) -> WindowResul
 /// Walks every window of one kernel over every image of `input` in observed
 /// mode, through the executor's own walk: `obs[img * windows + w]` receives
 /// window `w` of image `img`. `plan` must be the layer's plan for `input`'s
-/// shape ([`WindowPlan::build`]). Images are walked in order on the calling
+/// shape ([`WindowPlan::build`]), or the padded input and pad-0 plan the
+/// executor itself walks. Images are walked in order on the calling
 /// thread and no `exec/*` metric is charged: Algorithm 1's Kernel Profiling
 /// pass calls this once per kernel and candidate reordering, inside its own
 /// parallel map.
@@ -1262,8 +1331,8 @@ fn execute<D: Datapath>(
     let trace_kernels = snapea_obs::enabled() && snapea_obs::detail_enabled();
     let layer_clock = snapea_obs::Stopwatch::start();
     let s = input.shape();
-    let plan = WindowPlan::build(s, conv.geom(), conv.c_in());
     let out_shape = conv.out_shape(s);
+    let (input, plan) = WindowPlan::for_layer(conv, input);
     let windows = plan.windows();
     debug_assert_eq!(windows, out_shape.plane_len());
 
@@ -1807,31 +1876,56 @@ mod tests {
             pad in 0usize..3,
         ) {
             let shape = Shape4::new(1, c_in, h, w);
-            let geom = ConvGeom { kh, kw, stride, pad };
-            let plan = WindowPlan::build(shape, geom, c_in);
-            let (oh, ow) = (geom.out_h(h), geom.out_w(w));
-            proptest::prop_assert_eq!(plan.windows(), oh * ow);
-            proptest::prop_assert_eq!(plan.window_len(), c_in * kh * kw);
-            for win in 0..plan.windows() {
-                let base = plan.window_base(win);
-                let mut border = false;
-                for i in 0..plan.window_len() {
-                    let tap = (i / (kh * kw), i / kw % kh, i % kw);
-                    let want = brute_force_tap((h, w), geom, (win / ow, win % ow), tap);
-                    proptest::prop_assert_eq!(plan.tap(win, i), want, "window {} tap {}", win, i);
-                    border |= want.is_none();
-                    // An interior window reads base + delta with no check.
-                    if base >= 0 {
-                        proptest::prop_assert_eq!(Some((base + plan.delta[i]) as usize), want);
+            // The drawn geometry, and one whose kernel is taller than its
+            // padded input (a single, all-padding window).
+            let tall = ConvGeom { kh: h + 2 * pad + kh, kw, stride, pad };
+            for geom in [ConvGeom { kh, kw, stride, pad }, tall] {
+                let (kh, kw) = (geom.kh, geom.kw);
+                let plan = WindowPlan::build(shape, geom, c_in);
+                let (oh, ow) = (geom.out_h(h), geom.out_w(w));
+                proptest::prop_assert_eq!(plan.windows(), oh * ow);
+                proptest::prop_assert_eq!(plan.window_len(), c_in * kh * kw);
+                for win in 0..plan.windows() {
+                    let base = plan.window_base(win);
+                    let mut border = false;
+                    for i in 0..plan.window_len() {
+                        let tap = (i / (kh * kw), i / kw % kh, i % kw);
+                        let want = brute_force_tap((h, w), geom, (win / ow, win % ow), tap);
+                        proptest::prop_assert_eq!(plan.tap(win, i), want, "window {} tap {}", win, i);
+                        border |= want.is_none();
+                        // An interior window reads base + delta with no check.
+                        if base >= 0 {
+                            proptest::prop_assert_eq!(Some((base + plan.delta[i]) as usize), want);
+                        }
+                    }
+                    proptest::prop_assert_eq!(base >= 0, !border, "window {}", win);
+                }
+                // pad == 0 with a kernel that fits the input means no window
+                // can touch padding. (A kernel *larger* than the input still
+                // yields one out-of-bounds window under the saturating output
+                // formula.)
+                if pad == 0 && kh <= h && kw <= w {
+                    proptest::prop_assert!((0..plan.windows()).all(|win| plan.window_base(win) >= 0));
+                }
+
+                // The input and plan the executor walks (finite weights, a
+                // zero bias): the layer's windows, every one interior, each
+                // tap reading what the bordered plan reads and 0.0 at a
+                // padding tap. Distinct non-zero values expose a misplaced
+                // read.
+                let conv = Conv2d::new(c_in, 1, geom, &mut init::rng(1));
+                let input = Tensor4::from_fn(shape, |_, c, y, x| (1 + (c * h + y) * w + x) as f32);
+                let (padded, padded_plan) = WindowPlan::for_layer(&conv, &input);
+                proptest::prop_assert_eq!(padded_plan.windows(), conv.out_shape(shape).plane_len());
+                proptest::prop_assert_eq!(padded_plan.window_len(), plan.window_len());
+                for win in 0..padded_plan.windows() {
+                    proptest::prop_assert!(padded_plan.window_base(win) >= 0, "window {}", win);
+                    for i in 0..plan.window_len() {
+                        let want = plan.tap(win, i).map_or(0.0, |off| input.item(0)[off]);
+                        let got = padded_plan.tap(win, i).map(|off| padded.item(0)[off]);
+                        proptest::prop_assert_eq!(got, Some(want), "window {} tap {}", win, i);
                     }
                 }
-                proptest::prop_assert_eq!(base >= 0, !border, "window {}", win);
-            }
-            // pad == 0 with a kernel that fits the input means no window can
-            // touch padding. (A kernel *larger* than the input still yields
-            // one out-of-bounds window under the saturating output formula.)
-            if pad == 0 && kh <= h && kw <= w {
-                proptest::prop_assert!((0..plan.windows()).all(|win| plan.window_base(win) >= 0));
             }
         }
     }

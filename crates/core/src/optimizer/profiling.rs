@@ -105,10 +105,11 @@ pub fn profile_layer_kernels(
     threshold_quantiles: &[f64],
     budget: f64,
 ) -> Vec<KernelTable> {
-    let s = input.shape();
-    let plan = WindowPlan::build(s, conv.geom(), conv.c_in());
+    // One input and plan per layer, shared by every kernel and candidate:
+    // the executor's own, so the observed walks are the executor's walks.
+    let (input, plan) = WindowPlan::for_layer(conv, input);
     let windows = plan.windows();
-    let images = s.n;
+    let images = input.shape().n;
     let window_len = conv.window_len();
 
     // Kernels are profiled in isolation, so the candidate walks — the
@@ -139,7 +140,7 @@ pub fn profile_layer_kernels(
         // Exact-mode candidate: the executor's exact walk.
         let exact = sign_reorder(weights);
         let pau = Pau::exact(&exact);
-        observe_kernel(&plan, &KernelExec::new(exact, pau), bias, input, &mut obs);
+        observe_kernel(&plan, &KernelExec::new(exact, pau), bias, &input, &mut obs);
         candidates.push(KernelCandidate {
             mode: KernelMode::Exact,
             ops: obs.iter().map(|o| u64::from(o.result.ops)).sum(),
@@ -156,7 +157,7 @@ pub fn profile_layer_kernels(
             }
             let r = predictive_reorder(weights, n);
             let pau = Pau::predictive(&r, KernelParams::new(f32::NEG_INFINITY, n));
-            observe_kernel(&plan, &KernelExec::new(r, pau), bias, input, &mut obs);
+            observe_kernel(&plan, &KernelExec::new(r, pau), bias, &input, &mut obs);
             // Threshold grid: quantiles of the speculative partial sums of
             // truly-negative windows. No negative windows → nothing for this
             // kernel to gain from speculating at this N.

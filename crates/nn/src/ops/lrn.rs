@@ -87,9 +87,10 @@ impl Lrn {
         out
     }
 
-    /// Backward pass.
+    /// Backward pass. `grad_out` must have `input`'s shape.
     pub fn backward(&self, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
         let s = input.shape();
+        let plane = s.plane_len();
         let scales = self.scales(input);
         // Precompute t[n,c,h,w] = g * x * S^{-beta-1}; then
         // grad_x[j] = g[j] * S[j]^{-beta} - (2*alpha*beta/size) * x[j] * Σ_{c ∈ window(j)} t[c]
@@ -103,15 +104,33 @@ impl Lrn {
             *tv = g * x * sc.powf(-self.beta - 1.0);
         }
         let coeff = 2.0 * self.alpha * self.beta / self.size as f32;
-        Tensor4::from_fn(s, |n, c, h, w| {
-            let (lo, hi) = self.window(c, s.c);
-            let mut acc = 0.0f32;
-            for cc in lo..hi {
-                acc += t[(n, cc, h, w)];
+        // As in `scales`: for each (image, channel) the window's `t` planes
+        // are summed in ascending channel order into that channel's output
+        // plane, which then becomes the gradient, so every element sees the
+        // operations of the per-element formula in its order.
+        let mut out = Tensor4::zeros(s);
+        let (t, dst) = (t.as_slice(), out.as_mut_slice());
+        let (g, x, sc) = (grad_out.as_slice(), input.as_slice(), scales.as_slice());
+        for n in 0..s.n {
+            for c in 0..s.c {
+                let (lo, hi) = self.window(c, s.c);
+                let at = (n * s.c + c) * plane;
+                let acc = &mut dst[at..][..plane];
+                for cc in lo..hi {
+                    for (a, &v) in acc.iter_mut().zip(&t[(n * s.c + cc) * plane..][..plane]) {
+                        *a += v;
+                    }
+                }
+                let operands = g[at..][..plane]
+                    .iter()
+                    .zip(&x[at..][..plane])
+                    .zip(&sc[at..][..plane]);
+                for (a, ((&g, &x), &sc)) in acc.iter_mut().zip(operands) {
+                    *a = g * sc.powf(-self.beta) - coeff * x * *a;
+                }
             }
-            grad_out[(n, c, h, w)] * scales[(n, c, h, w)].powf(-self.beta)
-                - coeff * input[(n, c, h, w)] * acc
-        })
+        }
+        out
     }
 }
 
@@ -162,6 +181,35 @@ mod tests {
                 "({c},{h},{w}): fd {num} vs {}",
                 gi[(0, c, h, w)]
             );
+        }
+    }
+
+    /// The plane-wise backward, bit for bit against the per-element
+    /// formula, with fewer channels than the window and more.
+    #[test]
+    fn backward_matches_the_per_element_formula_bitwise() {
+        let lrn = Lrn::new(5, 0.5, 0.75, 2.0);
+        for channels in [3, 8] {
+            let mut r = init::rng(channels as u64);
+            let x = init::uniform4(Shape4::new(2, channels, 3, 4), 2.0, &mut r);
+            let g = init::uniform4(x.shape(), 1.0, &mut r);
+            let s = lrn.scales(&x);
+            let t = Tensor4::from_fn(x.shape(), |n, c, h, w| {
+                g[(n, c, h, w)] * x[(n, c, h, w)] * s[(n, c, h, w)].powf(-lrn.beta - 1.0)
+            });
+            let coeff = 2.0 * lrn.alpha * lrn.beta / lrn.size as f32;
+            let want = Tensor4::from_fn(x.shape(), |n, c, h, w| {
+                let (lo, hi) = lrn.window(c, channels);
+                let mut acc = 0.0f32;
+                for cc in lo..hi {
+                    acc += t[(n, cc, h, w)];
+                }
+                g[(n, c, h, w)] * s[(n, c, h, w)].powf(-lrn.beta) - coeff * x[(n, c, h, w)] * acc
+            });
+            let got = lrn.backward(&x, &g);
+            for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{channels} channels, element {i}");
+            }
         }
     }
 

@@ -135,6 +135,33 @@ pub fn fanout(items: &mut [u32]) {
 }
 EOF
 graph_smoke R3 'chain: fanout() → run_tasks() → mutates captured `log` (.push())'
+
+# Audited panic allows may only go down (ROADMAP aim 3): the number of
+# `lint:allow(P1)` annotations in the workspace's Rust sources is pinned
+# here. Lower the pin when an allow goes; a new panic path needs a typed
+# error instead. Same prove-it-can-fail protocol: one planted allow on top
+# of the workspace's must trip it.
+P1_ALLOW_MAX=52
+p1_ratchet() { # <root...> : fails if the roots' Rust sources carry more than P1_ALLOW_MAX P1 allows
+  local dirs=() root d n
+  for root in "$@"; do
+    for d in crates src tests examples; do
+      if [ -d "$root/$d" ]; then dirs+=("$root/$d"); fi
+    done
+  done
+  n=$({ grep -rF --include='*.rs' -- 'lint:allow(P1)' "${dirs[@]}" || true; } | wc -l)
+  if [ "$n" -gt "$P1_ALLOW_MAX" ]; then
+    echo "ERROR: $n lint:allow(P1) annotations, more than the pinned $P1_ALLOW_MAX"
+    return 1
+  fi
+  echo "    $n lint:allow(P1) annotations (at most $P1_ALLOW_MAX)"
+}
+echo "==> audited panic allow ratchet (lint:allow(P1) at most $P1_ALLOW_MAX)"
+p1_ratchet .
+echo "==> audited panic allow ratchet negative smoke (planted allow must fail)"
+printf '// lint:allow(P1) planted\n' > "$FIXTURE/crates/core/src/planted.rs"
+must_fail "planted lint:allow(P1) past the pin" "more than the pinned $P1_ALLOW_MAX" \
+  p1_ratchet . "$FIXTURE"
 rm -rf "$FIXTURE/crates"
 
 # Differential selfcheck: the speculative executor, kernels, and cycle
