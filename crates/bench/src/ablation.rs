@@ -32,7 +32,8 @@ use crate::experiments::ExperimentResult;
 /// The kernel `r` speculating at the `q`-quantile of the speculative partial
 /// sums of truly-negative windows over `input`, read off the executor's
 /// observed walk (under a `-inf` threshold only sign checks fire); the
-/// threshold is `-inf` (never fires) when no window is negative.
+/// threshold is `-inf` (never fires) when no window is negative. `input`
+/// and `plan` are the pair `WindowPlan::for_layer` returns.
 fn with_threshold(
     r: ReorderedKernel,
     plan: &WindowPlan,
@@ -67,13 +68,12 @@ fn run_with_strategy(
     let mut stats = PredictionStats::default();
     let spec_acts = tw.net.forward_with(&batch, &mut |id, conv, x| {
         // One plan per layer, shared by its kernels' threshold walks.
-        let plan = WindowPlan::build(x.shape(), conv.geom(), conv.c_in());
-        let clean = &acts[tw.net.node(id).inputs[0]];
+        let (clean, plan) = WindowPlan::for_layer(conv, &acts[tw.net.node(id).inputs[0]]);
         let kernels: Vec<KernelExec> = (0..conv.c_out())
             .map(|k| {
                 let weights = conv.weight().item(k);
                 let r = strategy(weights, n.min(weights.len()));
-                with_threshold(r, &plan, clean, conv.bias()[k], quantile)
+                with_threshold(r, &plan, &clean, conv.bias()[k], quantile)
             })
             .collect();
         let result = execute_conv_stats(conv, x, &LayerConfig::from_kernels(kernels));

@@ -370,6 +370,9 @@ fn main() {
     let git_rev = snapea_obs::run::git_rev(std::path::Path::new("."))
         .map(Json::from)
         .unwrap_or(Json::Null);
+    let git_dirty = snapea_obs::run::git_dirty(std::path::Path::new("."))
+        .map(Json::from)
+        .unwrap_or(Json::Null);
 
     let parallel_sections = if args.kernels_only {
         println!("kernels-only: skipping the scaling curves, strict gate, and GEMM comparison");
@@ -592,6 +595,7 @@ fn main() {
             ("generated_by".to_string(), "perfbench".into()),
             ("schema".to_string(), SCHEMA.into()),
             ("git_rev".to_string(), git_rev.clone()),
+            ("git_dirty".to_string(), git_dirty.clone()),
             ("smoke".to_string(), args.smoke.into()),
             ("reps".to_string(), reps.into()),
             ("thread_grid".to_string(), thread_grid),
@@ -611,6 +615,7 @@ fn main() {
         ("generated_by".to_string(), "perfbench --kernels".into()),
         ("schema".to_string(), SCHEMA.into()),
         ("git_rev".to_string(), git_rev),
+        ("git_dirty".to_string(), git_dirty),
         ("smoke".to_string(), args.smoke.into()),
         ("reps".to_string(), kernel_reps.into()),
         ("threads".to_string(), 1u64.into()),

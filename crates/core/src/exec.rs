@@ -8,7 +8,7 @@ use crate::pau::{Pau, PauAction, TerminationKind};
 use crate::reorder::{predictive_reorder, sign_reorder, ReorderedKernel};
 use snapea_nn::ops::Conv2d;
 use snapea_tensor::im2col::ConvGeom;
-use snapea_tensor::lane::{self, BorderTaps};
+use snapea_tensor::lane;
 use snapea_tensor::q16::{quantize_slice, Q16Format, QAcc, Q16};
 use snapea_tensor::{Shape4, Tensor4};
 use std::borrow::Cow;
@@ -305,127 +305,71 @@ pub struct ExecResult {
 }
 
 /// Kernel-independent execution plan for one layer geometry, built per
-/// call: each window's corner and base, and each weight's tap delta and
-/// kernel position. Nothing in it is sized `windows × window_len`.
+/// call: each window's base and each weight's tap delta. Nothing in it is
+/// sized `windows × window_len`.
 ///
-/// Tap `i = (c*kh + ky)*kw + kx` of the window whose top-left tap sits at
-/// input row `y0`, column `x0` reads input row `y0 + ky`, column `x0 + kx`,
-/// at offset `base + delta[i]` into the image's item slice, where
-/// `base = y0*w + x0` and `delta[i] = (c*h + ky)*w + kx`. Permuting `delta`
-/// and `(ky, kx)` by a kernel's reorder (`WindowPlan::resolve`) yields
-/// taps already in walk order, so no walk needs an `order[p]` indirection.
-/// Interior windows (no padding tap) need no bounds check either; a border
-/// window checks each tap's row and column against the image and treats a
-/// tap outside it as padding.
-///
-/// The executor and Kernel Profiling take their plan from
-/// `WindowPlan::for_layer`: wherever a padding MAC is provably a no-op,
-/// they walk a zero-padded copy of the input through a pad-0 plan whose
-/// windows are all interior, so border windows remain only on a layer with
-/// a `-0.0` bias or a non-finite weight.
+/// A plan walks a pad-0 geometry over the input that
+/// [`WindowPlan::for_layer`] returns, zero-padded wherever the layer's
+/// windows reach padding, so every tap of every window reads that input and
+/// a padding tap reads `+0.0`. Tap `i = (c*kh + ky)*kw + kx` of the window
+/// whose top-left tap sits at row `y0`, column `x0` of that input reads
+/// offset `base + delta[i]` of the image's item slice, where `base = y0*w +
+/// x0` and `delta[i] = (c*h + ky)*w + kx`. Permuting `delta` by a kernel's
+/// reorder (`WindowPlan::resolve`) yields taps already in walk order, so no
+/// walk needs an `order[p]` indirection or a bounds check.
 #[derive(Debug, Clone)]
 pub struct WindowPlan {
-    /// Input height and width.
-    dims: [i32; 2],
     /// `delta[i]` for each original weight index `i`.
     delta: Vec<i32>,
-    /// `(ky, kx)` for each original weight index `i`.
-    kyx: Vec<[i32; 2]>,
-    /// Per window: the input row and column of its top-left tap (negative
-    /// inside the padding).
-    corners: Vec<[i32; 2]>,
-    /// Per window: the base offset (≥ 0) of an interior window, `-1` for a
-    /// border window.
+    /// Per window, in output row-major order: the offset of its top-left
+    /// tap.
     bases: Vec<i32>,
 }
 
-/// A kernel's taps in walk order (`WindowPlan::resolve`).
-#[derive(Debug)]
-struct ResolvedTaps {
-    /// `delta[order[p]]`: an interior window at `base` reads
-    /// `item[base + delta[p]]` at walk position `p`.
-    delta: Vec<i32>,
-    /// `(ky, kx)` of walk position `p`, for the border bounds check.
-    kyx: Vec<[i32; 2]>,
-}
-
 impl WindowPlan {
-    /// Builds the plan for `geom` over inputs of shape `input`.
-    pub fn build(input: Shape4, geom: ConvGeom, c_in: usize) -> Self {
+    /// The input `conv`'s walk reads and the plan it reads it through.
+    /// Where a window of `conv` can reach padding, the input is a copy of
+    /// `input` with `+0.0` padding, `max(h + 2·pad, kh) × max(w + 2·pad,
+    /// kw)` per plane, so the plan has `conv.out_shape`'s windows in the
+    /// same order, the one all-padding window of a kernel larger than its
+    /// padded input included. An input no window can pad (`pad == 0` and a
+    /// kernel that fits) is borrowed, never copied. The q16 datapath
+    /// quantises the copy, and padding quantises to 0.
+    pub fn for_layer<'a>(conv: &Conv2d, input: &'a Tensor4) -> (Cow<'a, Tensor4>, Self) {
+        let (s, geom) = (input.shape(), conv.geom());
+        let h = (s.h + 2 * geom.pad).max(geom.kh);
+        let w = (s.w + 2 * geom.pad).max(geom.kw);
+        let input = if (h, w) == (s.h, s.w) {
+            Cow::Borrowed(input)
+        } else {
+            Cow::Owned(zero_padded(input, geom.pad, (h, w)))
+        };
+        let plan = Self::build(input.shape(), ConvGeom { pad: 0, ..geom }, conv.c_in());
+        (input, plan)
+    }
+
+    /// The plan for the pad-0 `geom` over inputs of shape `input`, whose
+    /// planes the kernel fits.
+    fn build(input: Shape4, geom: ConvGeom, c_in: usize) -> Self {
         use snapea_tensor::num::idx_i32;
+        debug_assert!(geom.pad == 0 && geom.kh <= input.h && geom.kw <= input.w);
         let (h, w) = (input.h, input.w);
         let mut delta = Vec::with_capacity(c_in * geom.kh * geom.kw);
-        let mut kyx = Vec::with_capacity(delta.capacity());
         for c in 0..c_in {
             for ky in 0..geom.kh {
                 for kx in 0..geom.kw {
                     delta.push(idx_i32((c * h + ky) * w + kx));
-                    kyx.push([idx_i32(ky), idx_i32(kx)]);
                 }
             }
         }
-        // Per output row (column): the corner's input row (column), and
-        // whether every kernel row (column) lands inside the image.
-        let axis = |out: usize, k: usize, extent: usize| -> Vec<(i32, bool)> {
-            (0..out)
-                .map(|o| {
-                    let start = o * geom.stride;
-                    let inside = start >= geom.pad && start - geom.pad + k <= extent;
-                    (idx_i32(start) - idx_i32(geom.pad), inside)
-                })
-                .collect()
-        };
-        let rows = axis(geom.out_h(h), geom.kh, h);
-        let cols = axis(geom.out_w(w), geom.kw, w);
-        let mut corners = Vec::with_capacity(rows.len() * cols.len());
-        let mut bases = Vec::with_capacity(corners.capacity());
-        for &(y0, row_inside) in &rows {
-            for &(x0, col_inside) in &cols {
-                corners.push([y0, x0]);
-                // A window is interior iff none of its taps fall in the
-                // padding. With `c_in == 0` there are no taps, so every
-                // window is vacuously interior with an (unused) base of 0.
-                bases.push(if c_in == 0 {
-                    0
-                } else if row_inside && col_inside {
-                    y0 * idx_i32(w) + x0
-                } else {
-                    -1
-                });
+        let (oh, ow) = (geom.out_h(h), geom.out_w(w));
+        let mut bases = Vec::with_capacity(oh * ow);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                bases.push(idx_i32((oy * w + ox) * geom.stride));
             }
         }
-        Self {
-            dims: [idx_i32(h), idx_i32(w)],
-            delta,
-            kyx,
-            corners,
-            bases,
-        }
-    }
-
-    /// The input `conv`'s walk reads and the plan it reads it through: a
-    /// zero-padded copy of `input` with a pad-0 plan, every window
-    /// interior, where a padding MAC is a no-op
-    /// ([`padding_macs_are_noops`]); otherwise `input` itself with its
-    /// bordered plan. An input whose windows cannot reach padding (`pad ==
-    /// 0` and a kernel that fits) is borrowed, never copied.
-    ///
-    /// The copy is `max(h + 2·pad, kh) × max(w + 2·pad, kw)`, so the pad-0
-    /// plan has `conv.out_shape`'s windows in the same order, the one
-    /// all-padding window of a kernel larger than its padded input
-    /// included, and each reads at every tap the value the bordered plan
-    /// reads, `0.0` at a padding tap. The q16 datapath quantises the copy,
-    /// and padding quantises to 0.
-    pub(crate) fn for_layer<'a>(conv: &Conv2d, input: &'a Tensor4) -> (Cow<'a, Tensor4>, Self) {
-        let (s, geom) = (input.shape(), conv.geom());
-        let h = (s.h + 2 * geom.pad).max(geom.kh);
-        let w = (s.w + 2 * geom.pad).max(geom.kw);
-        if (h, w) == (s.h, s.w) || !padding_macs_are_noops(conv) {
-            return (Cow::Borrowed(input), Self::build(s, geom, conv.c_in()));
-        }
-        let padded = zero_padded(input, geom.pad, (h, w));
-        let plan = Self::build(padded.shape(), ConvGeom { pad: 0, ..geom }, conv.c_in());
-        (Cow::Owned(padded), plan)
+        Self { delta, bases }
     }
 
     /// Number of windows.
@@ -441,67 +385,25 @@ impl WindowPlan {
     }
 
     /// The item offset tap `i` (an original weight index) of window `w`
-    /// reads, or `None` for a padding tap.
-    pub fn tap(&self, w: usize, i: usize) -> Option<usize> {
-        self.border_taps(w, &self.delta, &self.kyx).offset(i)
+    /// reads.
+    pub fn tap(&self, w: usize, i: usize) -> usize {
+        (self.bases[w] + self.delta[i]) as usize
     }
 
-    /// Base offset of window `w`: `≥ 0` for an interior window (tap `p` of a
-    /// resolved kernel lives at `base + resolved[p]`), `-1` for a border
-    /// window.
-    #[inline]
-    fn window_base(&self, w: usize) -> i32 {
-        self.bases[w]
-    }
-
-    /// Window `w`'s taps through the given tap deltas and kernel positions,
-    /// each bounds-checked against the image.
-    #[inline]
-    fn border_taps<'t>(
-        &self,
-        w: usize,
-        resolved: &'t [i32],
-        kyx: &'t [[i32; 2]],
-    ) -> BorderTaps<'t> {
-        let [y0, x0] = self.corners[w];
-        BorderTaps {
-            resolved,
-            kyx,
-            base: y0 * self.dims[1] + x0,
-            corner: [y0, x0],
-            dims: self.dims,
-        }
-    }
-
-    /// The tap deltas and kernel positions permuted into `kernel`'s walk
-    /// order.
+    /// The tap deltas permuted into `kernel`'s walk order: the window at
+    /// `base` reads `item[base + resolved[p]]` at walk position `p`.
     ///
     /// # Panics
     ///
     /// Panics if the kernel's length differs from the plan's window length.
-    fn resolve(&self, kernel: &ReorderedKernel) -> ResolvedTaps {
+    fn resolve(&self, kernel: &ReorderedKernel) -> Vec<i32> {
         assert_eq!(kernel.len(), self.delta.len(), "kernel/plan window length");
-        let (delta, kyx) = kernel
+        kernel
             .order()
             .iter()
-            .map(|&i| (self.delta[i as usize], self.kyx[i as usize]))
-            .unzip();
-        ResolvedTaps { delta, kyx }
+            .map(|&i| self.delta[i as usize])
+            .collect()
     }
-}
-
-/// Whether MACing every padding tap of `conv` as `0.0 · w` leaves each
-/// partial sum bit-identical to skipping the tap, as the oracle does. The
-/// product is `±0.0` for a finite `w`, and `a + ±0.0` is `a` for every `a`
-/// but `-0.0` (`-0.0 + 0.0` is `+0.0`). Under round-to-nearest a sum is
-/// `-0.0` only when both addends are, so a partial sum is `-0.0` only if
-/// its bias is. The MAC is therefore a no-op unless some bias is `-0.0` or
-/// some weight is infinite or NaN (`0.0 · ±inf` is NaN).
-fn padding_macs_are_noops(conv: &Conv2d) -> bool {
-    conv.bias()
-        .iter()
-        .all(|b| b.to_bits() != (-0.0f32).to_bits())
-        && conv.weight().iter().all(|w| w.is_finite())
 }
 
 /// A copy of `input` with `h × w` planes: each input plane sits `pad` rows
@@ -588,33 +490,17 @@ fn terminated(ops: usize, probed: f32, kind: TerminationKind) -> WindowResult {
     }
 }
 
-/// Interior windows processed per batch by the executor. Eight lanes give
+/// Windows processed per batch by the executor. Eight lanes give
 /// the FPU eight independent accumulator chains, hiding the `fadd` latency
 /// that bounds a single window's strictly-ordered walk.
 const BATCH: usize = 8;
-
-/// Where one window's operands come from.
-#[derive(Debug, Clone, Copy)]
-enum Taps<'a> {
-    /// An interior window of a [`WindowPlan`]: walk position `p` reads
-    /// `item[base + resolved[p]]`.
-    Resolved { resolved: &'a [i32], base: i32 },
-    /// A border window: the same reads, each tap bounds-checked against the
-    /// image. A tap outside it is a padding tap, which still occupies a MAC
-    /// slot in the hardware walk (the weight is broadcast and the lane
-    /// multiplies by zero) but adds nothing. The executor and Kernel
-    /// Profiling walk border windows only on a layer whose padding MACs
-    /// are not no-ops (a `-0.0` bias or a non-finite weight); elsewhere
-    /// they pad the input (`WindowPlan::for_layer`).
-    Border(BorderTaps<'a>),
-}
 
 /// The arithmetic of one PE lane: everything the window walk needs to know
 /// about a precision. The walk itself — probe placement, termination,
 /// eight-window batching, prediction accounting — is written once over this
 /// trait; the `f32` model and the paper's 16-bit fixed-point PE (Table II)
 /// are its two impls.
-trait Datapath: Sync {
+trait Datapath: Sync + Sized {
     /// An activation or weight as the lane multiplies it.
     type Operand: Copy + Sync;
     /// The lane's accumulator register.
@@ -636,32 +522,14 @@ trait Datapath: Sync {
     /// stores.
     fn probe(&self, acc: Self::Acc) -> f32;
 
-    /// One window's lane-blocked region `0..m8` (the pinned lane order of
-    /// the `snapea_tensor::lane` module docs) on top of `seed`. `mac(p, acc)`
-    /// performs the MAC at position `p`; a datapath whose accumulation is
-    /// exact may simply fold it.
-    fn lane_prefix(
-        &self,
-        seed: Self::Acc,
-        weights: &[Self::Operand],
-        taps: Taps<'_>,
-        item: &[Self::Operand],
-        m8: usize,
-        mac: impl FnMut(usize, Self::Acc) -> Self::Acc,
-    ) -> Self::Acc;
+    /// The lane-blocked region `0..m8` (the pinned lane order of the
+    /// `snapea_tensor::lane` module docs) of `walk`'s window at `base`, on
+    /// top of the walk's seed.
+    fn lane_prefix(walk: &PairWalk<'_, Self>, base: i32, m8: usize) -> Self::Acc;
 
-    /// The probe-free prefix `0..stop1` of [`BATCH`] interior windows at
-    /// once, each from `seed` and in the same per-window order as a single
-    /// window's walk.
-    fn prefix8(
-        &self,
-        seed: Self::Acc,
-        weights: &[Self::Operand],
-        resolved: &[i32],
-        bases: &[i32; BATCH],
-        item: &[Self::Operand],
-        stop1: usize,
-    ) -> [Self::Acc; BATCH];
+    /// The probe-free prefixes of `walk`'s [`BATCH`] windows at `bases`,
+    /// each in the same per-window order as a single window's walk.
+    fn prefix8(walk: &PairWalk<'_, Self>, bases: &[i32; BATCH]) -> [Self::Acc; BATCH];
 }
 
 /// The `f32` datapath: the walk every accuracy experiment runs.
@@ -695,45 +563,21 @@ impl Datapath for F32Datapath {
     }
 
     #[inline(always)]
-    fn lane_prefix(
-        &self,
-        seed: f32,
-        weights: &[f32],
-        taps: Taps<'_>,
-        item: &[f32],
-        m8: usize,
-        _mac: impl FnMut(usize, f32) -> f32,
-    ) -> f32 {
+    fn lane_prefix(walk: &PairWalk<'_, Self>, base: i32, m8: usize) -> f32 {
         // An empty lane region leaves the bias bit-untouched (`-0.0` too).
         if m8 == 0 {
-            return seed;
+            return walk.seed;
         }
-        seed + match taps {
-            Taps::Resolved { resolved, base } => {
-                lane::lane_dot_resolved(weights, resolved, base, item, m8)
-            }
-            Taps::Border(taps) => lane::lane_dot_border(weights, taps, item, m8),
-        }
+        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
+        walk.seed + lane::lane_dot_resolved(weights, resolved, base, item, m8)
     }
 
     #[inline]
-    fn prefix8(
-        &self,
-        seed: f32,
-        weights: &[f32],
-        resolved: &[i32],
-        bases: &[i32; BATCH],
-        item: &[f32],
-        stop1: usize,
-    ) -> [f32; BATCH] {
-        let m8 = lane::lane_prefix_len(stop1);
-        let mut acc = [seed; BATCH];
-        if m8 > 0 {
-            for (a, &b) in acc.iter_mut().zip(bases) {
-                *a = seed + lane::lane_dot_resolved(weights, resolved, b, item, m8);
-            }
-        }
-        span8::<Self>(&mut acc, weights, resolved, bases, item, m8..stop1);
+    fn prefix8(walk: &PairWalk<'_, Self>, bases: &[i32; BATCH]) -> [f32; BATCH] {
+        let m8 = lane::lane_prefix_len(walk.stop1);
+        let mut acc = bases.map(|b| Self::lane_prefix(walk, b, m8));
+        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
+        span8::<Self>(&mut acc, weights, resolved, bases, item, m8..walk.stop1);
         acc
     }
 }
@@ -778,41 +622,27 @@ impl Datapath for Q16Datapath {
     /// Integer accumulation is exact and associative, so the lane region
     /// needs no pinned order: a sequential fold gives the same bits.
     #[inline(always)]
-    fn lane_prefix(
-        &self,
-        seed: QAcc,
-        _weights: &[Q16],
-        _taps: Taps<'_>,
-        _item: &[Q16],
-        m8: usize,
-        mut mac: impl FnMut(usize, QAcc) -> QAcc,
-    ) -> QAcc {
-        (0..m8).fold(seed, |acc, p| mac(p, acc))
+    fn lane_prefix(walk: &PairWalk<'_, Self>, base: i32, m8: usize) -> QAcc {
+        let mac = walk.mac(base);
+        (0..m8).fold(walk.seed, |acc, p| mac(p, acc))
     }
 
     #[inline]
-    fn prefix8(
-        &self,
-        seed: QAcc,
-        weights: &[Q16],
-        resolved: &[i32],
-        bases: &[i32; BATCH],
-        item: &[Q16],
-        stop1: usize,
-    ) -> [QAcc; BATCH] {
-        let mut raw = [seed.raw(); BATCH];
-        lane::lane_q16_span(&mut raw, weights, resolved, bases, item, 0, stop1);
+    fn prefix8(walk: &PairWalk<'_, Self>, bases: &[i32; BATCH]) -> [QAcc; BATCH] {
+        let mut raw = [walk.seed.raw(); BATCH];
+        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
+        lane::lane_q16_span(&mut raw, weights, resolved, bases, item, 0, walk.stop1);
         raw.map(QAcc::from_raw)
     }
 }
 
-/// Accumulates the positions in `span` for [`BATCH`] interior windows at
-/// once: each position loads its resolved tap and weight once and feeds all
-/// eight accumulator chains. Each window's own accumulation order is
+/// Accumulates the positions in `span` for [`BATCH`] windows at once: each
+/// position loads its resolved tap and weight once and feeds all eight
+/// accumulator chains. Each window's own accumulation order is
 /// unchanged (ascending `p`), so per-window results stay bit-identical to a
 /// single window's walk.
 #[inline]
-// lint:allow(P2) p < weights.len() = resolved.len(); interior bases keep base+delta in bounds
+// lint:allow(P2) p < weights.len() = resolved.len(); a plan's bases keep base+delta in bounds
 fn span8<D: Datapath>(
     acc: &mut [D::Acc; BATCH],
     weights: &[D::Operand],
@@ -910,20 +740,16 @@ fn probe_live<D: Datapath, const L: usize>(
 /// Where a pair's walk puts each window's outcome, at the window's index,
 /// and how far it walks a window from the end of its probe-free prefix.
 trait Sink<D: Datapath> {
-    /// Finishes window `w` alone from its prefix `acc`.
-    fn one(
-        &mut self,
-        walk: &PairWalk<'_, D>,
-        w: usize,
-        acc: D::Acc,
-        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
-    );
+    /// Finishes window `w`, at `base`, alone from its prefix `acc`.
+    fn one(&mut self, walk: &PairWalk<'_, D>, w: usize, base: i32, acc: D::Acc);
 
-    /// Finishes a full batch of interior windows from their prefixes `acc`.
+    /// Finishes the [`BATCH`] windows `w0..w0 + BATCH`, at `bases`, from
+    /// their prefixes `acc`.
     fn batch(
         &mut self,
         walk: &PairWalk<'_, D>,
-        lanes: &[(usize, i32); BATCH],
+        w0: usize,
+        bases: &[i32; BATCH],
         acc: [D::Acc; BATCH],
     );
 }
@@ -936,14 +762,8 @@ struct Results<'s> {
 
 impl<D: Datapath> Sink<D> for Results<'_> {
     #[inline(always)]
-    fn one(
-        &mut self,
-        walk: &PairWalk<'_, D>,
-        w: usize,
-        acc: D::Acc,
-        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
-    ) {
-        let r = walk_from(walk.dp, walk.pau, walk.weights.len(), acc, walk.stop1, mac);
+    fn one(&mut self, walk: &PairWalk<'_, D>, w: usize, base: i32, acc: D::Acc) {
+        let r = walk.finish(base, acc);
         self.out[w] = r.output;
         self.ops[w] = r.ops;
     }
@@ -951,11 +771,12 @@ impl<D: Datapath> Sink<D> for Results<'_> {
     fn batch(
         &mut self,
         walk: &PairWalk<'_, D>,
-        lanes: &[(usize, i32); BATCH],
+        w0: usize,
+        bases: &[i32; BATCH],
         acc: [D::Acc; BATCH],
     ) {
-        for (&a, &(w, base)) in acc.iter().zip(lanes) {
-            self.one(walk, w, a, walk.interior(base).1);
+        for (w, (&base, a)) in (w0..).zip(bases.iter().zip(acc)) {
+            self.one(walk, w, base, a);
         }
     }
 }
@@ -965,32 +786,24 @@ struct Observed<'s>(&'s mut [WindowObs]);
 
 impl<D: Datapath> Sink<D> for Observed<'_> {
     #[inline(always)]
-    fn one(
-        &mut self,
-        walk: &PairWalk<'_, D>,
-        w: usize,
-        acc: D::Acc,
-        mac: impl Fn(usize, D::Acc) -> D::Acc + Copy,
-    ) {
+    fn one(&mut self, walk: &PairWalk<'_, D>, w: usize, base: i32, acc: D::Acc) {
+        let mac = walk.mac(base);
         let [obs] = walk.observe([acc], |p, a: &mut [D::Acc; 1]| a[0] = mac(p, a[0]));
         self.0[w] = obs;
     }
 
-    // lint:allow(P2) each lane's w < plan.windows() by walk_windows' loop bound, and the record slice holds one entry per window
     fn batch(
         &mut self,
         walk: &PairWalk<'_, D>,
-        lanes: &[(usize, i32); BATCH],
+        w0: usize,
+        bases: &[i32; BATCH],
         acc: [D::Acc; BATCH],
     ) {
         let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
-        let bases = lanes.map(|(_, b)| b);
         let recs = walk.observe(acc, |p, a| {
-            span8::<D>(a, weights, resolved, &bases, item, p..p + 1);
+            span8::<D>(a, weights, resolved, bases, item, p..p + 1);
         });
-        for (&(w, _), rec) in lanes.iter().zip(recs) {
-            self.0[w] = rec;
-        }
+        self.0[w0..w0 + BATCH].copy_from_slice(&recs);
     }
 }
 
@@ -999,8 +812,8 @@ struct PairWalk<'a, D: Datapath> {
     dp: &'a D,
     pau: &'a Pau,
     weights: &'a [D::Operand],
+    /// The kernel's walk-order tap deltas (`WindowPlan::resolve`).
     resolved: &'a [i32],
-    kyx: &'a [[i32; 2]],
     item: &'a [D::Operand],
     seed: D::Acc,
     /// The probe-free prefix length ([`unconditional_prefix_len`]).
@@ -1008,13 +821,13 @@ struct PairWalk<'a, D: Datapath> {
 }
 
 impl<'a, D: Datapath> PairWalk<'a, D> {
-    /// `weights` must be `dp.weights(kernel)` and `taps` the kernel's
+    /// `weights` must be `dp.weights(kernel)` and `resolved` the kernel's
     /// resolved taps.
     fn new(
         dp: &'a D,
         kernel: &'a KernelExec,
         weights: &'a [D::Operand],
-        taps: &'a ResolvedTaps,
+        resolved: &'a [i32],
         item: &'a [D::Operand],
         bias: f32,
     ) -> Self {
@@ -1022,71 +835,39 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
             dp,
             pau: &kernel.pau,
             weights,
-            resolved: &taps.delta,
-            kyx: &taps.kyx,
+            resolved,
             item,
             seed: dp.seed(bias),
             stop1: unconditional_prefix_len(&kernel.pau, weights.len()),
         }
     }
 
-    /// The operands and MAC of the interior window at `base`.
+    /// The MAC at each walk position of the window at `base`.
     #[inline(always)]
-    fn interior(&self, base: i32) -> (Taps<'a>, impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a) {
+    fn mac(&self, base: i32) -> impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a {
         let (weights, resolved, item) = (self.weights, self.resolved, self.item);
-        let taps = Taps::Resolved { resolved, base };
-        (taps, move |p, acc| {
-            D::mac(acc, item[(base + resolved[p]) as usize], weights[p])
-        })
+        move |p, acc| D::mac(acc, item[(base + resolved[p]) as usize], weights[p])
     }
 
-    /// The operands and MAC of window `w` of `plan` with every tap
-    /// bounds-checked: a padding tap is a skipped MAC.
+    /// The probe-free prefix of the window at `base`: the lane-blocked
+    /// region, then the rest in order.
     #[inline(always)]
-    fn border(
-        &self,
-        plan: &WindowPlan,
-        w: usize,
-    ) -> (Taps<'a>, impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a) {
-        let (weights, item) = (self.weights, self.item);
-        let taps = plan.border_taps(w, self.resolved, self.kyx);
-        (Taps::Border(taps), move |p, acc| match taps.offset(p) {
-            Some(off) => D::mac(acc, item[off], weights[p]),
-            None => acc,
-        })
-    }
-
-    /// Walks border window `w` of `plan` into `sink`. Out of line, so the
-    /// interior path compiles as if border windows did not exist.
-    #[inline(never)]
-    fn walk_border(&self, plan: &WindowPlan, w: usize, sink: &mut impl Sink<D>) {
-        let (taps, mac) = self.border(plan, w);
-        sink.one(self, w, self.prefix(taps, mac), mac);
-    }
-
-    /// One window's probe-free prefix: the lane-blocked region, then the
-    /// rest in order, with `mac` performing the MAC at each position of
-    /// `taps`.
-    #[inline(always)]
-    fn prefix(&self, taps: Taps<'_>, mac: impl Fn(usize, D::Acc) -> D::Acc + Copy) -> D::Acc {
+    fn prefix(&self, base: i32) -> D::Acc {
+        let mac = self.mac(base);
         let m8 = lane::lane_prefix_len(self.stop1);
-        let mut acc = self
-            .dp
-            .lane_prefix(self.seed, self.weights, taps, self.item, m8, mac);
+        let mut acc = D::lane_prefix(self, base, m8);
         for p in m8..self.stop1 {
             acc = mac(p, acc);
         }
         acc
     }
 
-    /// Walks one window alone, stopping where the PAU says.
+    /// Walks the window at `base` on from its probe-free prefix `acc`,
+    /// stopping where the PAU says.
     #[inline(always)]
-    fn walk(
-        &self,
-        (taps, mac): (Taps<'_>, impl Fn(usize, D::Acc) -> D::Acc + Copy),
-    ) -> WindowResult {
-        let acc = self.prefix(taps, mac);
-        walk_from(self.dp, self.pau, self.weights.len(), acc, self.stop1, mac)
+    fn finish(&self, base: i32, acc: D::Acc) -> WindowResult {
+        let len = self.weights.len();
+        walk_from(self.dp, self.pau, len, acc, self.stop1, self.mac(base))
     }
 
     /// Walks `L` windows on from the end of their probe-free prefixes
@@ -1142,43 +923,18 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
         })
     }
 
-    /// Walks every window of the pair into `sink`. Interior windows gather
-    /// into [`BATCH`]-wide groups, which may span border windows, and walk
-    /// their probe-free prefixes through the datapath's eight-window
-    /// kernel; border windows take the bounds-checked path as they come,
-    /// and the interior windows still pending at the end walk one at a
-    /// time. Every outcome lands at its window's index, so the walk order
-    /// never shows. Over a padded plan (`WindowPlan::for_layer`) every
-    /// window is interior, so only the last `windows % BATCH` walk alone.
-    // lint:allow(P2) lane fills are bounded by BATCH
-    fn walk_windows(&self, plan: &WindowPlan, sink: &mut impl Sink<D>) -> LaneCounts {
-        let mut lc = LaneCounts::default();
-        let mut lanes = [(0usize, 0i32); BATCH];
-        let mut nl = 0usize;
-        for w in 0..plan.windows() {
-            let base = plan.window_base(w);
-            if base < 0 {
-                lc.scalar += 1;
-                self.walk_border(plan, w, sink);
-                continue;
-            }
-            lanes[nl] = (w, base);
-            nl += 1;
-            if nl == BATCH {
-                nl = 0;
-                lc.lane += BATCH as u64;
-                let bases = lanes.map(|(_, b)| b);
-                let (dp, seed, stop1) = (self.dp, self.seed, self.stop1);
-                let acc = dp.prefix8(seed, self.weights, self.resolved, &bases, self.item, stop1);
-                sink.batch(self, &lanes, acc);
-            }
+    /// Walks every window of `plan` into `sink`: the windows in groups of
+    /// [`BATCH`], each group's probe-free prefixes through the datapath's
+    /// eight-window kernel, then the last `windows % BATCH` one at a time.
+    /// Every outcome lands at its window's index.
+    fn walk_windows(&self, plan: &WindowPlan, sink: &mut impl Sink<D>) {
+        let (chunks, rest) = plan.bases.as_chunks::<BATCH>();
+        for (c, bases) in chunks.iter().enumerate() {
+            sink.batch(self, c * BATCH, bases, D::prefix8(self, bases));
         }
-        lc.scalar += nl as u64;
-        for &(w, base) in &lanes[..nl] {
-            let (taps, mac) = self.interior(base);
-            sink.one(self, w, self.prefix(taps, mac), mac);
+        for (w, &base) in (chunks.len() * BATCH..).zip(rest) {
+            sink.one(self, w, base, self.prefix(base));
         }
-        lc
     }
 }
 
@@ -1190,26 +946,23 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
 ///
 /// Panics if `values` is shorter than the kernel.
 pub fn run_window(kernel: &KernelExec, values: &[f32], bias: f32) -> WindowResult {
-    // `values` is an interior window at base 0 whose tap deltas are the
-    // weight indices themselves.
-    let taps = ResolvedTaps {
-        delta: kernel
-            .reordered
-            .order()
-            .iter()
-            .map(|&i| snapea_tensor::num::idx_i32(i as usize))
-            .collect(),
-        kyx: Vec::new(),
-    };
+    // `values` is a window at base 0 whose tap deltas are the weight
+    // indices themselves.
+    let resolved: Vec<i32> = kernel
+        .reordered
+        .order()
+        .iter()
+        .map(|&i| snapea_tensor::num::idx_i32(i as usize))
+        .collect();
     let weights = F32Datapath.weights(kernel);
-    let walk = PairWalk::new(&F32Datapath, kernel, &weights, &taps, values, bias);
-    walk.walk(walk.interior(0))
+    let walk = PairWalk::new(&F32Datapath, kernel, &weights, &resolved, values, bias);
+    walk.finish(0, walk.prefix(0))
 }
 
 /// Walks every window of one kernel over every image of `input` in observed
 /// mode, through the executor's own walk: `obs[img * windows + w]` receives
-/// window `w` of image `img`. `plan` must be the layer's plan for `input`'s
-/// shape ([`WindowPlan::build`]), or the padded input and pad-0 plan the
+/// window `w` of image `img`. `input` and `plan` must be the pair
+/// [`WindowPlan::for_layer`] returns for the layer, the input and plan the
 /// executor itself walks. Images are walked in order on the calling
 /// thread and no `exec/*` metric is charged: Algorithm 1's Kernel Profiling
 /// pass calls this once per kernel and candidate reordering, inside its own
@@ -1235,29 +988,18 @@ pub fn observe_kernel(
     if windows == 0 {
         return;
     }
-    let taps = plan.resolve(&kernel.reordered);
+    let resolved = plan.resolve(&kernel.reordered);
     let weights = F32Datapath.weights(kernel);
     for (n, image_obs) in obs.chunks_mut(windows).enumerate() {
-        let walk = PairWalk::new(&F32Datapath, kernel, &weights, &taps, input.item(n), bias);
+        let walk = PairWalk::new(
+            &F32Datapath,
+            kernel,
+            &weights,
+            &resolved,
+            input.item(n),
+            bias,
+        );
         walk.walk_windows(plan, &mut Observed(image_obs));
-    }
-}
-
-/// How many windows took the eight-wide batched interior path (`lane`)
-/// versus the one-window path (`scalar`: border windows and the interior
-/// windows left over at the end of a pair) — surfaced as
-/// the `exec/lane_windows` / `exec/scalar_windows` counters and on the
-/// `exec/layer` event.
-#[derive(Debug, Default, Clone, Copy)]
-struct LaneCounts {
-    lane: u64,
-    scalar: u64,
-}
-
-impl LaneCounts {
-    fn merge(&mut self, o: &LaneCounts) {
-        self.lane += o.lane;
-        self.scalar += o.scalar;
     }
 }
 
@@ -1336,11 +1078,11 @@ fn execute<D: Datapath>(
     let windows = plan.windows();
     debug_assert_eq!(windows, out_shape.plane_len());
 
-    // Resolved taps (walk-order tap deltas and kernel positions) and
-    // operand weights once per kernel, operand activations once per image,
-    // shared by every pair's task. Quantisation is deterministic, so
-    // hoisting it out of the per-MAC loop changes nothing numerically.
-    let resolved: Vec<ResolvedTaps> = cfg
+    // Resolved taps (walk-order tap deltas) and operand weights once per
+    // kernel, operand activations once per image, shared by every pair's
+    // task. Quantisation is deterministic, so hoisting it out of the
+    // per-MAC loop changes nothing numerically.
+    let resolved: Vec<Vec<i32>> = cfg
         .kernels
         .iter()
         .map(|k| plan.resolve(&k.reordered))
@@ -1352,7 +1094,6 @@ fn execute<D: Datapath>(
     let mut output = Tensor4::zeros(out_shape);
     let mut ops = vec![0u32; s.n * conv.c_out() * windows];
     let mut stats = PredictionStats::default();
-    let mut lane_counts = LaneCounts::default();
 
     // One task per *block* of consecutive (image, kernel) pairs. Flat pair
     // index `n * c_out + k` addresses both the output plane
@@ -1378,7 +1119,7 @@ fn execute<D: Datapath>(
             .chunks_mut(chunk * windows)
             .zip(ops.chunks_mut(chunk * windows))
             .collect();
-        let per_block: Vec<Vec<(PredictionStats, LaneCounts)>> =
+        let per_block: Vec<Vec<PredictionStats>> =
             snapea_tensor::par::run_tasks(blocks, |bi, (out_blk, ops_blk)| {
                 let mut obs = vec![WindowObs::default(); if collect_stats { windows } else { 0 }];
                 out_blk
@@ -1408,9 +1149,10 @@ fn execute<D: Datapath>(
                                 out: out_slice,
                                 ops: ops_slice,
                             };
-                            return (st, walk.walk_windows(&plan, &mut sink));
+                            walk.walk_windows(&plan, &mut sink);
+                            return st;
                         }
-                        let lc = walk.walk_windows(&plan, &mut Observed(&mut obs));
+                        walk.walk_windows(&plan, &mut Observed(&mut obs));
                         // The stats fold after the walk, in ascending window
                         // order, whatever order the windows were walked in.
                         let slots = out_slice.iter_mut().zip(ops_slice.iter_mut());
@@ -1419,13 +1161,12 @@ fn execute<D: Datapath>(
                             *op = o.result.ops;
                             account_window(&mut st, o.full, o.result.termination);
                         }
-                        (st, lc)
+                        st
                     })
                     .collect()
             });
-        for (st, lc) in per_block.iter().flatten() {
+        for st in per_block.iter().flatten() {
             stats.merge(st);
-            lane_counts.merge(lc);
         }
     }
 
@@ -1439,7 +1180,6 @@ fn execute<D: Datapath>(
     record_layer_execution(
         &profile,
         collect_stats.then_some(&stats),
-        lane_counts,
         layer_clock.elapsed_ms(),
     );
     ExecResult {
@@ -1455,19 +1195,25 @@ fn execute<D: Datapath>(
 /// relaxed atomics charged once per layer call (never per window), and the
 /// event payload is only built behind [`snapea_obs::enabled`], keeping the
 /// disabled-path overhead within the executor bench's <2% budget.
+///
+/// Every pair walks its windows in groups of [`BATCH`] and the last
+/// `windows % BATCH` alone (`PairWalk::walk_windows`), so the
+/// `lane_windows` / `scalar_windows` split follows from the geometry.
 fn record_layer_execution(
     profile: &LayerProfile,
     stats: Option<&PredictionStats>,
-    lane_counts: LaneCounts,
     elapsed_ms: f64,
 ) {
     let performed = profile.total_ops();
     let dense = profile.full_macs();
+    let pairs = (profile.images() * profile.kernels()) as u64;
+    let scalar_windows = pairs * (profile.windows() % BATCH) as u64;
+    let lane_windows = pairs * profile.windows() as u64 - scalar_windows;
     snapea_obs::counter("exec/layer_calls").inc();
     snapea_obs::counter("exec/macs_performed").add(performed);
     snapea_obs::counter("exec/macs_dense").add(dense);
-    snapea_obs::counter("exec/lane_windows").add(lane_counts.lane);
-    snapea_obs::counter("exec/scalar_windows").add(lane_counts.scalar);
+    snapea_obs::counter("exec/lane_windows").add(lane_windows);
+    snapea_obs::counter("exec/scalar_windows").add(scalar_windows);
     snapea_obs::log_histogram("exec/layer_ms").record(elapsed_ms);
     if let Some(s) = stats {
         snapea_obs::counter("exec/windows_negative").add(s.negative_windows);
@@ -1487,8 +1233,8 @@ fn record_layer_execution(
                 full_macs = dense,
                 savings = profile.savings(),
                 elapsed_ms = elapsed_ms,
-                lane_windows = lane_counts.lane,
-                scalar_windows = lane_counts.scalar,
+                lane_windows = lane_windows,
+                scalar_windows = scalar_windows,
                 true_negative_rate = s.true_negative_rate(),
                 false_negative_rate = s.false_negative_rate(),
                 sign_terminations = s.sign_terminations,
@@ -1503,8 +1249,8 @@ fn record_layer_execution(
                 full_macs = dense,
                 savings = profile.savings(),
                 elapsed_ms = elapsed_ms,
-                lane_windows = lane_counts.lane,
-                scalar_windows = lane_counts.scalar,
+                lane_windows = lane_windows,
+                scalar_windows = scalar_windows,
             );
         }
     }
@@ -1514,11 +1260,12 @@ fn record_layer_execution(
 /// related work): a window's cost is the number of taps whose **input** is
 /// non-zero — zero activations (the output of upstream ReLUs) are skipped
 /// outright, regardless of weight signs. This is the orthogonal,
-/// input-sparsity approach SnaPEA is contrasted against.
-// lint:allow(P2) the plan's tap offsets lie inside the item slice of the shape it was built for
+/// input-sparsity approach SnaPEA is contrasted against. A padding tap
+/// reads `+0.0`, so it is never counted.
+// lint:allow(P2) the plan's tap offsets lie inside the item slice of the input it was built for
 pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
     let s = input.shape();
-    let plan = WindowPlan::build(s, conv.geom(), conv.c_in());
+    let (input, plan) = WindowPlan::for_layer(conv, input);
     let windows = plan.windows();
     let mut ops = Vec::with_capacity(s.n * conv.c_out() * windows);
     for n in 0..s.n {
@@ -1528,7 +1275,7 @@ pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
         let mut per_window = Vec::with_capacity(windows);
         for w in 0..windows {
             let count = (0..plan.window_len())
-                .filter(|&i| plan.tap(w, i).is_some_and(|off| item[off] != 0.0))
+                .filter(|&i| item[plan.tap(w, i)] != 0.0)
                 .count();
             let count = snapea_tensor::num::ops_u32(count);
             per_window.push(count);
@@ -1548,20 +1295,21 @@ pub fn zero_skip_profile(conv: &Conv2d, input: &Tensor4) -> LayerProfile {
 /// MACs).
 ///
 /// `walked` is the profile of that walk, `execute_conv(conv, input,
-/// cfg).profile`, which the caller has already run.
+/// cfg).profile`, which the caller has already run. A padding tap reads
+/// `+0.0`, so it is never counted.
 ///
 /// # Panics
 ///
 /// Panics if `walked` does not have one op count per (image, kernel,
 /// window) of `conv` over `input`.
-// lint:allow(P2) the plan's tap offsets lie inside the item slice of the shape it was built for
+// lint:allow(P2) the plan's tap offsets lie inside the item slice of the input it was built for
 pub fn combined_profile(
     conv: &Conv2d,
     input: &Tensor4,
     cfg: &LayerConfig,
     walked: &LayerProfile,
 ) -> LayerProfile {
-    let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
+    let (input, plan) = WindowPlan::for_layer(conv, input);
     let windows = plan.windows();
     assert_eq!(
         (walked.images(), walked.kernels(), walked.windows()),
@@ -1576,7 +1324,7 @@ pub fn combined_profile(
             for (w, &walked_ops) in walked.kernel_ops(n, k).iter().enumerate() {
                 let effectual = order[..walked_ops as usize]
                     .iter()
-                    .filter(|&&i| plan.tap(w, i as usize).is_some_and(|off| item[off] != 0.0))
+                    .filter(|&&i| item[plan.tap(w, i as usize)] != 0.0)
                     .count();
                 ops.push(snapea_tensor::num::ops_u32(effectual));
             }
@@ -1876,98 +1624,41 @@ mod tests {
             pad in 0usize..3,
         ) {
             let shape = Shape4::new(1, c_in, h, w);
+            // Distinct non-zero values expose a misplaced read.
+            let input = Tensor4::from_fn(shape, |_, c, y, x| (1 + (c * h + y) * w + x) as f32);
             // The drawn geometry, and one whose kernel is taller than its
             // padded input (a single, all-padding window).
             let tall = ConvGeom { kh: h + 2 * pad + kh, kw, stride, pad };
             for geom in [ConvGeom { kh, kw, stride, pad }, tall] {
                 let (kh, kw) = (geom.kh, geom.kw);
-                let plan = WindowPlan::build(shape, geom, c_in);
-                let (oh, ow) = (geom.out_h(h), geom.out_w(w));
-                proptest::prop_assert_eq!(plan.windows(), oh * ow);
+                let conv = Conv2d::new(c_in, 1, geom, &mut init::rng(1));
+                let (padded, plan) = WindowPlan::for_layer(&conv, &input);
+                let ow = geom.out_w(w);
+                proptest::prop_assert_eq!(plan.windows(), conv.out_shape(shape).plane_len());
                 proptest::prop_assert_eq!(plan.window_len(), c_in * kh * kw);
                 for win in 0..plan.windows() {
-                    let base = plan.window_base(win);
-                    let mut border = false;
                     for i in 0..plan.window_len() {
                         let tap = (i / (kh * kw), i / kw % kh, i % kw);
-                        let want = brute_force_tap((h, w), geom, (win / ow, win % ow), tap);
-                        proptest::prop_assert_eq!(plan.tap(win, i), want, "window {} tap {}", win, i);
-                        border |= want.is_none();
-                        // An interior window reads base + delta with no check.
-                        if base >= 0 {
-                            proptest::prop_assert_eq!(Some((base + plan.delta[i]) as usize), want);
-                        }
-                    }
-                    proptest::prop_assert_eq!(base >= 0, !border, "window {}", win);
-                }
-                // pad == 0 with a kernel that fits the input means no window
-                // can touch padding. (A kernel *larger* than the input still
-                // yields one out-of-bounds window under the saturating output
-                // formula.)
-                if pad == 0 && kh <= h && kw <= w {
-                    proptest::prop_assert!((0..plan.windows()).all(|win| plan.window_base(win) >= 0));
-                }
-
-                // The input and plan the executor walks (finite weights, a
-                // zero bias): the layer's windows, every one interior, each
-                // tap reading what the bordered plan reads and 0.0 at a
-                // padding tap. Distinct non-zero values expose a misplaced
-                // read.
-                let conv = Conv2d::new(c_in, 1, geom, &mut init::rng(1));
-                let input = Tensor4::from_fn(shape, |_, c, y, x| (1 + (c * h + y) * w + x) as f32);
-                let (padded, padded_plan) = WindowPlan::for_layer(&conv, &input);
-                proptest::prop_assert_eq!(padded_plan.windows(), conv.out_shape(shape).plane_len());
-                proptest::prop_assert_eq!(padded_plan.window_len(), plan.window_len());
-                for win in 0..padded_plan.windows() {
-                    proptest::prop_assert!(padded_plan.window_base(win) >= 0, "window {}", win);
-                    for i in 0..plan.window_len() {
-                        let want = plan.tap(win, i).map_or(0.0, |off| input.item(0)[off]);
-                        let got = padded_plan.tap(win, i).map(|off| padded.item(0)[off]);
-                        proptest::prop_assert_eq!(got, Some(want), "window {} tap {}", win, i);
+                        let want = brute_force_tap((h, w), geom, (win / ow, win % ow), tap)
+                            .map_or(0.0, |off| input.item(0)[off]);
+                        let got = padded.item(0)[plan.tap(win, i)];
+                        proptest::prop_assert_eq!(got, want, "window {} tap {}", win, i);
                     }
                 }
+                // The input is copied only where a window can reach padding.
+                let fits = pad == 0 && kh <= h && kw <= w;
+                proptest::prop_assert_eq!(matches!(padded, Cow::Borrowed(_)), fits);
             }
         }
     }
 
-    /// The bounds-checked border path, taken on an interior window, must
-    /// match the interior path, walked or observed, on either datapath; on
-    /// every window, the f32 walk must match [`run_window`] over the
-    /// window's input values.
+    /// Every window's executor output and op count, stats off and on, equal
+    /// [`run_window`] over the window's im2col column bit for bit, in exact
+    /// and predictive mode. Besides a plain padded layer, this holds where
+    /// a padding tap's `+0.0` MAC is not a no-op: a `-0.0` bias (`-0.0 +
+    /// 0.0` is `+0.0`) and a `+inf` weight (`0.0 · inf` is NaN).
     #[test]
-    fn border_walk_matches_interior_walk_and_window_values() {
-        fn observe_one<D: Datapath>(
-            walk: &PairWalk<'_, D>,
-            (taps, mac): (Taps<'_>, impl Fn(usize, D::Acc) -> D::Acc + Copy),
-        ) -> WindowObs {
-            let mut rec = [WindowObs::default()];
-            Observed(&mut rec).one(walk, 0, walk.prefix(taps, mac), mac);
-            rec[0]
-        }
-        fn check<D: Datapath>(dp: &D, conv: &Conv2d, input: &Tensor4, cfg: &LayerConfig) {
-            let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
-            let item = dp.activations(input.item(0));
-            let mut border_windows = 0;
-            for (k, kexec) in cfg.kernels().iter().enumerate() {
-                let rt = plan.resolve(&kexec.reordered);
-                let weights = dp.weights(kexec);
-                let walk = PairWalk::new(dp, kexec, &weights, &rt, &item, conv.bias()[k]);
-                for w in 0..plan.windows() {
-                    let border = walk.walk(walk.border(&plan, w));
-                    let base = plan.window_base(w);
-                    if base < 0 {
-                        border_windows += 1;
-                        continue;
-                    }
-                    let interior = walk.walk(walk.interior(base));
-                    assert_eq!(border, interior, "kernel {k} window {w}");
-                    let observed = observe_one(&walk, walk.border(&plan, w));
-                    assert_eq!(observed, observe_one(&walk, walk.interior(base)));
-                    assert_eq!(observed.result, border, "kernel {k} window {w}");
-                }
-            }
-            assert!(border_windows > 0, "the geometry must have border windows");
-        }
+    fn executor_windows_match_run_window_over_im2col_columns() {
         let mut rng = init::rng(70);
         // A non-square kernel with an uneven stride on a non-square input,
         // so a swapped row/column anywhere in the plan shows.
@@ -1979,34 +1670,42 @@ mod tests {
         };
         let conv = Conv2d::new(2, 3, geom, &mut rng);
         let input = nonneg_input(Shape4::new(1, 2, 7, 9), 71);
-        let cfg = LayerConfig::predictive_uniform(&conv, KernelParams::new(0.1, 4));
-        check(&F32Datapath, &conv, &input, &cfg);
-        check(&Q16Datapath(Q16Format::new(10)), &conv, &input, &cfg);
-
-        let plan = WindowPlan::build(input.shape(), conv.geom(), conv.c_in());
-        let item = input.item(0);
-        for (k, kexec) in cfg.kernels().iter().enumerate() {
-            let rt = plan.resolve(&kexec.reordered);
-            let walk = PairWalk::new(
-                &F32Datapath,
-                kexec,
-                kexec.reordered.weights(),
-                &rt,
-                item,
-                conv.bias()[k],
-            );
-            for w in 0..plan.windows() {
-                let values: Vec<f32> = (0..plan.window_len())
-                    .map(|i| plan.tap(w, i).map_or(0.0, |off| item[off]))
-                    .collect();
-                let want = run_window(kexec, &values, conv.bias()[k]);
-                assert_eq!(
-                    walk.walk(walk.border(&plan, w)),
-                    want,
-                    "kernel {k} window {w}"
-                );
+        let mut neg_zero_bias = conv.clone();
+        neg_zero_bias.bias_mut()[1] = -0.0;
+        let mut inf_weight = conv.clone();
+        inf_weight.weight_mut()[(2, 0, 0, 0)] = f32::INFINITY;
+        let cols = snapea_tensor::im2col::im2col(&input, 0, geom);
+        let mut nan_windows = 0;
+        for (case, conv) in [
+            ("plain", conv),
+            ("-0.0 bias", neg_zero_bias),
+            ("+inf weight", inf_weight),
+        ] {
+            for cfg in [
+                LayerConfig::exact(&conv),
+                LayerConfig::predictive_uniform(&conv, KernelParams::new(0.1, 4)),
+            ] {
+                for r in [
+                    execute_conv(&conv, &input, &cfg),
+                    execute_conv_stats(&conv, &input, &cfg),
+                ] {
+                    let windows = r.profile.windows();
+                    let planes = r.output.item(0).chunks_exact(windows);
+                    for ((k, kexec), plane) in cfg.kernels().iter().enumerate().zip(planes) {
+                        for (w, got) in plane.iter().enumerate() {
+                            let column: Vec<f32> =
+                                (0..conv.window_len()).map(|i| cols[(i, w)]).collect();
+                            let want = run_window(kexec, &column, conv.bias()[k]);
+                            let at = format!("{case}: kernel {k} window {w}");
+                            assert_eq!(got.to_bits(), want.output.to_bits(), "{at}");
+                            assert_eq!(r.profile.op(0, k, w), want.ops, "{at}");
+                            nan_windows += usize::from(got.is_nan());
+                        }
+                    }
+                }
             }
         }
+        assert!(nan_windows > 0, "a padding tap under +inf must MAC to NaN");
     }
 
     #[test]
@@ -2018,15 +1717,15 @@ mod tests {
             stride: 2,
             pad: 1,
         };
-        let plan = WindowPlan::build(shape, geom, 2);
+        let conv = Conv2d::new(2, 1, geom, &mut init::rng(1));
         let x = Tensor4::from_fn(shape, |_, c, h, w| (c * 100 + h * 10 + w) as f32);
+        let (padded, plan) = WindowPlan::for_layer(&conv, &x);
         let cols = snapea_tensor::im2col::im2col(&x, 0, geom);
-        let item = x.item(0);
+        let item = padded.item(0);
         for w in 0..plan.windows() {
             for idx in 0..plan.window_len() {
-                let expect = cols[(idx, w)];
-                let got = plan.tap(w, idx).map_or(0.0, |off| item[off]);
-                assert_eq!(got, expect, "window {w} tap {idx}");
+                let got = item[plan.tap(w, idx)];
+                assert_eq!(got, cols[(idx, w)], "window {w} tap {idx}");
             }
         }
     }

@@ -282,8 +282,8 @@ mod tests {
 
     /// Every candidate's `ops` is the executor's op total for that kernel
     /// run alone in that mode on the profiling input — on padded,
-    /// unpadded and strided layers, so border windows, full batches and
-    /// batches spanning border windows all count.
+    /// unpadded and strided layers, so padded copies, full batches and the
+    /// windows left over after the last batch all count.
     #[test]
     fn candidate_ops_match_the_executor() {
         use crate::exec::{execute_conv, LayerConfig};

@@ -9,7 +9,12 @@
 //!   partial sum is below the threshold `Th` (the `Predict` signal is high
 //!   for exactly this one probe), or
 //! * **sign check** — `p` lies in the trailing negative-weight region and
-//!   the partial sum's sign bit is set (a single AND gate in hardware).
+//!   the partial sum is below zero (`partial_sum < 0.0`).
+//!
+//! Both are ordered comparisons, so a NaN partial sum never terminates, and
+//! a `-0.0` one is not below zero. Hardware that latches the sign bit (a
+//! single AND gate) would terminate on `-0.0` and on a NaN whose sign bit is
+//! set; the model tests `< 0.0`, as the oracle does.
 //!
 //! The same struct drives both the software executor ([`crate::exec`]) and
 //! the cycle-level simulator, so software decisions and simulated-hardware
@@ -131,7 +136,8 @@ mod tests {
         // (a negative bias, say).
         assert_eq!(pau.probe(0, -5.0), PauAction::Continue);
         assert_eq!(pau.probe(1, -5.0), PauAction::Continue);
-        // Negative region: terminates exactly when the sign bit is set.
+        // Negative region: terminates exactly when the partial sum is below
+        // zero.
         assert_eq!(pau.probe(2, 1.0), PauAction::Continue);
         assert_eq!(
             pau.probe(2, -0.01),
@@ -175,6 +181,24 @@ mod tests {
             PauAction::Terminate(TerminationKind::SignCheck)
         );
         assert_eq!(pau.probe(ns, 0.1), PauAction::Continue);
+    }
+
+    /// The sign check is `partial_sum < 0.0`, not the sign bit: `-0.0` and
+    /// NaN (either sign) continue in the negative region, and NaN continues
+    /// at the predictive check.
+    #[test]
+    fn probe_compares_below_zero_not_the_sign_bit() {
+        let w = [0.5, -1.0, 0.25, -0.5, 0.1, -0.1];
+        let exact = Pau::exact(&sign_reorder(&w));
+        let r = predictive_reorder(&w, 2);
+        let predictive = Pau::predictive(&r, KernelParams::new(0.3, 2));
+        for v in [-0.0, f32::NAN, -f32::NAN] {
+            assert_eq!(exact.probe(exact.neg_start(), v), PauAction::Continue);
+            assert_eq!(predictive.probe(r.neg_start(), v), PauAction::Continue);
+        }
+        for v in [f32::NAN, -f32::NAN] {
+            assert_eq!(predictive.probe(2, v), PauAction::Continue);
+        }
     }
 
     #[test]

@@ -59,53 +59,56 @@ impl ReorderedKernel {
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
-}
 
-/// Appends the negative weights in descending magnitude order.
-///
-/// Within-subset order does not affect exactness (the sign check is only
-/// sound once *all* positives are done), but processing the largest-magnitude
-/// negatives first drives the partial sum below zero soonest, maximising the
-/// number of skipped MACs. This is the natural implementation choice for the
-/// paper's "negative subset".
-fn push_negatives_descending(order: &mut Vec<u32>, weights: &[f32], skip: impl Fn(u32) -> bool) {
-    let mut negs: Vec<u32> = (0..weights.len() as u32)
-        .filter(|&i| weights[i as usize] < 0.0 && !skip(i))
-        .collect();
-    negs.sort_by(|&a, &b| {
-        weights[a as usize]
-            .total_cmp(&weights[b as usize])
-            .then(a.cmp(&b))
-    });
-    order.extend(negs);
+    /// The kernel whose speculative set is `spec`, followed by every other
+    /// weight: the non-negative ones in original order, then the negative
+    /// ones in descending magnitude order. A weight is negative iff `w <
+    /// 0.0`; every other weight, `±0.0` and NaN included, is non-negative,
+    /// so every weight lands in exactly one region.
+    ///
+    /// Within-subset order does not affect exactness (the sign check is only
+    /// sound once *all* positives are done), but processing the
+    /// largest-magnitude negatives first drives the partial sum below zero
+    /// soonest, maximising the number of skipped MACs. This is the natural
+    /// implementation choice for the paper's "negative subset".
+    fn from_spec(weights: &[f32], spec: Vec<u32>) -> Self {
+        let in_spec: std::collections::BTreeSet<u32> = spec.iter().copied().collect();
+        let (mut negs, nonneg): (Vec<u32>, Vec<u32>) = (0..weights.len() as u32)
+            .filter(|i| !in_spec.contains(i))
+            .partition(|&i| weights[i as usize] < 0.0);
+        negs.sort_by(|&a, &b| {
+            weights[a as usize]
+                .total_cmp(&weights[b as usize])
+                .then(a.cmp(&b))
+        });
+        let spec_len = spec.len();
+        let mut order = spec;
+        order.extend(nonneg);
+        let neg_start = order.len();
+        order.extend(negs);
+        let reordered: Vec<f32> = order.iter().map(|&i| weights[i as usize]).collect();
+        Self {
+            order,
+            weights: reordered,
+            spec_len,
+            neg_start,
+        }
+    }
 }
 
 /// Exact-mode reordering: non-negative weights first (original relative
 /// order preserved), then negative weights in descending magnitude order
 /// (earliest possible sign-check termination).
 pub fn sign_reorder(weights: &[f32]) -> ReorderedKernel {
-    let mut order: Vec<u32> = Vec::with_capacity(weights.len());
-    for (i, &w) in weights.iter().enumerate() {
-        if w >= 0.0 {
-            order.push(i as u32);
-        }
-    }
-    let neg_start = order.len();
-    push_negatives_descending(&mut order, weights, |_| false);
-    let reordered: Vec<f32> = order.iter().map(|&i| weights[i as usize]).collect();
-    ReorderedKernel {
-        order,
-        weights: reordered,
-        spec_len: 0,
-        neg_start,
-    }
+    ReorderedKernel::from_spec(weights, Vec::new())
 }
 
 /// Predictive-mode reordering (paper §IV-A): sort the weights in ascending
 /// order, partition them into `groups` near-equal contiguous groups, take the
 /// largest-magnitude representative of each group as the speculative set,
 /// then order the remaining weights positive-first / negative-last as in
-/// [`sign_reorder`].
+/// [`sign_reorder`]. Magnitudes compare by `total_cmp`, so a NaN weight is
+/// its group's largest.
 ///
 /// Selecting one representative per group — rather than simply the `groups`
 /// largest-magnitude weights — lets small weights (which may multiply large,
@@ -151,22 +154,7 @@ pub fn predictive_reorder(weights: &[f32], groups: usize) -> ReorderedKernel {
             .expect("non-empty group");
         spec.push(pick);
     }
-    let in_spec: std::collections::BTreeSet<u32> = spec.iter().copied().collect();
-    let mut order = spec.clone();
-    for (i, &w) in weights.iter().enumerate() {
-        if w >= 0.0 && !in_spec.contains(&(i as u32)) {
-            order.push(i as u32);
-        }
-    }
-    let neg_start = order.len();
-    push_negatives_descending(&mut order, weights, |i| in_spec.contains(&i));
-    let reordered: Vec<f32> = order.iter().map(|&i| weights[i as usize]).collect();
-    ReorderedKernel {
-        order,
-        weights: reordered,
-        spec_len: groups,
-        neg_start,
-    }
+    ReorderedKernel::from_spec(weights, spec)
 }
 
 /// Ablation reordering (paper §IV-A's rejected alternative): speculative set
@@ -188,23 +176,8 @@ pub fn magnitude_reorder(weights: &[f32], count: usize) -> ReorderedKernel {
             .total_cmp(&weights[a as usize].abs())
             .then(a.cmp(&b))
     });
-    let spec: Vec<u32> = by_mag[..count].to_vec();
-    let in_spec: std::collections::BTreeSet<u32> = spec.iter().copied().collect();
-    let mut order = spec;
-    for (i, &w) in weights.iter().enumerate() {
-        if w >= 0.0 && !in_spec.contains(&(i as u32)) {
-            order.push(i as u32);
-        }
-    }
-    let neg_start = order.len();
-    push_negatives_descending(&mut order, weights, |i| in_spec.contains(&i));
-    let reordered: Vec<f32> = order.iter().map(|&i| weights[i as usize]).collect();
-    ReorderedKernel {
-        order,
-        weights: reordered,
-        spec_len: count,
-        neg_start,
-    }
+    by_mag.truncate(count);
+    ReorderedKernel::from_spec(weights, by_mag)
 }
 
 #[cfg(test)]
@@ -222,6 +195,26 @@ mod tests {
         order.len() == len
     }
 
+    /// NaN, ±inf and ±0.0 among ordinary weights.
+    const HOSTILE: [f32; 8] = [
+        0.5,
+        f32::NAN,
+        -0.0,
+        f32::NEG_INFINITY,
+        -1.0,
+        f32::INFINITY,
+        0.0,
+        -0.25,
+    ];
+
+    /// Past the speculative set, every weight before `neg_start` is not `<
+    /// 0.0` (NaN included) and every weight from it on is.
+    fn has_sign_regions(r: &ReorderedKernel) -> bool {
+        let negative = |v: &f32| *v < 0.0;
+        let (mid, tail) = r.weights()[r.spec_len()..].split_at(r.neg_start() - r.spec_len());
+        !mid.iter().any(negative) && tail.iter().all(negative)
+    }
+
     #[test]
     fn sign_reorder_partitions_by_sign() {
         let w = [0.5, -1.0, 0.0, 2.0, -0.25];
@@ -234,6 +227,12 @@ mod tests {
         // Positives keep original order; negatives descend in magnitude.
         assert_eq!(r.order(), &[0, 2, 3, 1, 4]);
         assert_eq!(&r.weights()[3..], &[-1.0, -0.25]);
+
+        // NaN and -0.0 are not `< 0.0`: they keep their place among the
+        // non-negative weights, and every weight is walked.
+        let r = sign_reorder(&HOSTILE);
+        assert_eq!(r.order(), &[0, 1, 2, 5, 6, 3, 4, 7]);
+        assert_eq!(r.neg_start(), 5);
     }
 
     #[test]
@@ -246,18 +245,21 @@ mod tests {
 
     #[test]
     fn predictive_reorder_structure() {
-        let w = [0.1, -0.9, 0.4, -0.2, 0.8, -0.05, 0.3, 0.05];
-        for groups in 1..=w.len() {
-            let r = predictive_reorder(&w, groups);
-            assert!(is_permutation(r.order(), w.len()), "groups={groups}");
-            assert_eq!(r.spec_len(), groups);
-            assert!(r.neg_start() >= groups);
-            // Region after spec: positives then negatives.
-            let mid = &r.weights()[groups..r.neg_start()];
-            let tail = &r.weights()[r.neg_start()..];
-            assert!(mid.iter().all(|&v| v >= 0.0), "groups={groups}");
-            assert!(tail.iter().all(|&v| v < 0.0), "groups={groups}");
+        let ordinary = [0.1, -0.9, 0.4, -0.2, 0.8, -0.05, 0.3, 0.05];
+        for w in [ordinary, HOSTILE] {
+            for groups in 1..=w.len() {
+                let r = predictive_reorder(&w, groups);
+                assert!(is_permutation(r.order(), w.len()), "{w:?} groups={groups}");
+                assert_eq!(r.spec_len(), groups);
+                assert!(r.neg_start() >= groups);
+                // Region after spec: positives then negatives.
+                assert!(has_sign_regions(&r), "{w:?} groups={groups}");
+            }
         }
+        // Magnitudes compare by `total_cmp`: NaN outranks ±inf, and -inf
+        // ties +inf, the lower index first.
+        assert_eq!(predictive_reorder(&HOSTILE, 1).order()[0], 1);
+        assert_eq!(magnitude_reorder(&HOSTILE, 2).order()[..2], [1, 3]);
     }
 
     #[test]
@@ -301,14 +303,18 @@ mod tests {
 
     #[test]
     fn index_buffer_round_trips_weights() {
-        let w = [0.5, -1.0, 0.0, 2.0, -0.25, 0.7];
-        for r in [
-            sign_reorder(&w),
-            predictive_reorder(&w, 3),
-            magnitude_reorder(&w, 2),
-        ] {
-            for (p, &orig) in r.order().iter().enumerate() {
-                assert_eq!(r.weights()[p], w[orig as usize]);
+        let ordinary = [0.5, -1.0, 0.0, 2.0, -0.25, 0.7];
+        for w in [&ordinary[..], &HOSTILE] {
+            for r in [
+                sign_reorder(w),
+                predictive_reorder(w, 3),
+                magnitude_reorder(w, 2),
+            ] {
+                assert!(is_permutation(r.order(), w.len()), "{w:?}");
+                assert!(has_sign_regions(&r), "{w:?}");
+                for (p, &orig) in r.order().iter().enumerate() {
+                    assert_eq!(r.weights()[p].to_bits(), w[orig as usize].to_bits());
+                }
             }
         }
     }

@@ -20,18 +20,13 @@ use snapea_tensor::{im2col::ConvGeom, init, Shape4};
 fn executor_emits_layer_spans_events_and_kernel_detail() {
     // Padded and multi-image: 2 images × 4 kernels × 144 windows. The
     // executor walks a zero-padded copy of the input, so all 144 windows
-    // of a pair are interior and walk in 18 batches of eight (144 lane
-    // windows, 0 scalar).
+    // of a pair walk in 18 batches of eight (144 lane windows, 0 scalar).
     let mut rng = init::rng(9);
     let conv = Conv2d::new(3, 4, ConvGeom::square(3, 1, 1), &mut rng);
     let input = init::uniform4(Shape4::new(2, 3, 12, 12), 1.0, &mut rng).map(f32::abs);
     let cfg = LayerConfig::exact(&conv);
-    // The same layer with a -0.0 bias, where a padding MAC is not a no-op,
-    // keeps the bordered plan: of a pair's 144 windows, 100 are interior
-    // (10 per inner output row, between two border windows) and batch
-    // eight at a time across the border windows, so each pair walks 12
-    // batches (96 lane windows) and 4 leftover interior plus 44 border
-    // windows one at a time (48 scalar).
+    // The same layer with a -0.0 bias, where MACing a padding tap as +0.0
+    // is not a no-op, walks the same padded plan.
     let mut neg_zero_bias = conv.clone();
     neg_zero_bias.bias_mut()[1] = -0.0;
 
@@ -104,23 +99,11 @@ fn executor_emits_layer_spans_events_and_kernel_detail() {
             .and_then(Json::as_f64)
             .expect("exec/layer carries its wall time");
         assert!(ms >= 0.0 && ms.is_finite());
-        // Every window is walked exactly once, batched or alone.
-        assert_eq!(
-            count(e, "lane_windows") + count(e, "scalar_windows"),
-            2 * 4 * 144,
-            "lane + scalar windows = images × kernels × windows"
-        );
+        // The batching is a property of the plan, not of the datapath or
+        // the layer's values: every window walks in a batch of eight.
+        assert_eq!(count(e, "lane_windows"), 2 * 4 * 144);
+        assert_eq!(count(e, "scalar_windows"), 0);
     }
-    // The batching is a property of the plan, not of the datapath.
-    for e in &layer_events[1..4] {
-        for field in ["lane_windows", "scalar_windows"] {
-            assert_eq!(count(e, field), count(layer_events[0], field), "{field}");
-        }
-    }
-    assert_eq!(count(layer_events[0], "lane_windows"), 2 * 4 * 144);
-    assert_eq!(count(layer_events[0], "scalar_windows"), 0);
-    assert_eq!(count(layer_events[4], "lane_windows"), 2 * 4 * 96);
-    assert_eq!(count(layer_events[4], "scalar_windows"), 2 * 4 * 48);
 
     // The latency histogram saw every call (≥, not ==: other layer calls in
     // this process would also be charged — there are none today, but the

@@ -58,7 +58,7 @@ pub use metrics::{
 };
 pub use perfdiff::{DiffRow, PerfDiff};
 pub use report::Report;
-pub use run::{git_rev, RunHandle};
+pub use run::{git_dirty, git_rev, RunHandle};
 pub use sink::{
     detail_enabled, enabled, set_detail_enabled, FileSink, MemorySink, Sink, StderrSink,
 };

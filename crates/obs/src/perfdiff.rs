@@ -21,6 +21,10 @@
 //! recording against a non-degraded one would gate scaling numbers against
 //! oversubscription noise, so [`diff`] refuses outright — `passed()` is
 //! `false` and the reports say why — instead of producing rows.
+//!
+//! Both reports name the code each document timed: its top-level `git_rev`
+//! and `git_dirty` (whether the tree had uncommitted changes), `unknown`
+//! (`null` in JSON) where a document lacks the field.
 
 use crate::json::Json;
 
@@ -52,9 +56,61 @@ impl DiffRow {
     }
 }
 
+/// The code a benchmark document timed, as it records it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Source {
+    /// The document's `git_rev`.
+    pub git_rev: Option<String>,
+    /// The document's `git_dirty`: whether the tree differed from
+    /// `git_rev`.
+    pub git_dirty: Option<bool>,
+}
+
+impl Source {
+    fn of(doc: &Json) -> Self {
+        Self {
+            git_rev: doc
+                .get("git_rev")
+                .and_then(Json::as_str)
+                .map(str::to_string),
+            git_dirty: doc.get("git_dirty").and_then(Json::as_bool),
+        }
+    }
+
+    /// `git_rev <rev>, git_dirty <bool>`, `unknown` for an absent field.
+    fn describe(&self) -> String {
+        let dirty = self.git_dirty.map(|d| d.to_string());
+        format!(
+            "git_rev {}, git_dirty {}",
+            self.git_rev.as_deref().unwrap_or("unknown"),
+            dirty.as_deref().unwrap_or("unknown")
+        )
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "git_rev",
+                self.git_rev
+                    .as_deref()
+                    .map(Json::from)
+                    .unwrap_or(Json::Null),
+            ),
+            (
+                "git_dirty",
+                self.git_dirty.map(Json::from).unwrap_or(Json::Null),
+            ),
+        ])
+    }
+}
+
 /// The result of diffing two benchmark documents.
 #[derive(Debug, Clone, Default)]
 pub struct PerfDiff {
+    /// The code the old document timed.
+    pub old_source: Source,
+    /// The code the new document timed.
+    pub new_source: Source,
     /// Every timing cell present in both documents.
     pub rows: Vec<DiffRow>,
     /// Row identities present only in the old document.
@@ -164,7 +220,11 @@ fn is_degraded(doc: &Json) -> bool {
 
 /// Diffs two benchmark documents (see the module docs for the shape).
 pub fn diff(old: &Json, new: &Json) -> PerfDiff {
-    let mut out = PerfDiff::default();
+    let mut out = PerfDiff {
+        old_source: Source::of(old),
+        new_source: Source::of(new),
+        ..PerfDiff::default()
+    };
     let (old_deg, new_deg) = (is_degraded(old), is_degraded(new));
     if old_deg != new_deg {
         out.incompatible = Some(format!(
@@ -224,6 +284,8 @@ impl PerfDiff {
                 .collect(),
         );
         Json::obj(vec![
+            ("old_source", self.old_source.to_json()),
+            ("new_source", self.new_source.to_json()),
             ("max_regress_pct", Json::F64(max_regress_pct)),
             ("compared", Json::U64(self.rows.len() as u64)),
             (
@@ -257,10 +319,17 @@ impl PerfDiff {
 
     /// Human-readable table, worst regression first.
     pub fn render_text(&self, max_regress_pct: f64) -> String {
+        let mut out = format!(
+            "old: {}\nnew: {}\n",
+            self.old_source.describe(),
+            self.new_source.describe()
+        );
         if let Some(why) = &self.incompatible {
-            return format!("incompatible documents: {why}\n0 cell(s) compared: FAIL\n");
+            out.push_str(&format!(
+                "incompatible documents: {why}\n0 cell(s) compared: FAIL\n"
+            ));
+            return out;
         }
-        let mut out = String::new();
         let mut rows: Vec<&DiffRow> = self.rows.iter().collect();
         rows.sort_by(|a, b| {
             b.delta_pct()
@@ -466,6 +535,32 @@ mod tests {
         assert!(d.incompatible.is_none());
         assert_eq!(d.rows.len(), 2, "baseline_ms + kernel_ms compared");
         assert!(d.passed(10.0));
+    }
+
+    #[test]
+    fn reports_name_each_sides_rev_and_dirty_state() {
+        let mut old = bench_doc(10.0);
+        if let Json::Obj(pairs) = &mut old {
+            pairs.push(("git_rev".to_string(), Json::from("016c9e3")));
+            pairs.push(("git_dirty".to_string(), Json::from(true)));
+        }
+        let d = diff(&old, &bench_doc(10.0));
+        let text = d.render_text(10.0);
+        assert!(
+            text.starts_with(
+                "old: git_rev 016c9e3, git_dirty true\nnew: git_rev unknown, git_dirty unknown\n"
+            ),
+            "{text}"
+        );
+        let j = d.to_json(10.0);
+        let side = |s: &str, f: &str| j.get(s).and_then(|o| o.get(f)).cloned();
+        assert_eq!(side("old_source", "git_rev"), Some(Json::from("016c9e3")));
+        assert_eq!(side("old_source", "git_dirty"), Some(Json::from(true)));
+        assert_eq!(side("new_source", "git_rev"), Some(Json::Null));
+        assert_eq!(side("new_source", "git_dirty"), Some(Json::Null));
+        // The refusal names them too.
+        let refused = diff(&curve_doc(true, 1.0), &curve_doc(false, 1.0)).render_text(10.0);
+        assert!(refused.starts_with("old: git_rev unknown"), "{refused}");
     }
 
     #[test]

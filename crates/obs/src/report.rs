@@ -44,7 +44,8 @@ pub struct ExecSummary {
     /// Windows that ran through the eight-wide lane-blocked batch path
     /// (`lane_windows` on the event; 0 on logs from older builds).
     pub lane_windows: u64,
-    /// Windows that ran through the scalar border/drain path.
+    /// Windows walked one at a time: those left over after a pair's last
+    /// batch of eight.
     pub scalar_windows: u64,
 }
 

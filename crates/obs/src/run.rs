@@ -1,11 +1,12 @@
 //! Run manifests: one directory per invocation under `repro-results/`,
 //! holding the JSONL event log plus a `manifest.json` stamping the run with
-//! its git revision, configuration, experiment ids, and elapsed time.
+//! its git revision and whether the tree differed from it, configuration,
+//! experiment ids, and elapsed time.
 //!
 //! ```text
 //! repro-results/<run-id>/
 //!   events.jsonl    # every obs event emitted during the run
-//!   manifest.json   # git rev, config, experiments, elapsed, metric totals
+//!   manifest.json   # git rev and dirty state, config, experiments, elapsed, metric totals
 //! ```
 //!
 //! The run id is `<unix-seconds>-<pid>` — unique enough for a single
@@ -50,6 +51,31 @@ pub fn git_rev(repo_root: &Path) -> Option<String> {
         }
     }
     None
+}
+
+/// Whether the checkout at `repo_root` has uncommitted changes to tracked
+/// files, read from `git status --porcelain --untracked-files=no`: a run
+/// stamped with [`git_rev`] timed that commit only when this is
+/// `Some(false)`. Returns `None` when `git` cannot start or fails (no `git`
+/// on the host, or not a checkout).
+pub fn git_dirty(repo_root: &Path) -> Option<bool> {
+    let out = std::process::Command::new("git")
+        .arg("-C")
+        .arg(repo_root)
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .output()
+        .ok()?;
+    out.status
+        .success()
+        .then(|| porcelain_lists_changes(&out.stdout))
+}
+
+/// Whether `git status --porcelain` output names any file: one line per
+/// changed path, nothing for a clean tree.
+fn porcelain_lists_changes(stdout: &[u8]) -> bool {
+    stdout
+        .split(|&b| b == b'\n')
+        .any(|line| !line.trim_ascii().is_empty())
 }
 
 #[allow(clippy::disallowed_methods)] // the obs layer owns the wall clock
@@ -118,8 +144,9 @@ impl RunHandle {
         }
     }
 
-    /// Writes `manifest.json` (git rev, start time, elapsed seconds, caller
-    /// fields, and the final metrics snapshot) and flushes every sink.
+    /// Writes `manifest.json` (git rev and dirty state, start time, elapsed
+    /// seconds, caller fields, and the final metrics snapshot) and flushes
+    /// every sink.
     /// Returns the manifest path when the write succeeded.
     pub fn finish(self, repo_root: &Path) -> Option<PathBuf> {
         let elapsed_s = self.started.elapsed().as_secs_f64();
@@ -136,6 +163,10 @@ impl RunHandle {
             (
                 "git_rev".to_string(),
                 git_rev(repo_root).map(Json::from).unwrap_or(Json::Null),
+            ),
+            (
+                "git_dirty".to_string(),
+                git_dirty(repo_root).map(Json::from).unwrap_or(Json::Null),
             ),
             ("started_unix".to_string(), Json::U64(self.started_unix)),
             ("elapsed_s".to_string(), Json::F64(elapsed_s)),
@@ -179,6 +210,19 @@ mod tests {
     }
 
     #[test]
+    fn porcelain_output_is_dirty_iff_it_names_a_path() {
+        assert!(!porcelain_lists_changes(b""));
+        assert!(!porcelain_lists_changes(b"\n"));
+        assert!(porcelain_lists_changes(b" M crates/obs/src/run.rs\n"));
+        assert!(porcelain_lists_changes(b"M  a.rs\nR  b.rs -> c.rs\n"));
+        // Where `git status` fails (here: no such directory), or `git` is
+        // missing, the state is unknown, not clean.
+        let missing =
+            std::env::temp_dir().join(format!("snapea-obs-absent-{}", std::process::id()));
+        assert_eq!(git_dirty(&missing), None);
+    }
+
+    #[test]
     fn manifest_fields_round_trip() {
         let _guard = crate::sink::test_lock();
         let root = std::env::temp_dir().join(format!("snapea-obs-run-{}", std::process::id()));
@@ -196,6 +240,10 @@ mod tests {
         let manifest = crate::json::parse(&std::fs::read_to_string(&manifest_path).unwrap())
             .expect("manifest parses");
         assert!(manifest.get("elapsed_s").and_then(Json::as_f64).is_some());
+        assert!(
+            manifest.get("git_dirty").is_some(),
+            "manifest records the dirty state, null when unknown"
+        );
         assert!(
             manifest.get("threads").and_then(Json::as_u64).unwrap_or(0) >= 1,
             "manifest records the thread count"

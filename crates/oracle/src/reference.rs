@@ -13,6 +13,12 @@
 //!
 //! * activations and conv weights are dense row-major NCHW; a kernel's flat
 //!   weight index is `(c * kh + ky) * kw + kx`;
+//! * a convolution's padding tap is a `+0.0` input, MACed like any other
+//!   tap (as Caffe's im2col writes padding as zeros), so `0.0 · ±inf` and
+//!   `0.0 · NaN` are NaN and a `-0.0` partial sum plus a `+0.0` product is
+//!   `+0.0`;
+//! * a weight is in a kernel's negative region iff `w < 0.0`; every other
+//!   weight, `±0.0` and NaN included, is non-negative;
 //! * output extents are `(d + 2·pad).saturating_sub(k) / stride + 1` for
 //!   convolutions (a kernel larger than the padded input still produces one
 //!   all-padding window) and `0` when `d + 2·pad < k` for pooling;
@@ -50,8 +56,9 @@ pub fn dense_macs(input: Shape4, c_out: usize, geom: ConvGeom) -> u64 {
     (input.n * c_out * oh * ow * input.c * geom.kh * geom.kw) as u64
 }
 
-/// Direct 7-loop convolution: `n, o, oy, ox, c, ky, kx`, accumulating in
-/// `f32` with the bias added first. Padding contributes nothing.
+/// Direct 7-loop convolution: `n, o, oy, ox`, then the weight index over
+/// `c, ky, kx`, accumulating in `f32` with the bias added first. A padding
+/// tap is a `+0.0` input.
 pub fn conv_dense(weight: &Tensor4, bias: &[f32], geom: ConvGeom, input: &Tensor4) -> Tensor4 {
     let s = input.shape();
     let ws = weight.shape();
@@ -65,18 +72,8 @@ pub fn conv_dense(weight: &Tensor4, bias: &[f32], geom: ConvGeom, input: &Tensor
             for oy in 0..oh {
                 for ox in 0..ow {
                     let mut acc = bias[o];
-                    for c in 0..s.c {
-                        for ky in 0..geom.kh {
-                            for kx in 0..geom.kw {
-                                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                                let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                                if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w
-                                {
-                                    acc += input[(n, c, iy as usize, ix as usize)]
-                                        * weight[(o, c, ky, kx)];
-                                }
-                            }
-                        }
+                    for (i, &w) in weight.item(o).iter().enumerate() {
+                        acc += tap(input, n, oy, ox, i, geom) * w;
                     }
                     out[(n, o, oy, ox)] = acc;
                 }
@@ -247,14 +244,25 @@ fn by_value(weights: &[f32]) -> impl Fn(&usize, &usize) -> std::cmp::Ordering + 
     |&a, &b| weights[a].total_cmp(&weights[b]).then(a.cmp(&b))
 }
 
+/// `order` followed by every other weight index: the non-negative weights
+/// in original order, then the negative ones (`w < 0.0`) ascending by value
+/// (descending magnitude), ties by index. Returns the order and the start
+/// of its negative region.
+fn then_by_sign(mut order: Vec<usize>, weights: &[f32]) -> (Vec<usize>, usize) {
+    let (mut negs, nonneg): (Vec<usize>, Vec<usize>) = (0..weights.len())
+        .filter(|i| !order.contains(i))
+        .partition(|&i| weights[i] < 0.0);
+    order.extend(nonneg);
+    let neg_start = order.len();
+    negs.sort_by(by_value(weights));
+    order.extend(negs);
+    (order, neg_start)
+}
+
 /// Exact-mode order: non-negative weights in original order, then negative
 /// weights ascending by value (descending magnitude), ties by index.
 pub fn exact_order(weights: &[f32]) -> OracleOrder {
-    let mut order: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] >= 0.0).collect();
-    let neg_start = order.len();
-    let mut negs: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] < 0.0).collect();
-    negs.sort_by(by_value(weights));
-    order.extend(negs);
+    let (order, neg_start) = then_by_sign(Vec::new(), weights);
     OracleOrder {
         order,
         spec_len: 0,
@@ -265,9 +273,9 @@ pub fn exact_order(weights: &[f32]) -> OracleOrder {
 
 /// Predictive-mode order: sort ascending by value, split into `groups`
 /// near-equal contiguous chunks (`lo = g·len/groups`, `hi = (g+1)·len/groups`),
-/// take each chunk's largest-magnitude member (ties to the higher index) as
-/// the speculative prefix, then the remaining weights positive-first as in
-/// [`exact_order`].
+/// take each chunk's largest-magnitude member (magnitudes by `total_cmp`,
+/// so a NaN is the largest; ties to the higher index) as the speculative
+/// prefix, then the remaining weights positive-first as in [`exact_order`].
 ///
 /// # Panics
 ///
@@ -283,26 +291,14 @@ pub fn predictive_order(weights: &[f32], groups: usize, threshold: f32) -> Oracl
         let hi = ((g + 1) * len / groups).max(lo + 1);
         let mut pick = sorted[lo];
         for &i in &sorted[lo..hi] {
-            let better = weights[i].abs() > weights[pick].abs()
-                || (weights[i].abs() == weights[pick].abs() && i > pick);
-            if better {
+            let magnitude = weights[i].abs().total_cmp(&weights[pick].abs());
+            if magnitude.then(i.cmp(&pick)).is_gt() {
                 pick = i;
             }
         }
         spec.push(pick);
     }
-    let mut order = spec.clone();
-    for (i, &w) in weights.iter().enumerate() {
-        if w >= 0.0 && !spec.contains(&i) {
-            order.push(i);
-        }
-    }
-    let neg_start = order.len();
-    let mut negs: Vec<usize> = (0..len)
-        .filter(|&i| weights[i] < 0.0 && !spec.contains(&i))
-        .collect();
-    negs.sort_by(by_value(weights));
-    order.extend(negs);
+    let (order, neg_start) = then_by_sign(spec, weights);
     OracleOrder {
         order,
         spec_len: groups,
@@ -332,16 +328,19 @@ pub struct OracleWindow {
 
 /// The input value under weight index `o` of window `(oy, ox)` of image
 /// `n`: the index decodes to `(c, ky, kx)` and the tap to input coordinates;
-/// `None` for a padding tap.
-fn tap(input: &Tensor4, n: usize, oy: usize, ox: usize, o: usize, geom: ConvGeom) -> Option<f32> {
+/// `+0.0` for a padding tap.
+fn tap(input: &Tensor4, n: usize, oy: usize, ox: usize, o: usize, geom: ConvGeom) -> f32 {
     let s = input.shape();
     let c = o / (geom.kh * geom.kw);
     let ky = (o % (geom.kh * geom.kw)) / geom.kw;
     let kx = o % geom.kw;
     let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
     let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-    (iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w)
-        .then(|| input[(n, c, iy as usize, ix as usize)])
+    if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
+        input[(n, c, iy as usize, ix as usize)]
+    } else {
+        0.0
+    }
 }
 
 /// Length of the walk's probe-free prefix: no PAU check can fire before the
@@ -367,12 +366,10 @@ fn lane_m8(ord: &OracleOrder) -> usize {
 
 /// Pinned eight-lane prefix reduction over execution positions `0..m8`,
 /// written as independent scalar code: position `p` accumulates into lane
-/// `p % 8` in ascending order, padding taps contribute an exact-zero
-/// product (bitwise-identical to skipping them, because every lane starts
-/// at `+0.0` and `+0.0 + ±0.0` is `+0.0`), and the lanes collapse through
-/// the fixed `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` tree before the bias
-/// joins. When `m8 == 0` the bias is returned untouched — never `bias +
-/// 0.0`, which would flip a `-0.0` bias.
+/// `p % 8` in ascending order, and the lanes collapse through the fixed
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` tree before the bias joins.
+/// When `m8 == 0` the bias is returned untouched — never `bias + 0.0`,
+/// which would flip a `-0.0` bias.
 #[allow(clippy::too_many_arguments)]
 fn pinned_prefix(
     input: &Tensor4,
@@ -390,8 +387,7 @@ fn pinned_prefix(
     }
     let mut l = [0.0_f32; 8];
     for (p, &o) in ord.order[..m8].iter().enumerate() {
-        let v = tap(input, n, oy, ox, o, geom).unwrap_or(0.0);
-        l[p % 8] += v * weights[o];
+        l[p % 8] += tap(input, n, oy, ox, o, geom) * weights[o];
     }
     bias + (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])))
 }
@@ -402,8 +398,8 @@ fn pinned_prefix(
 /// partial sum terminates. Positions below the pinned lane boundary (which
 /// never carry a probe) accumulate through the eight-lane tree of
 /// `pinned_prefix`; the rest run sequentially. Input taps are decoded from
-/// the original weight index (`o → (c, ky, kx)`); out-of-bounds (padding)
-/// taps occupy a MAC slot but add nothing.
+/// the original weight index (`o → (c, ky, kx)`); a padding tap is a `+0.0`
+/// input, MACed at every position like any other tap.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_window(
     input: &Tensor4,
@@ -432,9 +428,7 @@ pub fn walk_window(
                 termination: Some(OracleTermination::SignCheck),
             };
         }
-        if let Some(v) = tap(input, n, oy, ox, o, geom) {
-            acc += v * weights[o];
-        }
+        acc += tap(input, n, oy, ox, o, geom) * weights[o];
     }
     OracleWindow {
         ops: ord.order.len() as u32,
@@ -462,9 +456,7 @@ pub fn full_window_value(
     let m8 = lane_m8(ord);
     let mut acc = pinned_prefix(input, n, oy, ox, weights, ord, geom, bias, m8);
     for &o in &ord.order[m8..] {
-        if let Some(v) = tap(input, n, oy, ox, o, geom) {
-            acc += v * weights[o];
-        }
+        acc += tap(input, n, oy, ox, o, geom) * weights[o];
     }
     acc
 }
@@ -475,7 +467,7 @@ pub fn full_window_value(
 /// to `i16` (NaN to 0) — and products sum exactly in a wide integer
 /// accumulator seeded with the quantised bias times a quantised `1.0`. The
 /// PAU reads the partial sum dequantised from Q.2f to `f32`. Integer sums
-/// are exact, so no lane order applies. Returns the walk's outcome and the
+/// are exact, so no lane order applies, and a padding tap quantises to 0. Returns the walk's outcome and the
 /// window's complete dequantised dot product.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_window_q16(
@@ -504,9 +496,7 @@ pub fn walk_window_q16(
                 stop = Some((p, v, OracleTermination::SignCheck));
             }
         }
-        if let Some(x) = tap(input, n, oy, ox, o, geom) {
-            acc += quantize(x) * quantize(weights[o]);
-        }
+        acc += quantize(tap(input, n, oy, ox, o, geom)) * quantize(weights[o]);
     }
     let full = dequantize(acc);
     let window = match stop {
@@ -665,6 +655,18 @@ fn walk_layer(
 mod tests {
     use super::*;
 
+    /// NaN, ±inf and ±0.0 among ordinary weights.
+    const HOSTILE: [f32; 8] = [
+        0.5,
+        f32::NAN,
+        -0.0,
+        f32::NEG_INFINITY,
+        -1.0,
+        f32::INFINITY,
+        0.0,
+        -0.25,
+    ];
+
     #[test]
     fn exact_order_partitions_by_sign() {
         let w = [0.5, -1.0, 0.0, 2.0, -0.25];
@@ -672,25 +674,36 @@ mod tests {
         assert_eq!(o.order, vec![0, 2, 3, 1, 4]);
         assert_eq!(o.neg_start, 3);
         assert_eq!(o.spec_len, 0);
+        // NaN and -0.0 are not `< 0.0`, so they stay among the non-negative
+        // weights in original order.
+        let o = exact_order(&HOSTILE);
+        assert_eq!(o.order, vec![0, 1, 2, 5, 6, 3, 4, 7]);
+        assert_eq!(o.neg_start, 5);
     }
 
     #[test]
     fn predictive_order_is_permutation_with_spec_prefix() {
-        let w = [0.1, -0.9, 0.4, -0.2, 0.8, -0.05, 0.3, 0.05];
-        for groups in 1..=w.len() {
-            let o = predictive_order(&w, groups, 0.0);
-            let mut seen = o.order.clone();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..w.len()).collect::<Vec<_>>(), "groups={groups}");
-            assert_eq!(o.spec_len, groups);
-            assert!(o.neg_start >= groups);
-            for &i in &o.order[groups..o.neg_start] {
-                assert!(w[i] >= 0.0);
-            }
-            for &i in &o.order[o.neg_start..] {
-                assert!(w[i] < 0.0);
+        let ordinary = [0.1, -0.9, 0.4, -0.2, 0.8, -0.05, 0.3, 0.05];
+        for w in [ordinary, HOSTILE] {
+            for groups in 1..=w.len() {
+                let o = predictive_order(&w, groups, 0.0);
+                let mut seen = o.order.clone();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..w.len()).collect::<Vec<_>>(), "groups={groups}");
+                assert_eq!(o.spec_len, groups);
+                assert!(o.neg_start >= groups);
+                let negative = |&i: &usize| w[i] < 0.0;
+                assert!(!o.order[groups..o.neg_start].iter().any(negative));
+                assert!(o.order[o.neg_start..].iter().all(negative));
+                // The executor's reorder, derived by other code, agrees.
+                let r = snapea::reorder::predictive_reorder(&w, groups);
+                let r_order: Vec<usize> = r.order().iter().map(|&i| i as usize).collect();
+                assert_eq!(o.order, r_order, "{w:?} groups={groups}");
+                assert_eq!(o.neg_start, r.neg_start(), "{w:?} groups={groups}");
             }
         }
+        // A NaN's magnitude outranks every other by `total_cmp`.
+        assert_eq!(predictive_order(&HOSTILE, 1, 0.0).order[0], 1);
     }
 
     #[test]

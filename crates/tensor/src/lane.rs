@@ -26,11 +26,10 @@
 //!   empty lane region leaves the bias bit-untouched, `-0.0` included);
 //! * positions `m8..` continue in the original sequential order.
 //!
-//! Padding taps that fall inside the lane region contribute a literal
-//! `0.0 * w` product (select semantics) instead of being skipped; a lane
-//! accumulator that starts at `+0.0` is unchanged by adding `±0.0`, so the
-//! select form is bit-identical to the historical skip form while staying
-//! branch-free.
+//! A padding tap is a `+0.0` input, MACed like any other tap at every
+//! position, as Caffe's im2col writes padding as zeros: the executor walks a
+//! zero-padded copy of its input, so every tap these kernels gather is a
+//! plain memory read, with no bounds check and no select.
 //!
 //! Integer accumulation ([`lane_q16_span`]) is exact and associative, so
 //! the q16 path needs no pinning — any batching order is bit-identical.
@@ -248,9 +247,9 @@ pub fn lane_dot(values: &[f32], weights: &[f32], m8: usize) -> f32 {
     lanes.tree_sum()
 }
 
-/// [`lane_dot`] over an interior window of a resolved-tap plan: value `p`
-/// is gathered from `item[base + resolved[p]]` (branch-free — interior
-/// windows have no padding taps).
+/// [`lane_dot`] over one window of a resolved-tap plan: value `p` is
+/// gathered from `item[base + resolved[p]]`, branch-free, because the plan
+/// walks a padded input whose windows hold no padding taps.
 #[inline(never)]
 pub fn lane_dot_resolved(
     weights: &[f32],
@@ -267,58 +266,6 @@ pub fn lane_dot_resolved(
         let mut v = [0.0f32; LANES];
         for (l, vl) in v.iter_mut().enumerate() {
             *vl = item[(base + resolved[p + l]) as usize];
-        }
-        lanes = lanes + f32x8::new(v) * w;
-        p += LANES;
-    }
-    lanes.tree_sum()
-}
-
-/// The taps of a window that may overlap the padding: tap `p` reads
-/// `item[base + resolved[p]]`, as an interior window's does, when its input
-/// row `corner[0] + kyx[p][0]` lies in `0..dims[0]` and its column
-/// `corner[1] + kyx[p][1]` in `0..dims[1]`; any other tap is a padding tap.
-#[derive(Debug, Clone, Copy)]
-pub struct BorderTaps<'a> {
-    /// Walk-order tap deltas.
-    pub resolved: &'a [i32],
-    /// Walk-order kernel row and column of each tap.
-    pub kyx: &'a [[i32; 2]],
-    /// `corner[0] * dims[1] + corner[1]`: negative when the corner lies in
-    /// the padding.
-    pub base: i32,
-    /// Input row and column of the window's top-left tap.
-    pub corner: [i32; 2],
-    /// Input height and width.
-    pub dims: [i32; 2],
-}
-
-impl BorderTaps<'_> {
-    /// The item offset walk position `p` reads, or `None` for a padding tap.
-    #[inline(always)]
-    pub fn offset(&self, p: usize) -> Option<usize> {
-        let [ky, kx] = self.kyx[p];
-        // A negative row or column wraps to a `u32` above any dimension, so
-        // one unsigned compare per axis checks both of its bounds.
-        let inside = ((self.corner[0] + ky) as u32) < self.dims[0] as u32
-            && ((self.corner[1] + kx) as u32) < self.dims[1] as u32;
-        inside.then(|| (self.base + self.resolved[p]) as usize)
-    }
-}
-
-/// [`lane_dot`] over a window that may overlap the padding: value `p` is
-/// read through [`BorderTaps::offset`], with a padding tap contributing a
-/// literal `0.0` operand (select semantics — see the module docs).
-#[inline(never)]
-pub fn lane_dot_border(weights: &[f32], taps: BorderTaps<'_>, item: &[f32], m8: usize) -> f32 {
-    debug_assert_eq!(m8 % LANES, 0);
-    let mut lanes = f32x8::ZERO;
-    let mut p = 0;
-    while p + LANES <= m8 {
-        let w = f32x8::load(&weights[p..]);
-        let mut v = [0.0f32; LANES];
-        for (l, vl) in v.iter_mut().enumerate() {
-            *vl = taps.offset(p + l).map_or(0.0, |off| item[off]);
         }
         lanes = lanes + f32x8::new(v) * w;
         p += LANES;
@@ -500,62 +447,6 @@ mod tests {
             prop_assert_eq!(
                 lane_dot_resolved(&w, &resolved, base, &item, m8).to_bits(),
                 pinned_dot_ref(&gathered, &w, m8).to_bits()
-            );
-        }
-
-        #[test]
-        fn prop_lane_dot_border_selects_padding_as_zero(
-            seed in 0u64..1000,
-            c in 1usize..4,
-            kh in 1usize..4,
-            kw in 1usize..5,
-            h in 1usize..6,
-            w in 1usize..6,
-            dy in 0usize..9,
-            dx in 0usize..9,
-        ) {
-            // A kh × kw window over c planes of an h × w image, its corner
-            // anywhere from fully in the padding above/left to fully below/right.
-            let corner = [dy as i32 - kh as i32, dx as i32 - kw as i32];
-            let item = lcg(seed + 5, c * h * w);
-            let len = c * kh * kw;
-            let weights = lcg(seed + 6, len);
-            // Walk order: original weight indices reversed.
-            let order: Vec<usize> = (0..len).rev().collect();
-            let kyx: Vec<[i32; 2]> = order
-                .iter()
-                .map(|&i| [(i / kw % kh) as i32, (i % kw) as i32])
-                .collect();
-            let resolved: Vec<i32> = order
-                .iter()
-                .map(|&i| (((i / (kh * kw)) * h + i / kw % kh) * w + i % kw) as i32)
-                .collect();
-            let taps = BorderTaps {
-                resolved: &resolved,
-                kyx: &kyx,
-                base: corner[0] * w as i32 + corner[1],
-                corner,
-                dims: [h as i32, w as i32],
-            };
-            // Brute force: each tap's offset, `None` outside the image.
-            let offsets: Vec<Option<usize>> = order
-                .iter()
-                .map(|&i| {
-                    let (ch, ky, kx) = (i / (kh * kw), i / kw % kh, i % kw);
-                    let y = corner[0] + ky as i32;
-                    let x = corner[1] + kx as i32;
-                    ((0..h as i32).contains(&y) && (0..w as i32).contains(&x))
-                        .then(|| (ch * h + y as usize) * w + x as usize)
-                })
-                .collect();
-            for (p, &off) in offsets.iter().enumerate() {
-                prop_assert_eq!(taps.offset(p), off, "tap {}", p);
-            }
-            let gathered: Vec<f32> = offsets.iter().map(|o| o.map_or(0.0, |off| item[off])).collect();
-            let m8 = lane_prefix_len(len);
-            prop_assert_eq!(
-                lane_dot_border(&weights, taps, &item, m8).to_bits(),
-                pinned_dot_ref(&gathered, &weights, m8).to_bits()
             );
         }
 

@@ -109,5 +109,4 @@ echo "==> asm vectorization gate on $RLIB ($ARCH)"
 check_kernel lane_axpy8 '4lane.*lane_axpy817h' pass
 check_kernel lane_dot '4lane.*lane_dot17h' pass
 check_kernel lane_dot_resolved '4lane.*lane_dot_resolved17h' pass
-check_kernel lane_dot_border '4lane.*lane_dot_border17h' pass
 echo "OK: all lane kernels carry packed vector float ops and no scalar multiplies"

@@ -23,7 +23,7 @@
 
 use snapea_suite::core::artifact::{fnv64, ArtifactError, CompiledModel, ENDIAN_TAG, VERSION};
 use snapea_suite::core::exec::LayerConfig;
-use snapea_suite::core::params::{KernelParams, LayerParams, NetworkParams};
+use snapea_suite::core::params::{KernelMode, KernelParams, LayerParams, NetworkParams};
 use snapea_suite::core::spec_net::SpecNet;
 use snapea_suite::nn::data::SynthShapes;
 use snapea_suite::nn::graph::{Graph, GraphBuilder, Op};
@@ -218,6 +218,41 @@ fn header_errors_carry_their_typed_variants() {
         CompiledModel::from_bytes(&b),
         Err(ArtifactError::TrailingBytes { extra: 2 })
     ));
+}
+
+/// A NaN weight is a parameter like any other: it is not `< 0.0`, so the
+/// reorder walks it among the non-negative weights. An artifact with one in
+/// a predictive layer loads, and `forward` runs it through the executor,
+/// where it makes every window of its kernel NaN and no other.
+#[test]
+fn nan_weight_in_a_predictive_layer_loads_and_runs() {
+    let mut net = Workload::AlexNet.build(10);
+    let id = net.conv_ids()[0];
+    let Op::Conv(conv) = &mut net.node_mut(id).op else {
+        panic!("node {id} is a conv");
+    };
+    conv.weight_mut().as_mut_slice()[0] = f32::NAN;
+    let mut params = NetworkParams::new();
+    params.set(
+        id,
+        LayerParams::Predictive(vec![KernelMode::Exact; conv.c_out()]),
+    );
+    let compiled = CompiledModel::compile(
+        &net,
+        &params,
+        (3, INPUT_SIZE, INPUT_SIZE),
+        Q16Format::default(),
+    );
+    let loaded = CompiledModel::from_bytes(&compiled.to_bytes()).expect("artifact loads");
+    let batch = SynthShapes::batch(&SynthShapes::new(INPUT_SIZE, 10).generate(1, 0x7A7));
+    let out = &loaded.forward(&batch)[id];
+    let plane = out.shape().plane_len();
+    let (kernel0, rest) = out.as_slice().split_at(plane);
+    assert!(kernel0.iter().all(|v| v.is_nan()), "kernel 0 is all NaN");
+    assert!(
+        rest.iter().all(|v| v.is_finite()),
+        "other kernels stay finite"
+    );
 }
 
 /// An empty-batch forward and the shape walk the loader checks GRAPH with

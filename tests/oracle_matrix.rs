@@ -1,10 +1,12 @@
 //! The executor pinned bit for bit to the oracle's independent walks over a
 //! fixed matrix of geometries and modes: `f32` outputs, op counts and
 //! prediction stats (the f64 masses to the bit), with stats collection on
-//! and off, and the q16 datapath's outputs and op counts. Two layers put
-//! hostile values around the padding: a `-0.0` bias and an infinite
-//! weight, where MACing a padding tap as `0.0` would differ from skipping
-//! it.
+//! and off, and the q16 datapath's outputs and op counts. Four layers put
+//! hostile values around the padding, where a padding tap, a `+0.0` input
+//! MACed like any other, is not a no-op: a `-0.0` bias (`-0.0 + 0.0` is
+//! `+0.0`), an infinite weight (`0.0 · inf` is NaN) and a NaN weight, alone
+//! and with a `-0.0` bias. Their exact-mode outputs and op counts are also
+//! pinned to values derived by hand.
 
 use snapea_suite::core::exec::{
     execute_conv, execute_conv_q16, execute_conv_stats, ExecResult, LayerConfig, PredictionStats,
@@ -42,7 +44,7 @@ fn stats_bits(s: &PredictionStats) -> [u64; 7] {
 /// kernel 0 and `(2, 2)` for kernel 1, and `-1.0` elsewhere, so exact mode
 /// walks it first (`neg_start = 1`, an empty lane prefix). It is a padding
 /// tap on kernel 0's top row and left column and on kernel 1's bottom row
-/// and right column.
+/// and right column ([`w0_is_padding`]).
 fn hostile_layer(w0: f32, bias: f32, x: f32) -> (Conv2d, Tensor4) {
     let mut weight = vec![-1.0; 18];
     weight[0] = w0;
@@ -52,10 +54,53 @@ fn hostile_layer(w0: f32, bias: f32, x: f32) -> (Conv2d, Tensor4) {
     (conv, Tensor4::full(Shape4::new(2, 1, 4, 4), x))
 }
 
+/// Whether `w0` sits on a padding tap in window `w` (of 16, row-major) of
+/// kernel `k` of [`hostile_layer`]: 7 windows per kernel.
+fn w0_is_padding(k: usize, w: usize) -> bool {
+    let edge = if k == 0 { 0 } else { 3 };
+    w / 4 == edge || w % 4 == edge
+}
+
+/// An exact-mode output of [`hostile_layer`], derived by hand. Every window
+/// walks all 9 MACs, since no partial sum falls below zero, and outputs
+/// `+0.0`, `+inf` or NaN; a NaN is pinned by position, not bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Want {
+    PosZero,
+    PosInf,
+    Nan,
+}
+
+fn assert_hand_derived(label: &str, got: &ExecResult, (at_padding, elsewhere): (Want, Want)) {
+    let (kernels, windows) = (got.profile.kernels(), got.profile.windows());
+    assert_eq!((kernels, windows), (2, 16), "{label}: layout");
+    for (plane, values) in got.output.as_slice().chunks_exact(windows).enumerate() {
+        let k = plane % kernels;
+        for (w, &v) in values.iter().enumerate() {
+            let is = match v {
+                v if v.is_nan() => Want::Nan,
+                v if v.to_bits() == 0.0f32.to_bits() => Want::PosZero,
+                v if v == f32::INFINITY => Want::PosInf,
+                v => panic!("{label}: plane {plane} window {w}: {v}"),
+            };
+            let want = if w0_is_padding(k, w) {
+                at_padding
+            } else {
+                elsewhere
+            };
+            assert_eq!(is, want, "{label}: plane {plane} window {w}: {v}");
+        }
+    }
+    assert!(
+        got.profile.ops_slice().iter().all(|&o| o == 9),
+        "{label}: every window takes 9 MACs"
+    );
+}
+
 #[test]
 fn executor_matches_the_oracle_across_geometries_and_modes() {
     // A non-square kernel on a non-square input: a swapped row/column in the
-    // border bounds check or the window plan shows only here.
+    // padded copy or the window plan shows only here.
     let tall = ConvGeom {
         kh: 3,
         kw: 1,
@@ -74,18 +119,40 @@ fn executor_matches_the_oracle_across_geometries_and_modes() {
         let conv = Conv2d::new(3, 5, geom, &mut init::rng(seed));
         let input =
             init::uniform4(Shape4::new(2, 3, h, w), 1.0, &mut init::rng(seed + 100)).map(f32::abs);
-        (format!("seed {seed}"), conv, input)
+        (format!("seed {seed}"), conv, input, None)
     });
+    // Each with its hand-derived exact-mode outputs: where `w0` is a
+    // padding tap, and elsewhere.
     let hostile = [
-        // A window whose first tap is padding ends at -0.0 only if that
-        // tap is skipped: MACing it gives -0.0 + 0.0 = +0.0.
-        ("-0.0 bias", hostile_layer(0.5, -0.0, 0.0)),
-        // Skipping the padding tap leaves the window finite and the sign
-        // check live; MACing it would give 0.0 · inf = NaN.
-        ("+inf weight", hostile_layer(f32::INFINITY, 0.5, 1.0)),
+        // The first MAC, on an input or a padding tap, is -0.0 + 0.0 =
+        // +0.0, so no window ends at -0.0.
+        (
+            "-0.0 bias",
+            hostile_layer(0.5, -0.0, 0.0),
+            (Want::PosZero, Want::PosZero),
+        ),
+        // 0.0 · inf = NaN where the +inf tap is padding; 1.0 · inf = +inf,
+        // and the sign check never fires, elsewhere.
+        (
+            "+inf weight",
+            hostile_layer(f32::INFINITY, 0.5, 1.0),
+            (Want::Nan, Want::PosInf),
+        ),
+        // A NaN weight is non-negative, walked first, and makes every sum
+        // NaN, which no PAU check terminates.
+        (
+            "NaN weight",
+            hostile_layer(f32::NAN, 0.5, 1.0),
+            (Want::Nan, Want::Nan),
+        ),
+        (
+            "NaN weight, -0.0 bias",
+            hostile_layer(f32::NAN, -0.0, 0.0),
+            (Want::Nan, Want::Nan),
+        ),
     ]
-    .map(|(name, (conv, input))| (name.to_string(), conv, input));
-    for (case, conv, input) in random.into_iter().chain(hostile) {
+    .map(|(name, (conv, input), hand)| (name.to_string(), conv, input, Some(hand)));
+    for (case, conv, input, hand) in random.into_iter().chain(hostile) {
         let geom = conv.geom();
         let groups = 4.min(conv.window_len());
         for (mode, params) in [
@@ -106,6 +173,13 @@ fn executor_matches_the_oracle_across_geometries_and_modes() {
             let plain = execute_conv(&conv, &input, &cfg);
             assert_walk_matches(&format!("{label}, stats off"), &plain, &want);
             assert_eq!(plain.stats, PredictionStats::default(), "{label}");
+            if let (Some(hand), "exact") = (hand, mode) {
+                assert_hand_derived(&label, &plain, hand);
+                // The dense forward MACs a padding tap as a zero too.
+                let nan = |t: &Tensor4| t.iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+                let dense = conv.forward(&input);
+                assert_eq!(nan(&plain.output), nan(&dense), "{label}: NaN windows");
+            }
 
             let stats = execute_conv_stats(&conv, &input, &cfg);
             assert_walk_matches(&format!("{label}, stats on"), &stats, &want);
