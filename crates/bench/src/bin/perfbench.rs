@@ -37,7 +37,7 @@
 //!
 //! `--kernels-only` runs and writes *only* the kernels report: the scaling
 //! curves, strict gate, and GEMM comparison are skipped, and `--out` is not
-//! written — the quick loop for iterating on the single-core lane engine.
+//! written — the quick loop for iterating on the single-core kernels.
 //!
 //! Usually invoked through `scripts/bench.sh`.
 
@@ -47,7 +47,7 @@ use snapea::KernelParams;
 use snapea_nn::ops::Conv2d;
 use snapea_obs::Json;
 use snapea_tensor::im2col::ConvGeom;
-use snapea_tensor::lane::{lane_axpy8, lane_dot, LANES};
+use snapea_tensor::lane::{lane_axpy8, LANES};
 use snapea_tensor::q16::Q16Format;
 use snapea_tensor::{init, par, Shape2, Shape4, Tensor2, Tensor4};
 use std::time::Instant;
@@ -527,32 +527,14 @@ fn main() {
     let mm_rhs = sparse_lhs(Shape2::new(gk2, gn2), 0.0, 17);
     let tm_lhs = sparse_lhs(Shape2::new(gk2, gm2), 0.0, 19);
     let prof_detail = format!("n{prof_images} c{c_in}->{c_out} {hw}x{hw} k3");
-    // Lane micro-kernels (`scripts/asm_check.sh` separately proves their
-    // bodies are actually vectorized).
-    let (ld_win, ld_calls) = if args.smoke { (1024, 64) } else { (8192, 512) };
-    let ld_n = ld_win * 4;
-    let ld_vals = sparse_lhs(Shape2::new(1, ld_n), 0.0, 29);
-    let ld_wts = sparse_lhs(Shape2::new(1, ld_n), 0.0, 31);
+    // The GEMM microkernel (`scripts/asm_check.sh` separately proves its
+    // body is actually vectorized).
     let (ax_n, ax_calls) = if args.smoke { (4096, 32) } else { (32768, 128) };
     let ax_b = sparse_lhs(Shape2::new(LANES, ax_n), 0.0, 37);
     let ax_a: [f32; LANES] = [0.11, -0.07, 0.05, 0.21, -0.13, 0.02, 0.17, -0.19];
     let ax_rows: [&[f32]; LANES] =
         std::array::from_fn(|q| &ax_b.as_slice()[q * ax_n..(q + 1) * ax_n]);
     let kernels = vec![
-        bench_kernel(
-            "lane_dot",
-            &format!("{ld_calls} windows of {ld_win}"),
-            kernel_reps,
-            || {
-                let (v, w) = (ld_vals.as_slice(), ld_wts.as_slice());
-                (0..ld_calls)
-                    .map(|c| {
-                        let off = (c * 64) % (ld_n - ld_win);
-                        lane_dot(&v[off..off + ld_win], &w[off..off + ld_win], ld_win)
-                    })
-                    .collect::<Vec<f32>>()
-            },
-        ),
         bench_kernel(
             "lane_axpy8",
             &format!("8x{ax_n}, {ax_calls} passes"),

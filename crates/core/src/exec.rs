@@ -8,7 +8,6 @@ use crate::pau::{Pau, PauAction, TerminationKind};
 use crate::reorder::{predictive_reorder, sign_reorder, ReorderedKernel};
 use snapea_nn::ops::Conv2d;
 use snapea_tensor::im2col::ConvGeom;
-use snapea_tensor::lane;
 use snapea_tensor::q16::{quantize_slice, Q16Format, QAcc, Q16};
 use snapea_tensor::{Shape4, Tensor4};
 use std::borrow::Cow;
@@ -500,7 +499,7 @@ const BATCH: usize = 8;
 /// eight-window batching, prediction accounting — is written once over this
 /// trait; the `f32` model and the paper's 16-bit fixed-point PE (Table II)
 /// are its two impls.
-trait Datapath: Sync + Sized {
+trait Datapath: Sync {
     /// An activation or weight as the lane multiplies it.
     type Operand: Copy + Sync;
     /// The lane's accumulator register.
@@ -521,15 +520,6 @@ trait Datapath: Sync + Sized {
     /// The partial sum as the PAU probes it — also the value a window
     /// stores.
     fn probe(&self, acc: Self::Acc) -> f32;
-
-    /// The lane-blocked region `0..m8` (the pinned lane order of the
-    /// `snapea_tensor::lane` module docs) of `walk`'s window at `base`, on
-    /// top of the walk's seed.
-    fn lane_prefix(walk: &PairWalk<'_, Self>, base: i32, m8: usize) -> Self::Acc;
-
-    /// The probe-free prefixes of `walk`'s [`BATCH`] windows at `bases`,
-    /// each in the same per-window order as a single window's walk.
-    fn prefix8(walk: &PairWalk<'_, Self>, bases: &[i32; BATCH]) -> [Self::Acc; BATCH];
 }
 
 /// The `f32` datapath: the walk every accuracy experiment runs.
@@ -561,25 +551,6 @@ impl Datapath for F32Datapath {
     fn probe(&self, acc: f32) -> f32 {
         acc
     }
-
-    #[inline(always)]
-    fn lane_prefix(walk: &PairWalk<'_, Self>, base: i32, m8: usize) -> f32 {
-        // An empty lane region leaves the bias bit-untouched (`-0.0` too).
-        if m8 == 0 {
-            return walk.seed;
-        }
-        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
-        walk.seed + lane::lane_dot_resolved(weights, resolved, base, item, m8)
-    }
-
-    #[inline]
-    fn prefix8(walk: &PairWalk<'_, Self>, bases: &[i32; BATCH]) -> [f32; BATCH] {
-        let m8 = lane::lane_prefix_len(walk.stop1);
-        let mut acc = bases.map(|b| Self::lane_prefix(walk, b, m8));
-        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
-        span8::<Self>(&mut acc, weights, resolved, bases, item, m8..walk.stop1);
-        acc
-    }
 }
 
 /// The paper's 16-bit fixed-point PE (Table II): operands quantised to the
@@ -600,12 +571,11 @@ impl Datapath for Q16Datapath {
         Cow::Owned(quantize_slice(self.0, item))
     }
 
-    /// The bias enters the accumulator pre-scaled to the product width.
+    /// The bias enters the accumulator at the product scale (Q.2f): its
+    /// quantised value shifted left by the fractional bits.
     #[inline(always)]
     fn seed(&self, bias: f32) -> QAcc {
-        let mut acc = QAcc::new();
-        acc.mac(self.0.quantize(bias), self.0.quantize(1.0));
-        acc
+        QAcc::from_raw(i64::from(self.0.quantize(bias).raw()) << self.0.frac_bits())
     }
 
     #[inline(always)]
@@ -617,22 +587,6 @@ impl Datapath for Q16Datapath {
     #[inline(always)]
     fn probe(&self, acc: QAcc) -> f32 {
         acc.to_f32(self.0)
-    }
-
-    /// Integer accumulation is exact and associative, so the lane region
-    /// needs no pinned order: a sequential fold gives the same bits.
-    #[inline(always)]
-    fn lane_prefix(walk: &PairWalk<'_, Self>, base: i32, m8: usize) -> QAcc {
-        let mac = walk.mac(base);
-        (0..m8).fold(walk.seed, |acc, p| mac(p, acc))
-    }
-
-    #[inline]
-    fn prefix8(walk: &PairWalk<'_, Self>, bases: &[i32; BATCH]) -> [QAcc; BATCH] {
-        let mut raw = [walk.seed.raw(); BATCH];
-        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
-        lane::lane_q16_span(&mut raw, weights, resolved, bases, item, 0, walk.stop1);
-        raw.map(QAcc::from_raw)
     }
 }
 
@@ -849,16 +803,20 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
         move |p, acc| D::mac(acc, item[(base + resolved[p]) as usize], weights[p])
     }
 
-    /// The probe-free prefix of the window at `base`: the lane-blocked
-    /// region, then the rest in order.
+    /// The probe-free prefix of the window at `base`.
     #[inline(always)]
     fn prefix(&self, base: i32) -> D::Acc {
         let mac = self.mac(base);
-        let m8 = lane::lane_prefix_len(self.stop1);
-        let mut acc = D::lane_prefix(self, base, m8);
-        for p in m8..self.stop1 {
-            acc = mac(p, acc);
-        }
+        (0..self.stop1).fold(self.seed, |acc, p| mac(p, acc))
+    }
+
+    /// The probe-free prefixes of the [`BATCH`] windows at `bases`, each
+    /// summed in the same order as [`PairWalk::prefix`].
+    #[inline]
+    fn prefix8(&self, bases: &[i32; BATCH]) -> [D::Acc; BATCH] {
+        let mut acc = [self.seed; BATCH];
+        let (weights, resolved, item) = (self.weights, self.resolved, self.item);
+        span8::<D>(&mut acc, weights, resolved, bases, item, 0..self.stop1);
         acc
     }
 
@@ -924,13 +882,13 @@ impl<'a, D: Datapath> PairWalk<'a, D> {
     }
 
     /// Walks every window of `plan` into `sink`: the windows in groups of
-    /// [`BATCH`], each group's probe-free prefixes through the datapath's
-    /// eight-window kernel, then the last `windows % BATCH` one at a time.
-    /// Every outcome lands at its window's index.
+    /// [`BATCH`], each group's probe-free prefixes eight chains at a time
+    /// ([`PairWalk::prefix8`]), then the last `windows % BATCH` one at a
+    /// time. Every outcome lands at its window's index.
     fn walk_windows(&self, plan: &WindowPlan, sink: &mut impl Sink<D>) {
         let (chunks, rest) = plan.bases.as_chunks::<BATCH>();
         for (c, bases) in chunks.iter().enumerate() {
-            sink.batch(self, c * BATCH, bases, D::prefix8(self, bases));
+            sink.batch(self, c * BATCH, bases, self.prefix8(bases));
         }
         for (w, &base) in (chunks.len() * BATCH..).zip(rest) {
             sink.one(self, w, base, self.prefix(base));
@@ -1597,6 +1555,21 @@ mod tests {
             r.profile.total_ops(),
             (r.profile.kernels() * r.profile.windows()) as u64 * 2
         );
+    }
+
+    /// The bias enters the q16 accumulator at the product scale at every
+    /// format, 15 fractional bits included, where `1.0` itself saturates.
+    #[test]
+    fn q16_bias_is_exact_at_every_format() {
+        let weight = Tensor4::zeros(Shape4::new(1, 2, 3, 3));
+        let conv = Conv2d::from_parts(weight, vec![0.5], ConvGeom::square(3, 1, 0));
+        // Nine windows: eight walked as a batch, one alone.
+        let input = nonneg_input(Shape4::new(1, 2, 5, 5), 23);
+        let cfg = LayerConfig::exact(&conv);
+        for frac_bits in [8, 14, 15] {
+            let r = execute_conv_q16(&conv, &input, &cfg, Q16Format::new(frac_bits));
+            assert_eq!(r.output.as_slice(), [0.5; 9], "{frac_bits} fractional bits");
+        }
     }
 
     /// The input offset of tap `(c, ky, kx)` of output position `(oy, ox)`,

@@ -518,7 +518,7 @@ mod tests {
             parse(&format!(
                 r#"{{"generated_by":"perfbench --kernels","schema":2,"degraded":{degraded},
                     "kernels":[
-                      {{"name":"lane_dot","detail":"512 windows","baseline_ms":3.0,"kernel_ms":1.5,"speedup":2.0,"bit_identical":true}}
+                      {{"name":"lane_axpy8","detail":"8x32768, 128 passes","baseline_ms":3.0,"kernel_ms":1.5,"speedup":2.0,"bit_identical":true}}
                     ]}}"#
             ))
             .unwrap()

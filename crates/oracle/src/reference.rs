@@ -3,11 +3,12 @@
 //! Everything here is written from the paper's definitions (and the
 //! workspace's documented layout conventions) using direct coordinate
 //! loops: no im2col, no GEMM, no worker pool, no `WindowPlan`. The window
-//! walk re-derives the sign/predictive weight ordering, the PAU decision
-//! rule, and the pinned eight-lane reduction order of the SIMD engine
-//! (DESIGN.md §11) from their specifications so the executor's output can
-//! be pinned **bit-for-bit** — the oracle performs the identical sequence
-//! of `f32` operations, arrived at through independent code.
+//! walk re-derives the sign/predictive weight ordering and the PAU decision
+//! rule from their specifications, and sums each window as a PE lane does
+//! (the bias, then one `acc + x·w` per position in execution order;
+//! DESIGN.md §11), so the executor's output can be pinned **bit-for-bit** —
+//! the oracle performs the identical sequence of `f32` operations, arrived
+//! at through independent code.
 //!
 //! Layout conventions relied on (all documented on the fast-path types):
 //!
@@ -343,63 +344,54 @@ fn tap(input: &Tensor4, n: usize, oy: usize, ox: usize, o: usize, geom: ConvGeom
     }
 }
 
-/// Length of the walk's probe-free prefix: no PAU check can fire before the
-/// speculative boundary (`spec_len` when speculating), the negative region
-/// (`neg_start`), or the end of the window, so everything below their
-/// minimum runs unconditionally. This re-derives the executor's
-/// `unconditional_prefix_len` from the order's own fields.
-fn unconditional_len(ord: &OracleOrder) -> usize {
-    let spec_stop = if ord.spec_len > 0 {
-        ord.spec_len
+/// The PAU decision rule before the MAC at position `p`, on partial sum
+/// `v`: the predictive check fires exactly at `spec_len` when `v` is below
+/// the threshold (the early ReLU outputs 0.0); from `neg_start` on, any
+/// negative `v` terminates and is output as is. Returns `(p, output, kind)`
+/// when the window stops.
+fn decide(ord: &OracleOrder, p: usize, v: f32) -> Option<(usize, f32, OracleTermination)> {
+    if ord.spec_len > 0 && p == ord.spec_len && v < ord.threshold {
+        Some((p, 0.0, OracleTermination::Predicted))
+    } else if p >= ord.neg_start && v < 0.0 {
+        Some((p, v, OracleTermination::SignCheck))
     } else {
-        usize::MAX
+        None
+    }
+}
+
+/// A walk's outcome from where it stopped ([`decide`]; `None` when it ran
+/// all `len` positions), paired with the window's full value.
+fn outcome(
+    stop: Option<(usize, f32, OracleTermination)>,
+    len: usize,
+    full: f32,
+) -> (OracleWindow, f32) {
+    let window = match stop {
+        Some((p, output, kind)) => OracleWindow {
+            ops: p as u32,
+            output,
+            termination: Some(kind),
+        },
+        None => OracleWindow {
+            ops: len as u32,
+            output: full,
+            termination: None,
+        },
     };
-    spec_stop.min(ord.neg_start).min(ord.order.len())
-}
-
-/// The pinned eight-lane boundary: the largest multiple of 8 inside the
-/// probe-free prefix (see DESIGN.md §11).
-fn lane_m8(ord: &OracleOrder) -> usize {
-    let stop1 = unconditional_len(ord);
-    stop1 - stop1 % 8
-}
-
-/// Pinned eight-lane prefix reduction over execution positions `0..m8`,
-/// written as independent scalar code: position `p` accumulates into lane
-/// `p % 8` in ascending order, and the lanes collapse through the fixed
-/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` tree before the bias joins.
-/// When `m8 == 0` the bias is returned untouched — never `bias + 0.0`,
-/// which would flip a `-0.0` bias.
-#[allow(clippy::too_many_arguments)]
-fn pinned_prefix(
-    input: &Tensor4,
-    n: usize,
-    oy: usize,
-    ox: usize,
-    weights: &[f32],
-    ord: &OracleOrder,
-    geom: ConvGeom,
-    bias: f32,
-    m8: usize,
-) -> f32 {
-    if m8 == 0 {
-        return bias;
-    }
-    let mut l = [0.0_f32; 8];
-    for (p, &o) in ord.order[..m8].iter().enumerate() {
-        l[p % 8] += tap(input, n, oy, ox, o, geom) * weights[o];
-    }
-    bias + (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])))
+    (window, full)
 }
 
 /// Walks one window in execution order, probing the PAU decision rule before
 /// every MAC: the predictive check fires exactly at position `spec_len` when
 /// the partial sum is below the threshold; from `neg_start` on, any negative
-/// partial sum terminates. Positions below the pinned lane boundary (which
-/// never carry a probe) accumulate through the eight-lane tree of
-/// `pinned_prefix`; the rest run sequentially. Input taps are decoded from
-/// the original weight index (`o → (c, ky, kx)`); a padding tap is a `+0.0`
-/// input, MACed at every position like any other tap.
+/// partial sum terminates. The partial sum is the bias, then one `acc + x·w`
+/// per position in execution order, as a PE lane sums. Input
+/// taps are decoded from the original weight index (`o → (c, ky, kx)`); a
+/// padding tap is a `+0.0` input, MACed like any other tap. The sum runs on
+/// past a termination, so this returns the walk's outcome and the window's
+/// complete dot product (the value the executor's prediction accounting
+/// compares against); a walk that never terminates outputs exactly that
+/// value.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_window(
     input: &Tensor4,
@@ -410,65 +402,25 @@ pub fn walk_window(
     ord: &OracleOrder,
     geom: ConvGeom,
     bias: f32,
-) -> OracleWindow {
-    let m8 = lane_m8(ord);
-    let mut acc = pinned_prefix(input, n, oy, ox, weights, ord, geom, bias, m8);
-    for (p, &o) in ord.order.iter().enumerate().skip(m8) {
-        if ord.spec_len > 0 && p == ord.spec_len && acc < ord.threshold {
-            return OracleWindow {
-                ops: p as u32,
-                output: 0.0,
-                termination: Some(OracleTermination::Predicted),
-            };
-        }
-        if p >= ord.neg_start && acc < 0.0 {
-            return OracleWindow {
-                ops: p as u32,
-                output: acc,
-                termination: Some(OracleTermination::SignCheck),
-            };
-        }
+) -> (OracleWindow, f32) {
+    let mut acc = bias;
+    let mut stop = None;
+    for (p, &o) in ord.order.iter().enumerate() {
+        stop = stop.or_else(|| decide(ord, p, acc));
         acc += tap(input, n, oy, ox, o, geom) * weights[o];
     }
-    OracleWindow {
-        ops: ord.order.len() as u32,
-        output: acc,
-        termination: None,
-    }
-}
-
-/// Completes one window's dot product in execution order regardless of the
-/// PAU (the value the executor's prediction accounting compares against).
-/// Uses the *walk's* lane boundary — `lane_m8` from the probe-free prefix,
-/// not from the full length — so a walk that never terminates produces
-/// bit-identical output to this value.
-#[allow(clippy::too_many_arguments)]
-pub fn full_window_value(
-    input: &Tensor4,
-    n: usize,
-    oy: usize,
-    ox: usize,
-    weights: &[f32],
-    ord: &OracleOrder,
-    geom: ConvGeom,
-    bias: f32,
-) -> f32 {
-    let m8 = lane_m8(ord);
-    let mut acc = pinned_prefix(input, n, oy, ox, weights, ord, geom, bias, m8);
-    for &o in &ord.order[m8..] {
-        acc += tap(input, n, oy, ox, o, geom) * weights[o];
-    }
-    acc
+    outcome(stop, ord.order.len(), acc)
 }
 
 /// Walks one window in 16-bit fixed point, as the paper's PEs do (Table
-/// II), probing the PAU decision rule before every MAC. Operands quantise
-/// to Q(16−f).f — scaled by `2^f`, rounded half away from zero, saturated
-/// to `i16` (NaN to 0) — and products sum exactly in a wide integer
-/// accumulator seeded with the quantised bias times a quantised `1.0`. The
-/// PAU reads the partial sum dequantised from Q.2f to `f32`. Integer sums
-/// are exact, so no lane order applies, and a padding tap quantises to 0. Returns the walk's outcome and the
-/// window's complete dequantised dot product.
+/// II), probing the PAU decision rule of [`walk_window`] before every MAC.
+/// Operands quantise to Q(16−f).f — scaled by `2^f`, rounded half away from
+/// zero, saturated to `i16` (NaN to 0) — and products sum exactly in a wide
+/// integer accumulator seeded with the quantised bias shifted left by `f`
+/// bits, its value at the product scale Q.2f. The PAU reads the partial
+/// sum dequantised from Q.2f to `f32`. A padding tap quantises to 0.
+/// Returns the walk's outcome and the window's complete dequantised dot
+/// product.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_window_q16(
     input: &Tensor4,
@@ -485,33 +437,13 @@ pub fn walk_window_q16(
     // `as` saturates out-of-range floats and maps NaN to 0.
     let quantize = |v: f32| i64::from((v * (1u32 << f) as f32).round() as i16);
     let dequantize = |acc: i64| acc as f32 / (1u64 << (2 * f)) as f32;
-    let mut acc = quantize(bias) * quantize(1.0);
+    let mut acc = quantize(bias) << f;
     let mut stop = None;
     for (p, &o) in ord.order.iter().enumerate() {
-        let v = dequantize(acc);
-        if stop.is_none() {
-            if ord.spec_len > 0 && p == ord.spec_len && v < ord.threshold {
-                stop = Some((p, 0.0, OracleTermination::Predicted));
-            } else if p >= ord.neg_start && v < 0.0 {
-                stop = Some((p, v, OracleTermination::SignCheck));
-            }
-        }
+        stop = stop.or_else(|| decide(ord, p, dequantize(acc)));
         acc += quantize(tap(input, n, oy, ox, o, geom)) * quantize(weights[o]);
     }
-    let full = dequantize(acc);
-    let window = match stop {
-        Some((p, output, kind)) => OracleWindow {
-            ops: p as u32,
-            output,
-            termination: Some(kind),
-        },
-        None => OracleWindow {
-            ops: ord.order.len() as u32,
-            output: full,
-            termination: None,
-        },
-    };
-    (window, full)
+    outcome(stop, ord.order.len(), dequantize(acc))
 }
 
 /// Result of an oracle layer execution, laid out like the executor's
@@ -578,11 +510,7 @@ pub fn execute_layer(
     params: &LayerParams,
 ) -> OracleLayer {
     walk_layer(weight, geom, input, params, |n, oy, ox, k, ord| {
-        let kw = weight.item(k);
-        (
-            walk_window(input, n, oy, ox, kw, ord, geom, bias[k]),
-            full_window_value(input, n, oy, ox, kw, ord, geom, bias[k]),
-        )
+        walk_window(input, n, oy, ox, weight.item(k), ord, geom, bias[k])
     })
 }
 
@@ -720,32 +648,9 @@ mod tests {
         let x = Tensor4::from_vec(Shape4::new(1, 1, 2, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let w = [0.5, 0.25, 0.125, 1.0];
         let ord = exact_order(&w);
-        let r = walk_window(&x, 0, 0, 0, &w, &ord, ConvGeom::square(2, 1, 0), 0.1);
-        let f = full_window_value(&x, 0, 0, 0, &w, &ord, ConvGeom::square(2, 1, 0), 0.1);
+        let (r, f) = walk_window(&x, 0, 0, 0, &w, &ord, ConvGeom::square(2, 1, 0), 0.1);
         assert_eq!(r.termination, None);
         assert_eq!(r.ops, 4);
-        assert_eq!(r.output.to_bits(), f.to_bits());
-    }
-
-    #[test]
-    fn walk_matches_full_value_through_the_lane_prefix() {
-        // 17 weights (c=17, 1x1 kernel): m8 covers two full lane blocks
-        // plus a scalar tail, and the positive prefix keeps the walk from
-        // terminating, so walk and full must agree bit-for-bit.
-        let n = 17;
-        let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() + 1.5).collect();
-        let ws: Vec<f32> = (0..n)
-            .map(|i| (i as f32 * 0.53).cos() * 0.25 + 0.3)
-            .collect();
-        let x = Tensor4::from_vec(Shape4::new(1, n, 1, 1), xs).unwrap();
-        let ord = exact_order(&ws);
-        assert_eq!(ord.neg_start, n, "all-positive weights keep the walk alive");
-        assert_eq!(super::lane_m8(&ord), 16);
-        let g = ConvGeom::square(1, 1, 0);
-        let r = walk_window(&x, 0, 0, 0, &ws, &ord, g, 0.1);
-        let f = full_window_value(&x, 0, 0, 0, &ws, &ord, g, 0.1);
-        assert_eq!(r.termination, None);
-        assert_eq!(r.ops, n as u32);
         assert_eq!(r.output.to_bits(), f.to_bits());
     }
 

@@ -10,14 +10,14 @@
 //! * [`init`] — deterministic, seeded weight initializers.
 //! * [`q16`] — 16-bit fixed-point arithmetic mirroring the paper's 16-bit
 //!   fixed-point processing engines (Table II of the paper).
-//! * [`lane`] — the eight-wide lane layer: `f32x8`/`i32x8` wrappers, the
-//!   pinned lane-tree reduction order, and the asm-verified SIMD kernels
-//!   behind the GEMM microkernel and the executor walks.
-//! * [`par`] — the scoped worker pool behind every parallel hot path in the
-//!   workspace (`SNAPEA_THREADS` knob; results are bit-identical for any
+//! * [`lane`] — the eight-wide lane layer: the `f32x8` wrapper and the
+//!   asm-verified GEMM microkernel built on it.
+//! * [`par`] — the persistent worker pool behind every parallel hot path in
+//!   the workspace (`SNAPEA_THREADS` knob; results are bit-identical for any
 //!   thread count).
 //! * [`scratch`] — a thread-local arena of reusable zeroed `f32` buffers so
-//!   the steady-state conv/executor paths stay off the allocator.
+//!   the steady-state conv forward and backward passes stay off the
+//!   allocator.
 //!
 //! Everything is deterministic: no global RNG state, and no wall-clock in
 //! any numeric path (the pool reads the clock only for its metrics).

@@ -105,8 +105,7 @@ impl QAcc {
         self.acc
     }
 
-    /// Rebuilds an accumulator from a raw Q.2f value (the lane kernels
-    /// batch several windows' raw sums and hand them back through here).
+    /// Rebuilds an accumulator from a raw Q.2f value.
     pub fn from_raw(acc: i64) -> Self {
         Self { acc }
     }

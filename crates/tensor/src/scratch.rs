@@ -1,10 +1,10 @@
 //! Thread-local scratch arena for the hot-path temporaries.
 //!
-//! The conv forward/backward passes and the SnaPEA executor need a handful of
-//! short-lived `f32` buffers per call (im2col patch matrices, GEMM products,
-//! per-window full values). Allocating them fresh on every call puts the
-//! allocator on the steady-state inference path; this arena keeps a per-thread
-//! pool of retired buffers and hands them back zeroed, so a warmed-up thread
+//! The conv forward and backward passes (`Conv2d`, the arena's one lessee)
+//! need a short-lived `f32` buffer or two per call (im2col patch matrices,
+//! their gradients). Allocating them fresh on every call puts the allocator
+//! on the steady-state inference path; this arena keeps a per-thread pool of
+//! retired buffers and hands them back zeroed, so a warmed-up thread
 //! performs no heap allocation for those temporaries.
 //!
 //! ## Semantics

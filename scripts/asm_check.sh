@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
-# Structural vectorization proof for the lane kernels (DESIGN.md §11).
+# Structural vectorization proof for the GEMM microkernel (DESIGN.md §11).
 #
-#   ./scripts/asm_check.sh                  # assert the lane kernels vectorize
+#   ./scripts/asm_check.sh                  # assert lane_axpy8 vectorizes
 #   ./scripts/asm_check.sh --negative-smoke # assert the check CAN fail (seq_dot)
 #
-# The lane layer's hot kernels (`snapea_tensor::lane`) are `#[inline(never)]`
-# precisely so their machine code survives as standalone symbols in the
-# release rlib. This script disassembles the newest `libsnapea_tensor` rlib
-# and asserts, per kernel, that the body contains packed vector float ops
-# and zero scalar float multiplies — a structural proof that the compiler
-# vectorized the eight-wide loops, immune to benchmark noise.
+# The lane layer's kernel (`snapea_tensor::lane::lane_axpy8`) is
+# `#[inline(never)]` precisely so its machine code survives as a standalone
+# symbol in the release rlib. This script disassembles the newest
+# `libsnapea_tensor` rlib and asserts that the body contains packed vector
+# float ops and zero scalar float multiplies — a structural proof that the
+# compiler vectorized the eight-wide loop, immune to benchmark noise.
 #
-# `lane_q16_span` is deliberately absent from the strict set: its signed
-# 32x32->64-bit widening multiply has no packed form on baseline x86-64
-# (pmuldq is SSE4.1), so LLVM correctly emits unrolled scalar `imul`s. The
-# q16 win comes from the eight-window batching, not SIMD multiplies.
+# The executor's window walk is not gated: it sums each window in walk
+# order, so its speed comes from eight windows' independent accumulator
+# chains in flight, not from packed multiplies.
 #
 # The negative smoke runs the same assertion against `seq_dot` — a
 # deliberately sequential scalar reduction (its loop-carried dependency
@@ -65,8 +64,7 @@ objdump -d "$RLIB" > "$DISASM"
 
 # Prints the disassembly of the symbol whose mangled name matches the
 # fragment (`4lane` scopes to the lane module; the literal `17h` that
-# precedes the symbol hash keeps `lane_dot` from also matching
-# `lane_dot_resolved`).
+# precedes the symbol hash keeps a name from also matching a longer one).
 extract() {
   awk -v pat="$1" '
     /^[0-9a-f]+ <.*>:$/ { insym = ($0 ~ pat) }
@@ -107,6 +105,4 @@ fi
 
 echo "==> asm vectorization gate on $RLIB ($ARCH)"
 check_kernel lane_axpy8 '4lane.*lane_axpy817h' pass
-check_kernel lane_dot '4lane.*lane_dot17h' pass
-check_kernel lane_dot_resolved '4lane.*lane_dot_resolved17h' pass
-echo "OK: all lane kernels carry packed vector float ops and no scalar multiplies"
+echo "OK: lane_axpy8 carries packed vector float ops and no scalar multiplies"

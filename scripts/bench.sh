@@ -9,7 +9,7 @@
 #   ./scripts/bench.sh --scaling       # full 1/2/4/8 thread grid
 #   ./scripts/bench.sh --strict        # >=3x at t4 gate (skipped if 1 core)
 #   ./scripts/bench.sh --threads 8     # pin the parallel thread count
-#   ./scripts/bench.sh --kernels-only  # just BENCH_kernels.json (lane engine)
+#   ./scripts/bench.sh --kernels-only  # just BENCH_kernels.json (single-core kernels)
 #
 # Offline by design, like scripts/check.sh.
 set -euo pipefail

@@ -11,8 +11,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
-# Asm vectorization gate (DESIGN.md §11): the lane kernels must survive as
-# packed vector code in the release rlib, and — same prove-it-can-fail
+# Asm vectorization gate (DESIGN.md §11): the GEMM microkernel must survive
+# as packed vector code in the release rlib, and — same prove-it-can-fail
 # protocol as the lint and selfcheck smokes — the deliberately sequential
 # seq_dot must FAIL the identical assertion.
 echo "==> scripts/asm_check.sh"
@@ -271,8 +271,8 @@ if [ -f "$KERNELS_ONLY_OUT" ]; then
   echo "ERROR: --kernels-only wrote the parallel report ($KERNELS_ONLY_OUT)"
   exit 1
 fi
-grep -q '"name":"lane_dot"' "$KERNELS_ONLY_SMOKE" \
-  || { echo "ERROR: $KERNELS_ONLY_SMOKE missing the lane_dot micro-kernel entry"; exit 1; }
+grep -q '"name":"lane_axpy8"' "$KERNELS_ONLY_SMOKE" \
+  || { echo "ERROR: $KERNELS_ONLY_SMOKE missing the lane_axpy8 micro-kernel entry"; exit 1; }
 
 # Scaling gate (opt-in, recording machines with >=4 cores): perfbench
 # --strict asserts conv forward + executor reach >=3x at 4 threads on full
@@ -334,8 +334,8 @@ printf '{"degraded":false,"benches":[{"name":"b","serial_ms":10.0}]}\n' > "$FIXT
 must_fail "degraded vs non-degraded comparison" '' \
   "$TOOL" perf-diff "$FIXTURE/perf-deg.json" "$FIXTURE/perf-nondeg.json"
 echo "==> snapea-tool perf-diff degraded-mismatch smoke, kernels shape (must refuse)"
-printf '{"degraded":true,"kernels":[{"name":"lane_dot","kernel_ms":1.5}]}\n' > "$FIXTURE/perf-deg-k.json"
-printf '{"degraded":false,"kernels":[{"name":"lane_dot","kernel_ms":1.5}]}\n' > "$FIXTURE/perf-nondeg-k.json"
+printf '{"degraded":true,"kernels":[{"name":"lane_axpy8","kernel_ms":1.5}]}\n' > "$FIXTURE/perf-deg-k.json"
+printf '{"degraded":false,"kernels":[{"name":"lane_axpy8","kernel_ms":1.5}]}\n' > "$FIXTURE/perf-nondeg-k.json"
 must_fail "degraded vs non-degraded kernels comparison" '' \
   "$TOOL" perf-diff "$FIXTURE/perf-deg-k.json" "$FIXTURE/perf-nondeg-k.json"
 

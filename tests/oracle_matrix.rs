@@ -1,12 +1,15 @@
 //! The executor pinned bit for bit to the oracle's independent walks over a
 //! fixed matrix of geometries and modes: `f32` outputs, op counts and
 //! prediction stats (the f64 masses to the bit), with stats collection on
-//! and off, and the q16 datapath's outputs and op counts. Four layers put
-//! hostile values around the padding, where a padding tap, a `+0.0` input
-//! MACed like any other, is not a no-op: a `-0.0` bias (`-0.0 + 0.0` is
-//! `+0.0`), an infinite weight (`0.0 · inf` is NaN) and a NaN weight, alone
-//! and with a `-0.0` bias. Their exact-mode outputs and op counts are also
-//! pinned to values derived by hand.
+//! and off, and the q16 datapath's outputs and op counts at 10 and at 15
+//! fractional bits. Four layers put hostile values around the padding, where
+//! a padding tap, a `+0.0` input MACed like any other, is not a no-op: a
+//! `-0.0` bias (`-0.0 + 0.0` is `+0.0`), an infinite weight (`0.0 · inf` is
+//! NaN) and a NaN weight, alone and with a `-0.0` bias. One more layer pins
+//! the summation order: a window sums in walk order, one `acc + x·w` per
+//! position, whether it is walked in an eight-window batch or alone. These
+//! five layers' exact-mode outputs and op counts are also pinned to values
+//! derived by hand, which the oracle's dense convolution computes too.
 
 use snapea_suite::core::exec::{
     execute_conv, execute_conv_q16, execute_conv_stats, ExecResult, LayerConfig, PredictionStats,
@@ -42,9 +45,9 @@ fn stats_bits(s: &PredictionStats) -> [u64; 7] {
 /// A 3×3 pad-1 layer of two kernels over two 4×4 images filled with `x`.
 /// Each kernel has one non-negative weight, `w0`, at tap `(0, 0)` for
 /// kernel 0 and `(2, 2)` for kernel 1, and `-1.0` elsewhere, so exact mode
-/// walks it first (`neg_start = 1`, an empty lane prefix). It is a padding
-/// tap on kernel 0's top row and left column and on kernel 1's bottom row
-/// and right column ([`w0_is_padding`]).
+/// walks it first (`neg_start = 1`, a one-position probe-free prefix). It
+/// is a padding tap on kernel 0's top row and left column and on kernel 1's
+/// bottom row and right column ([`w0_is_padding`]).
 fn hostile_layer(w0: f32, bias: f32, x: f32) -> (Conv2d, Tensor4) {
     let mut weight = vec![-1.0; 18];
     weight[0] = w0;
@@ -61,40 +64,70 @@ fn w0_is_padding(k: usize, w: usize) -> bool {
     w / 4 == edge || w % 4 == edge
 }
 
-/// An exact-mode output of [`hostile_layer`], derived by hand. Every window
-/// walks all 9 MACs, since no partial sum falls below zero, and outputs
-/// `+0.0`, `+inf` or NaN; a NaN is pinned by position, not bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One window's exact-mode output, derived by hand: a value to the bit, or
+/// NaN, which is pinned by position, not bits.
+#[derive(Debug, Clone, Copy)]
 enum Want {
-    PosZero,
-    PosInf,
+    Bits(f32),
     Nan,
 }
 
-fn assert_hand_derived(label: &str, got: &ExecResult, (at_padding, elsewhere): (Want, Want)) {
-    let (kernels, windows) = (got.profile.kernels(), got.profile.windows());
-    assert_eq!((kernels, windows), (2, 16), "{label}: layout");
-    for (plane, values) in got.output.as_slice().chunks_exact(windows).enumerate() {
-        let k = plane % kernels;
-        for (w, &v) in values.iter().enumerate() {
-            let is = match v {
-                v if v.is_nan() => Want::Nan,
-                v if v.to_bits() == 0.0f32.to_bits() => Want::PosZero,
-                v if v == f32::INFINITY => Want::PosInf,
-                v => panic!("{label}: plane {plane} window {w}: {v}"),
-            };
-            let want = if w0_is_padding(k, w) {
+/// A layer's exact-mode outputs, derived by hand: every output element in
+/// layout order, and the MACs every window takes.
+struct Hand {
+    outputs: Vec<Want>,
+    macs: u32,
+}
+
+/// [`hostile_layer`]'s [`Hand`]: `at_padding` where `w0` is a padding tap,
+/// `elsewhere` otherwise. Every window walks all 9 MACs, since no partial
+/// sum falls below zero.
+fn hostile_hand(at_padding: Want, elsewhere: Want) -> Hand {
+    let outputs = (0..2 * 2 * 16)
+        .map(|i| {
+            let (k, w) = (i / 16 % 2, i % 16);
+            if w0_is_padding(k, w) {
                 at_padding
             } else {
                 elsewhere
-            };
-            assert_eq!(is, want, "{label}: plane {plane} window {w}: {v}");
+            }
+        })
+        .collect();
+    Hand { outputs, macs: 9 }
+}
+
+/// A 1×1 layer of one kernel of eight `1.0` weights and bias `0.0`, over one
+/// 3×3 image whose channel 0 holds `2^24` and whose channels 1–7 hold `1.0`:
+/// nine windows, eight walked as a batch and one alone. Summed in walk order,
+/// `2^24 + 1` rounds back to `2^24` seven times, so every window outputs
+/// `2^24` after 8 MACs. Folding the eight products through a pairwise tree
+/// would give `((2^24 + 1) + 2) + 4 = 2^24 + 6` instead.
+fn order_layer() -> ((Conv2d, Tensor4), Hand) {
+    let weight = Tensor4::full(Shape4::new(1, 8, 1, 1), 1.0);
+    let conv = Conv2d::from_parts(weight, vec![0.0], ConvGeom::square(1, 1, 0));
+    let input = Tensor4::from_fn(Shape4::new(1, 8, 3, 3), |_, c, _, _| {
+        if c == 0 {
+            16_777_216.0
+        } else {
+            1.0
         }
+    });
+    let hand = Hand {
+        outputs: vec![Want::Bits(16_777_216.0); 9],
+        macs: 8,
+    };
+    ((conv, input), hand)
+}
+
+fn assert_hand_derived(label: &str, got: &Tensor4, hand: &Hand) {
+    assert_eq!(got.shape().len(), hand.outputs.len(), "{label}: layout");
+    for (i, (&v, want)) in got.iter().zip(&hand.outputs).enumerate() {
+        let holds = match *want {
+            Want::Bits(b) => v.to_bits() == b.to_bits(),
+            Want::Nan => v.is_nan(),
+        };
+        assert!(holds, "{label}: element {i}: {v}, want {want:?}");
     }
-    assert!(
-        got.profile.ops_slice().iter().all(|&o| o == 9),
-        "{label}: every window takes 9 MACs"
-    );
 }
 
 #[test]
@@ -128,30 +161,39 @@ fn executor_matches_the_oracle_across_geometries_and_modes() {
         // +0.0, so no window ends at -0.0.
         (
             "-0.0 bias",
-            hostile_layer(0.5, -0.0, 0.0),
-            (Want::PosZero, Want::PosZero),
+            (
+                hostile_layer(0.5, -0.0, 0.0),
+                hostile_hand(Want::Bits(0.0), Want::Bits(0.0)),
+            ),
         ),
         // 0.0 · inf = NaN where the +inf tap is padding; 1.0 · inf = +inf,
         // and the sign check never fires, elsewhere.
         (
             "+inf weight",
-            hostile_layer(f32::INFINITY, 0.5, 1.0),
-            (Want::Nan, Want::PosInf),
+            (
+                hostile_layer(f32::INFINITY, 0.5, 1.0),
+                hostile_hand(Want::Nan, Want::Bits(f32::INFINITY)),
+            ),
         ),
         // A NaN weight is non-negative, walked first, and makes every sum
         // NaN, which no PAU check terminates.
         (
             "NaN weight",
-            hostile_layer(f32::NAN, 0.5, 1.0),
-            (Want::Nan, Want::Nan),
+            (
+                hostile_layer(f32::NAN, 0.5, 1.0),
+                hostile_hand(Want::Nan, Want::Nan),
+            ),
         ),
         (
             "NaN weight, -0.0 bias",
-            hostile_layer(f32::NAN, -0.0, 0.0),
-            (Want::Nan, Want::Nan),
+            (
+                hostile_layer(f32::NAN, -0.0, 0.0),
+                hostile_hand(Want::Nan, Want::Nan),
+            ),
         ),
+        ("walk order", order_layer()),
     ]
-    .map(|(name, (conv, input), hand)| (name.to_string(), conv, input, Some(hand)));
+    .map(|(name, ((conv, input), hand))| (name.to_string(), conv, input, Some(hand)));
     for (case, conv, input, hand) in random.into_iter().chain(hostile) {
         let geom = conv.geom();
         let groups = 4.min(conv.window_len());
@@ -173,8 +215,15 @@ fn executor_matches_the_oracle_across_geometries_and_modes() {
             let plain = execute_conv(&conv, &input, &cfg);
             assert_walk_matches(&format!("{label}, stats off"), &plain, &want);
             assert_eq!(plain.stats, PredictionStats::default(), "{label}");
-            if let (Some(hand), "exact") = (hand, mode) {
-                assert_hand_derived(&label, &plain, hand);
+            if let (Some(hand), "exact") = (&hand, mode) {
+                assert_hand_derived(&label, &plain.output, hand);
+                assert!(
+                    plain.profile.ops_slice().iter().all(|&o| o == hand.macs),
+                    "{label}: every window takes {} MACs",
+                    hand.macs
+                );
+                let dense = reference::conv_dense(conv.weight(), conv.bias(), geom, &input);
+                assert_hand_derived(&format!("{label}, conv_dense"), &dense, hand);
                 // The dense forward MACs a padding tap as a zero too.
                 let nan = |t: &Tensor4| t.iter().map(|v| v.is_nan()).collect::<Vec<_>>();
                 let dense = conv.forward(&input);
@@ -189,17 +238,19 @@ fn executor_matches_the_oracle_across_geometries_and_modes() {
                 "{label}: stats, f64 masses bitwise"
             );
 
-            let fmt = Q16Format::new(10);
-            let q = execute_conv_q16(&conv, &input, &cfg, fmt);
-            let q_want = reference::execute_layer_q16(
-                conv.weight(),
-                conv.bias(),
-                geom,
-                &input,
-                &params,
-                fmt,
-            );
-            assert_walk_matches(&format!("{label}, q16"), &q, &q_want);
+            for frac_bits in [10, 15] {
+                let fmt = Q16Format::new(frac_bits);
+                let q = execute_conv_q16(&conv, &input, &cfg, fmt);
+                let q_want = reference::execute_layer_q16(
+                    conv.weight(),
+                    conv.bias(),
+                    geom,
+                    &input,
+                    &params,
+                    fmt,
+                );
+                assert_walk_matches(&format!("{label}, q16 at {frac_bits} bits"), &q, &q_want);
+            }
         }
     }
 }

@@ -92,7 +92,9 @@ proptest! {
         }
     }
 
-    /// Exact-mode window walks reproduce the dense dot product after ReLU.
+    /// Exact-mode window walks reproduce the dense dot product after ReLU,
+    /// and a walk that runs to the end outputs the bias followed by one
+    /// `acc + x·w` per position in walk order, bit for bit.
     #[test]
     fn exact_window_walk_matches_dot_product(
         w in weights_strategy(24),
@@ -112,6 +114,13 @@ proptest! {
             res.output,
             dense
         );
+        if res.termination.is_none() {
+            let order = k.reordered.order();
+            let walked = order
+                .iter()
+                .fold(bias, |acc, &i| acc + item[i as usize] * w[i as usize]);
+            prop_assert_eq!(res.output.to_bits(), walked.to_bits());
+        }
     }
 
     /// Fixed-point round trip stays within half an LSB (for values inside
