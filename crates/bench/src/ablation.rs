@@ -45,7 +45,7 @@ fn with_threshold(
     let pau = Pau::predictive(&r, KernelParams::new(f32::NEG_INFINITY, groups));
     let mut kernel = KernelExec::new(r, pau);
     let mut obs = vec![WindowObs::default(); input.shape().n * plan.windows()];
-    observe_kernel(plan, &kernel, bias, input, &mut obs);
+    observe_kernel(plan, std::slice::from_ref(&kernel), bias, input, &mut obs);
     let th = threshold_at(&negative_prefixes(&obs), q).unwrap_or(f32::NEG_INFINITY);
     kernel.pau = Pau::predictive(&kernel.reordered, KernelParams::new(th, groups));
     kernel

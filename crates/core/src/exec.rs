@@ -2,6 +2,12 @@
 //! weight-by-weight in the reordered order, probing the PAU before each MAC
 //! exactly as the hardware lanes do (paper §V), and records the per-window
 //! operation counts — the function `Op(o, Th, N)` of the paper's Eq. (1).
+//!
+//! The walk is window-major, as a PE broadcasts one reordered weight per
+//! cycle to lanes that each hold a window: a task gathers a tile of up to
+//! 64 im2col columns (one window each) once, then walks every kernel over
+//! it, with one vector MAC per walk position and one masked PAU probe per
+//! probe position.
 
 use crate::params::{KernelMode, KernelParams, LayerParams};
 use crate::pau::{Pau, PauAction, TerminationKind};
@@ -304,8 +310,9 @@ pub struct ExecResult {
 }
 
 /// Kernel-independent execution plan for one layer geometry, built per
-/// call: each window's base and each weight's tap delta. Nothing in it is
-/// sized `windows × window_len`.
+/// call: each window's base and each weight's tap delta, the gather source
+/// of the walk's im2col tiles. Nothing in it is sized `windows ×
+/// window_len`.
 ///
 /// A plan walks a pad-0 geometry over the input that
 /// [`WindowPlan::for_layer`] returns, zero-padded wherever the layer's
@@ -313,9 +320,8 @@ pub struct ExecResult {
 /// a padding tap reads `+0.0`. Tap `i = (c*kh + ky)*kw + kx` of the window
 /// whose top-left tap sits at row `y0`, column `x0` of that input reads
 /// offset `base + delta[i]` of the image's item slice, where `base = y0*w +
-/// x0` and `delta[i] = (c*h + ky)*w + kx`. Permuting `delta` by a kernel's
-/// reorder (`WindowPlan::resolve`) yields taps already in walk order, so no
-/// walk needs an `order[p]` indirection or a bounds check.
+/// x0` and `delta[i] = (c*h + ky)*w + kx`: row `i` of the window's im2col
+/// column, with no bounds test for padding.
 #[derive(Debug, Clone)]
 pub struct WindowPlan {
     /// `delta[i]` for each original weight index `i`.
@@ -387,21 +393,6 @@ impl WindowPlan {
     /// reads.
     pub fn tap(&self, w: usize, i: usize) -> usize {
         (self.bases[w] + self.delta[i]) as usize
-    }
-
-    /// The tap deltas permuted into `kernel`'s walk order: the window at
-    /// `base` reads `item[base + resolved[p]]` at walk position `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel's length differs from the plan's window length.
-    fn resolve(&self, kernel: &ReorderedKernel) -> Vec<i32> {
-        assert_eq!(kernel.len(), self.delta.len(), "kernel/plan window length");
-        kernel
-            .order()
-            .iter()
-            .map(|&i| self.delta[i as usize])
-            .collect()
     }
 }
 
@@ -489,27 +480,31 @@ fn terminated(ops: usize, probed: f32, kind: TerminationKind) -> WindowResult {
     }
 }
 
-/// Windows processed per batch by the executor. Eight lanes give
-/// the FPU eight independent accumulator chains, hiding the `fadd` latency
-/// that bounds a single window's strictly-ordered walk.
-const BATCH: usize = 8;
+/// Columns per tile: the windows one walk position's MAC covers. A tile's
+/// columns run on across image boundaries, so a layer with few windows per
+/// image still fills its tiles.
+const TILE: usize = 64;
+
+/// Lanes per probe chunk. A partial tile is padded to a multiple of this,
+/// so neither the MAC kernel nor the probe has a scalar tail.
+const LANES: usize = snapea_tensor::lane::LANES;
 
 /// The arithmetic of one PE lane: everything the window walk needs to know
-/// about a precision. The walk itself — probe placement, termination,
-/// eight-window batching, prediction accounting — is written once over this
-/// trait; the `f32` model and the paper's 16-bit fixed-point PE (Table II)
-/// are its two impls.
+/// about a precision. The walk itself — tiles, probe placement,
+/// termination, prediction accounting — is written once over this trait;
+/// the `f32` model and the paper's 16-bit fixed-point PE (Table II) are its
+/// two impls.
 trait Datapath: Sync {
     /// An activation or weight as the lane multiplies it.
     type Operand: Copy + Sync;
     /// The lane's accumulator register.
-    type Acc: Copy;
+    type Acc: Copy + Sync;
 
     /// A kernel's walk-order weights as operands.
     fn weights<'k>(&self, kernel: &'k KernelExec) -> Cow<'k, [Self::Operand]>;
 
-    /// One image's activations as operands.
-    fn activations<'a>(&self, item: &'a [f32]) -> Cow<'a, [Self::Operand]>;
+    /// A layer input's activations as operands.
+    fn activations<'a>(&self, input: &'a [f32]) -> Cow<'a, [Self::Operand]>;
 
     /// The accumulator a walk starts from: the bias.
     fn seed(&self, bias: f32) -> Self::Acc;
@@ -520,6 +515,38 @@ trait Datapath: Sync {
     /// The partial sum as the PAU probes it — also the value a window
     /// stores.
     fn probe(&self, acc: Self::Acc) -> f32;
+
+    /// The walk positions `0..order.len()` over a tile of `acc.len()`
+    /// columns: at each position `p`, in order, `acc[j] = mac(acc[j],
+    /// rows[order[p]·width + j], weights[p])` for every column `j`, where
+    /// `width = acc.len()`.
+    #[inline]
+    // lint:allow(P2) a tile holds every tap row of its width columns, and a kernel's order names taps
+    fn mac_tile(
+        acc: &mut [Self::Acc],
+        rows: &[Self::Operand],
+        order: &[u32],
+        weights: &[Self::Operand],
+    ) {
+        let width = acc.len();
+        for (&i, &w) in order.iter().zip(weights) {
+            let row = &rows[i as usize * width..][..width];
+            for (a, &x) in acc.iter_mut().zip(row) {
+                *a = Self::mac(*a, x, w);
+            }
+        }
+    }
+
+    /// Every column's partial sum as the PAU probes it, written to
+    /// `scratch` unless the accumulator already is that `f32`.
+    #[inline]
+    fn probed<'s>(&self, acc: &'s [Self::Acc], scratch: &'s mut [f32]) -> &'s [f32] {
+        let scratch = &mut scratch[..acc.len()];
+        for (s, &a) in scratch.iter_mut().zip(acc) {
+            *s = self.probe(a);
+        }
+        scratch
+    }
 }
 
 /// The `f32` datapath: the walk every accuracy experiment runs.
@@ -533,8 +560,8 @@ impl Datapath for F32Datapath {
         Cow::Borrowed(kernel.reordered.weights())
     }
 
-    fn activations<'a>(&self, item: &'a [f32]) -> Cow<'a, [f32]> {
-        Cow::Borrowed(item)
+    fn activations<'a>(&self, input: &'a [f32]) -> Cow<'a, [f32]> {
+        Cow::Borrowed(input)
     }
 
     #[inline(always)]
@@ -549,6 +576,17 @@ impl Datapath for F32Datapath {
 
     #[inline(always)]
     fn probe(&self, acc: f32) -> f32 {
+        acc
+    }
+
+    /// The asm-gated vector kernel ([`snapea_tensor::lane::tile_mac`]).
+    #[inline]
+    fn mac_tile(acc: &mut [f32], rows: &[f32], order: &[u32], weights: &[f32]) {
+        snapea_tensor::lane::tile_mac(acc, rows, order, weights);
+    }
+
+    #[inline(always)]
+    fn probed<'s>(&self, acc: &'s [f32], _: &'s mut [f32]) -> &'s [f32] {
         acc
     }
 }
@@ -567,8 +605,8 @@ impl Datapath for Q16Datapath {
         Cow::Owned(quantize_slice(self.0, kernel.reordered.weights()))
     }
 
-    fn activations<'a>(&self, item: &'a [f32]) -> Cow<'a, [Q16]> {
-        Cow::Owned(quantize_slice(self.0, item))
+    fn activations<'a>(&self, input: &'a [f32]) -> Cow<'a, [Q16]> {
+        Cow::Owned(quantize_slice(self.0, input))
     }
 
     /// The bias enters the accumulator at the product scale (Q.2f): its
@@ -590,374 +628,501 @@ impl Datapath for Q16Datapath {
     }
 }
 
-/// Accumulates the positions in `span` for [`BATCH`] windows at once: each
-/// position loads its resolved tap and weight once and feeds all eight
-/// accumulator chains. Each window's own accumulation order is
-/// unchanged (ascending `p`), so per-window results stay bit-identical to a
-/// single window's walk.
+/// `!0` if `b`, else `0`: a lane mask.
+#[inline(always)]
+fn mask(b: bool) -> u32 {
+    u32::from(b).wrapping_neg()
+}
+
+/// How a window that stored `output` after `ops` of its `len` MACs ended:
+/// a terminated window ran short, and only a sign check stores a value
+/// below zero (a prediction stores `+0.0`).
 #[inline]
-// lint:allow(P2) p < weights.len() = resolved.len(); a plan's bases keep base+delta in bounds
-fn span8<D: Datapath>(
-    acc: &mut [D::Acc; BATCH],
-    weights: &[D::Operand],
-    resolved: &[i32],
-    bases: &[i32; BATCH],
-    item: &[D::Operand],
-    span: Range<usize>,
-) {
-    for p in span {
-        let (d, w) = (resolved[p], weights[p]);
-        for (a, &b) in acc.iter_mut().zip(bases) {
-            *a = D::mac(*a, item[(b + d) as usize], w);
-        }
-    }
+fn termination(ops: u32, output: f32, len: u32) -> Option<TerminationKind> {
+    (ops < len).then_some(if output < 0.0 {
+        TerminationKind::SignCheck
+    } else {
+        TerminationKind::Predicted
+    })
 }
 
-/// Continues a window walk from position `start` with partial sum `acc`,
-/// where `start` must be the walk's unconditional-prefix length
-/// ([`unconditional_prefix_len`]). `mac(p, acc)` performs the MAC at
-/// position `p` and returns the new partial sum.
-///
-/// This is the *phase-split* form of the per-MAC probe loop: one probe at
-/// the speculative boundary, an unconditional run to `neg_start`, then a
-/// probed walk through the negative region. The probe outcomes — and hence
-/// `ops`, `output` and `termination` — are bit-identical to probing before
-/// every MAC, because [`Pau::probe`] returns `Continue` unconditionally at
-/// every skipped position.
-#[inline(always)]
-fn walk_from<D: Datapath>(
-    dp: &D,
-    pau: &Pau,
-    len: usize,
-    mut acc: D::Acc,
-    start: usize,
-    mut mac: impl FnMut(usize, D::Acc) -> D::Acc,
-) -> WindowResult {
-    debug_assert_eq!(start, unconditional_prefix_len(pau, len));
-    let spec_probe = spec_probe_pos(pau);
-    let ns = pau.neg_start();
-    let mut p = start;
-    if p < len && p == spec_probe {
-        // The full probe also covers the spec_len == neg_start tie, where a
-        // prediction outranks the sign check.
-        let probed = dp.probe(acc);
-        if let PauAction::Terminate(kind) = pau.probe(p, probed) {
-            return terminated(p, probed, kind);
-        }
-        acc = mac(p, acc);
-        p += 1;
-        let stop = ns.min(len);
-        while p < stop {
-            acc = mac(p, acc);
-            p += 1;
-        }
-    }
-    while p < len {
-        let probed = dp.probe(acc);
-        if let PauAction::Terminate(kind) = pau.probe(p, probed) {
-            return terminated(p, probed, kind);
-        }
-        acc = mac(p, acc);
-        p += 1;
-    }
-    WindowResult {
-        ops: snapea_tensor::num::ops_u32(len),
-        output: dp.probe(acc),
-        termination: None,
-    }
+/// The PAUs of one tile walk, one lane per column, in mask form: a probe is
+/// a few compares and bitwise selects over fixed eight-lane chunks, with no
+/// branch per column.
+struct Lanes {
+    /// `!0` while a column's walk goes on; `0` once its PAU has terminated
+    /// it, and for the padding columns of a partial tile.
+    live: [u32; TILE],
+    /// The position at which each column ended: its op count.
+    end: [u32; TILE],
+    /// The value each column stores.
+    val: [f32; TILE],
 }
 
-/// Probes the PAU at position `p` on every lane still live (`None` in
-/// `done`), recording each lane it terminates. Returns how many it
-/// terminated.
-#[inline(always)]
-fn probe_live<D: Datapath, const L: usize>(
-    dp: &D,
-    pau: &Pau,
-    p: usize,
-    acc: &[D::Acc; L],
-    done: &mut [Option<WindowResult>; L],
-) -> usize {
-    let mut ended = 0;
-    for (d, &a) in done.iter_mut().zip(acc) {
-        if d.is_none() {
-            let probed = dp.probe(a);
-            if let PauAction::Terminate(kind) = pau.probe(p, probed) {
-                *d = Some(terminated(p, probed, kind));
-                ended += 1;
+impl Lanes {
+    /// The first `cols` lanes live, each ending at `len` unless a probe
+    /// ends it sooner.
+    fn reset(&mut self, cols: usize, len: u32) {
+        for (j, l) in self.live.iter_mut().enumerate() {
+            *l = mask(j < cols);
+        }
+        self.end = [len; TILE];
+    }
+
+    /// The PAU probe before the MAC at position `p` on every live lane of
+    /// `probed` ([`Pau::probe`]'s rule): returns how many stay live.
+    #[inline]
+    fn probe(&mut self, probed: &[f32], pau: &Pau, p: usize) -> usize {
+        let sign = mask(p >= pau.neg_start());
+        if pau.is_predictive() && p == pau.spec_len() {
+            self.probe_masked::<true>(probed, p, pau.threshold(), sign)
+        } else {
+            self.probe_masked::<false>(probed, p, 0.0, sign)
+        }
+    }
+
+    /// A live lane terminates on `SPEC && x < th`, a prediction that stores
+    /// `+0.0`, or else on `sign && x < 0.0`, a sign check that stores `x`.
+    /// Both are ordered compares, so a NaN or `-0.0` partial sum continues.
+    ///
+    /// Not inlined, so the compiler knows `probed` and the lanes apart and
+    /// vectorizes the compares (`cmpltps` on x86-64).
+    #[inline(never)]
+    // lint:allow(P2) q < LANES indexes the [_; LANES] chunks
+    fn probe_masked<const SPEC: bool>(
+        &mut self,
+        probed: &[f32],
+        p: usize,
+        th: f32,
+        sign: u32,
+    ) -> usize {
+        let p = snapea_tensor::num::ops_u32(p);
+        let width = probed.len();
+        let (x8, _) = probed.as_chunks::<LANES>();
+        let (l8, _) = self.live[..width].as_chunks_mut::<LANES>();
+        let (e8, _) = self.end[..width].as_chunks_mut::<LANES>();
+        let (v8, _) = self.val[..width].as_chunks_mut::<LANES>();
+        let mut live = [0u32; LANES];
+        for (((x, l), e), v) in x8.iter().zip(l8).zip(e8).zip(v8) {
+            for q in 0..LANES {
+                let pred = mask(SPEC && x[q] < th);
+                let hit = l[q] & (pred | (sign & mask(x[q] < 0.0)));
+                e[q] = (p & hit) | (e[q] & !hit);
+                v[q] = f32::from_bits((x[q].to_bits() & !pred & hit) | (v[q].to_bits() & !hit));
+                l[q] &= !hit;
+                live[q] += l[q] & 1;
             }
         }
-    }
-    ended
-}
-
-/// Where a pair's walk puts each window's outcome, at the window's index,
-/// and how far it walks a window from the end of its probe-free prefix.
-trait Sink<D: Datapath> {
-    /// Finishes window `w`, at `base`, alone from its prefix `acc`.
-    fn one(&mut self, walk: &PairWalk<'_, D>, w: usize, base: i32, acc: D::Acc);
-
-    /// Finishes the [`BATCH`] windows `w0..w0 + BATCH`, at `bases`, from
-    /// their prefixes `acc`.
-    fn batch(
-        &mut self,
-        walk: &PairWalk<'_, D>,
-        w0: usize,
-        bases: &[i32; BATCH],
-        acc: [D::Acc; BATCH],
-    );
-}
-
-/// The early-terminating walk: the value stored and the MACs executed.
-struct Results<'s> {
-    out: &'s mut [f32],
-    ops: &'s mut [u32],
-}
-
-impl<D: Datapath> Sink<D> for Results<'_> {
-    #[inline(always)]
-    fn one(&mut self, walk: &PairWalk<'_, D>, w: usize, base: i32, acc: D::Acc) {
-        let r = walk.finish(base, acc);
-        self.out[w] = r.output;
-        self.ops[w] = r.ops;
+        live.iter().sum::<u32>() as usize
     }
 
-    fn batch(
-        &mut self,
-        walk: &PairWalk<'_, D>,
-        w0: usize,
-        bases: &[i32; BATCH],
-        acc: [D::Acc; BATCH],
-    ) {
-        for (w, (&base, a)) in (w0..).zip(bases.iter().zip(acc)) {
-            self.one(walk, w, base, a);
+    /// Every lane still live ran to the end: it stores its full sum.
+    fn finish(&mut self, full: &[f32]) {
+        for ((&x, &l), v) in full.iter().zip(&self.live).zip(&mut self.val) {
+            *v = f32::from_bits((x.to_bits() & l) | (v.to_bits() & !l));
         }
     }
 }
 
-/// The observed walk: every window to its end, one record per window.
-struct Observed<'s>(&'s mut [WindowObs]);
-
-impl<D: Datapath> Sink<D> for Observed<'_> {
-    #[inline(always)]
-    fn one(&mut self, walk: &PairWalk<'_, D>, w: usize, base: i32, acc: D::Acc) {
-        let mac = walk.mac(base);
-        let [obs] = walk.observe([acc], |p, a: &mut [D::Acc; 1]| a[0] = mac(p, a[0]));
-        self.0[w] = obs;
-    }
-
-    fn batch(
-        &mut self,
-        walk: &PairWalk<'_, D>,
-        w0: usize,
-        bases: &[i32; BATCH],
-        acc: [D::Acc; BATCH],
-    ) {
-        let (weights, resolved, item) = (walk.weights, walk.resolved, walk.item);
-        let recs = walk.observe(acc, |p, a| {
-            span8::<D>(a, weights, resolved, bases, item, p..p + 1);
-        });
-        self.0[w0..w0 + BATCH].copy_from_slice(&recs);
-    }
-}
-
-/// One `(image, kernel)` pair's walk inputs, in a datapath's operands.
-struct PairWalk<'a, D: Datapath> {
-    dp: &'a D,
-    pau: &'a Pau,
-    weights: &'a [D::Operand],
-    /// The kernel's walk-order tap deltas (`WindowPlan::resolve`).
-    resolved: &'a [i32],
-    item: &'a [D::Operand],
+/// One kernel's walk: its PAU, walk order and operand weights.
+struct KernelWalk<'k, D: Datapath> {
+    pau: &'k Pau,
+    /// The original weight index at each walk position: the tile row the
+    /// position reads.
+    order: &'k [u32],
+    weights: Cow<'k, [D::Operand]>,
     seed: D::Acc,
     /// The probe-free prefix length ([`unconditional_prefix_len`]).
     stop1: usize,
 }
 
-impl<'a, D: Datapath> PairWalk<'a, D> {
-    /// `weights` must be `dp.weights(kernel)` and `resolved` the kernel's
-    /// resolved taps.
-    fn new(
-        dp: &'a D,
-        kernel: &'a KernelExec,
-        weights: &'a [D::Operand],
-        resolved: &'a [i32],
-        item: &'a [D::Operand],
-        bias: f32,
-    ) -> Self {
+impl<'k, D: Datapath> KernelWalk<'k, D> {
+    fn new(dp: &D, kernel: &'k KernelExec, bias: f32) -> Self {
+        let weights = dp.weights(kernel);
         Self {
-            dp,
             pau: &kernel.pau,
-            weights,
-            resolved,
-            item,
-            seed: dp.seed(bias),
+            order: kernel.reordered.order(),
             stop1: unconditional_prefix_len(&kernel.pau, weights.len()),
+            weights,
+            seed: dp.seed(bias),
         }
     }
 
-    /// The MAC at each walk position of the window at `base`.
+    /// Where the unconditional run after a passed probe at `p` ends: the
+    /// MAC at `p` follows the probe, and after the speculative probe the
+    /// walk runs on without probing to the negative region.
     #[inline(always)]
-    fn mac(&self, base: i32) -> impl Fn(usize, D::Acc) -> D::Acc + Copy + 'a {
-        let (weights, resolved, item) = (self.weights, self.resolved, self.item);
-        move |p, acc| D::mac(acc, item[(base + resolved[p]) as usize], weights[p])
+    fn next_probe(&self, p: usize) -> usize {
+        (p + 1).max(self.pau.neg_start().min(self.weights.len()))
     }
 
-    /// The probe-free prefix of the window at `base`.
-    #[inline(always)]
-    fn prefix(&self, base: i32) -> D::Acc {
-        let mac = self.mac(base);
-        (0..self.stop1).fold(self.seed, |acc, p| mac(p, acc))
-    }
-
-    /// The probe-free prefixes of the [`BATCH`] windows at `bases`, each
-    /// summed in the same order as [`PairWalk::prefix`].
+    /// Walks one window on alone from partial sum `acc`, after it passed
+    /// the probe at `p`, probing before every MAC from
+    /// [`KernelWalk::next_probe`] on. `x(i)` reads the window's tap `i`.
     #[inline]
-    fn prefix8(&self, bases: &[i32; BATCH]) -> [D::Acc; BATCH] {
-        let mut acc = [self.seed; BATCH];
-        let (weights, resolved, item) = (self.weights, self.resolved, self.item);
-        span8::<D>(&mut acc, weights, resolved, bases, item, 0..self.stop1);
-        acc
-    }
-
-    /// Walks the window at `base` on from its probe-free prefix `acc`,
-    /// stopping where the PAU says.
-    #[inline(always)]
-    fn finish(&self, base: i32, acc: D::Acc) -> WindowResult {
-        let len = self.weights.len();
-        walk_from(self.dp, self.pau, len, acc, self.stop1, self.mac(base))
-    }
-
-    /// Walks `L` windows on from the end of their probe-free prefixes
-    /// (`acc`) to the end of the window, recording each one's
-    /// [`WindowObs`]; `mac(p, acc)` performs every lane's MAC at position
-    /// `p`, once per position.
-    ///
-    /// Phase-split like [`walk_from`]: the speculative probe once at the end
-    /// of the prefix, an unconditional run to `neg_start`, probes only on
-    /// the lanes still live, and an unconditional run once every lane has
-    /// terminated. Each lane's decision is the one [`walk_from`] makes from
-    /// the same prefix, and its full sum continues the same per-window
-    /// order.
-    #[inline(always)]
-    fn observe<const L: usize>(
+    fn finish(
         &self,
-        mut acc: [D::Acc; L],
-        mut mac: impl FnMut(usize, &mut [D::Acc; L]),
-    ) -> [WindowObs; L] {
-        let (dp, pau, len) = (self.dp, self.pau, self.weights.len());
-        let prefix = acc.map(|a| dp.probe(a));
-        let mut done = [None; L];
-        let mut live = L;
-        let mut p = self.stop1;
-        if p < len && p == spec_probe_pos(pau) {
-            live -= probe_live(dp, pau, p, &acc, &mut done);
-            mac(p, &mut acc);
-            p += 1;
-            let stop = pau.neg_start().min(len);
-            while p < stop {
-                mac(p, &mut acc);
-                p += 1;
+        dp: &D,
+        mut acc: D::Acc,
+        p: usize,
+        x: impl Fn(usize) -> D::Operand,
+    ) -> WindowResult {
+        let next = self.next_probe(p);
+        let steps = self.order.iter().zip(self.weights.iter()).enumerate();
+        for (q, (&i, &w)) in steps.skip(p) {
+            if q >= next {
+                let probed = dp.probe(acc);
+                if let PauAction::Terminate(kind) = self.pau.probe(q, probed) {
+                    return terminated(q, probed, kind);
+                }
             }
+            acc = D::mac(acc, x(i as usize), w);
         }
-        while live > 0 && p < len {
-            live -= probe_live(dp, pau, p, &acc, &mut done);
-            mac(p, &mut acc);
-            p += 1;
-        }
-        while p < len {
-            mac(p, &mut acc);
-            p += 1;
-        }
-        let full = acc.map(|a| dp.probe(a));
-        std::array::from_fn(|l| WindowObs {
-            result: done[l].unwrap_or(WindowResult {
-                ops: snapea_tensor::num::ops_u32(len),
-                output: full[l],
-                termination: None,
-            }),
-            prefix: prefix[l],
-            full: full[l],
-        })
-    }
-
-    /// Walks every window of `plan` into `sink`: the windows in groups of
-    /// [`BATCH`], each group's probe-free prefixes eight chains at a time
-    /// ([`PairWalk::prefix8`]), then the last `windows % BATCH` one at a
-    /// time. Every outcome lands at its window's index.
-    fn walk_windows(&self, plan: &WindowPlan, sink: &mut impl Sink<D>) {
-        let (chunks, rest) = plan.bases.as_chunks::<BATCH>();
-        for (c, bases) in chunks.iter().enumerate() {
-            sink.batch(self, c * BATCH, bases, self.prefix8(bases));
-        }
-        for (w, &base) in (chunks.len() * BATCH..).zip(rest) {
-            sink.one(self, w, base, self.prefix(base));
+        WindowResult {
+            ops: snapea_tensor::num::ops_u32(self.weights.len()),
+            output: dp.probe(acc),
+            termination: None,
         }
     }
 }
 
-/// Walks a single convolution window: probes the PAU exactly as the hardware
-/// lanes do before each MAC, terminates when it says so. `values[i]` is the
-/// input under original weight index `i`.
+/// Where tiles take their columns from: a layer input as operands, its
+/// images back to back, and the plan that places every window in it.
+/// Column `c` is window `c mod windows` of image `c / windows`.
+struct TileSource<'a, O> {
+    plan: &'a WindowPlan,
+    input: &'a [O],
+    item_len: usize,
+}
+
+/// A tile of up to [`TILE`] im2col columns and one kernel's walk over it.
+struct Tile<D: Datapath> {
+    /// `rows[i·width + j]`: tap `i` (an original weight index) of column
+    /// `j`.
+    rows: Vec<D::Operand>,
+    /// The tile's columns.
+    cols: usize,
+    /// `cols` rounded up to a multiple of [`LANES`]. A padding column
+    /// repeats the last column, and its lane is never live.
+    width: usize,
+    /// Each column's offset into the source input.
+    base: [usize; TILE],
+    acc: Vec<D::Acc>,
+    lanes: Lanes,
+    /// Probed partial sums, for a datapath whose accumulator is no `f32`.
+    scratch: [f32; TILE],
+    /// Observed walks: each column's partial sum at the end of the
+    /// probe-free prefix, and its full sum.
+    prefix: [f32; TILE],
+    full: [f32; TILE],
+}
+
+impl<D: Datapath> Tile<D> {
+    fn new(window_len: usize) -> Self {
+        Self {
+            rows: Vec::with_capacity(window_len * TILE),
+            cols: 0,
+            width: 0,
+            base: [0; TILE],
+            acc: Vec::with_capacity(TILE),
+            lanes: Lanes {
+                live: [0; TILE],
+                end: [0; TILE],
+                val: [0.0; TILE],
+            },
+            scratch: [0.0; TILE],
+            prefix: [0.0; TILE],
+            full: [0.0; TILE],
+        }
+    }
+
+    /// Gathers columns `cols` (at most [`TILE`], at least one) from `src`.
+    // lint:allow(P2) a plan's bases and deltas keep every tap inside its image's item of the input the plan was built for
+    fn fill(&mut self, src: &TileSource<'_, D::Operand>, cols: Range<usize>) {
+        let windows = src.plan.windows();
+        let (mut n, mut w) = (cols.start / windows, cols.start % windows);
+        self.cols = cols.len();
+        self.width = cols.len().next_multiple_of(LANES);
+        for b in &mut self.base[..cols.len()] {
+            *b = n * src.item_len + src.plan.bases[w] as usize;
+            w += 1;
+            if w == windows {
+                (n, w) = (n + 1, 0);
+            }
+        }
+        let bases = &self.base[..cols.len()];
+        let last = bases[cols.len() - 1];
+        self.rows.clear();
+        for &d in &src.plan.delta {
+            let d = d as usize;
+            self.rows.extend(bases.iter().map(|&b| src.input[b + d]));
+            let pad = std::iter::repeat_n(src.input[last + d], self.width - self.cols);
+            self.rows.extend(pad);
+        }
+    }
+
+    /// Walks kernel `k` over the tile, leaving each column's outcome in
+    /// `lanes` and, in observed mode, its prefix and full sum. The MACs run
+    /// full width ([`Datapath::mac_tile`]), and every probe position runs
+    /// one masked probe. An early-terminating walk ends once no lane is
+    /// live, and once at most a quarter of the columns are live after a
+    /// probe it finishes them one at a time instead
+    /// ([`KernelWalk::finish`]); an observed walk takes every column to its
+    /// end. Returns how many columns it finished alone.
+    fn walk(&mut self, dp: &D, k: &KernelWalk<'_, D>, observe: bool) -> usize {
+        let len = k.weights.len();
+        self.acc.clear();
+        self.acc.resize(self.width, k.seed);
+        self.lanes
+            .reset(self.cols, snapea_tensor::num::ops_u32(len));
+        self.mac_span(k, 0..k.stop1);
+        if observe {
+            let probed = dp.probed(&self.acc, &mut self.scratch);
+            self.prefix[..probed.len()].copy_from_slice(probed);
+        }
+        let mut p = k.stop1;
+        while p < len {
+            let live = self
+                .lanes
+                .probe(dp.probed(&self.acc, &mut self.scratch), k.pau, p);
+            if observe {
+                if live == 0 {
+                    break;
+                }
+            } else if live * 4 <= self.cols {
+                return self.finish_alone(dp, k, p);
+            }
+            let next = k.next_probe(p);
+            self.mac_span(k, p..next);
+            p = next;
+        }
+        self.mac_span(k, p..len);
+        let full = dp.probed(&self.acc, &mut self.scratch);
+        self.lanes.finish(full);
+        if observe {
+            self.full[..full.len()].copy_from_slice(full);
+        }
+        0
+    }
+
+    /// The MACs of kernel `k` at walk positions `span`, every column.
+    fn mac_span(&mut self, k: &KernelWalk<'_, D>, span: Range<usize>) {
+        let (order, weights) = (&k.order[span.clone()], &k.weights[span]);
+        D::mac_tile(&mut self.acc, &self.rows, order, weights);
+    }
+
+    /// Finishes every live column alone from the tile rows, after the probe
+    /// at `p` that it passed. Returns how many columns it finished.
+    // lint:allow(P2) a tile holds every tap row of its width columns, and j < width
+    fn finish_alone(&mut self, dp: &D, k: &KernelWalk<'_, D>, p: usize) -> usize {
+        let (rows, width) = (&self.rows, self.width);
+        let l = &mut self.lanes;
+        let lanes = l.live.iter_mut().zip(l.end.iter_mut().zip(&mut l.val));
+        let mut alone = 0;
+        for (j, (&acc, (live, (end, val)))) in self.acc.iter().zip(lanes).enumerate() {
+            if *live != 0 {
+                let r = k.finish(dp, acc, p, |i| rows[i * width + j]);
+                (*live, *end, *val) = (0, r.ops, r.output);
+                alone += 1;
+            }
+        }
+        alone
+    }
+
+    /// Column `j`'s outcome after a walk of a kernel of length `len`.
+    fn result(&self, j: usize, len: u32) -> WindowResult {
+        let (ops, output) = (self.lanes.end[j], self.lanes.val[j]);
+        WindowResult {
+            ops,
+            output,
+            termination: termination(ops, output, len),
+        }
+    }
+
+    /// Every column's record after an observed walk of a kernel of length
+    /// `len`.
+    fn observations(&self, len: u32) -> impl Iterator<Item = WindowObs> + '_ {
+        let sums = self.prefix.iter().zip(&self.full).take(self.cols);
+        sums.enumerate()
+            .map(move |(j, (&prefix, &full))| WindowObs {
+                result: self.result(j, len),
+                prefix,
+                full,
+            })
+    }
+}
+
+/// One task's walk outcomes, per kernel, for its columns: the stored values,
+/// the op counts and (when stats are collected) the full sums, laid out
+/// `[kernel][column − cols.start]`.
+struct TaskOut {
+    cols: Range<usize>,
+    output: Vec<f32>,
+    ops: Vec<u32>,
+    full: Vec<f32>,
+    /// Columns finished alone after their tile thinned.
+    alone: u64,
+}
+
+/// Walks every kernel over each tile of columns `cols`: one tile fill per
+/// tile, shared by the kernels.
+fn walk_task<D: Datapath>(
+    dp: &D,
+    src: &TileSource<'_, D::Operand>,
+    walks: &[KernelWalk<'_, D>],
+    cols: Range<usize>,
+    observe: bool,
+) -> TaskOut {
+    let size = cols.len() * walks.len();
+    let mut out = TaskOut {
+        cols: cols.clone(),
+        output: vec![0.0; size],
+        ops: vec![0; size],
+        full: vec![0.0; if observe { size } else { 0 }],
+        alone: 0,
+    };
+    let mut tile = Tile::new(src.plan.window_len());
+    for t0 in cols.clone().step_by(TILE) {
+        tile.fill(src, t0..(t0 + TILE).min(cols.end));
+        for (k, walk) in walks.iter().enumerate() {
+            out.alone += tile.walk(dp, walk, observe) as u64;
+            out.record(k, t0 - cols.start, &tile);
+        }
+    }
+    out
+}
+
+impl TaskOut {
+    /// Records kernel `k`'s walk over `tile`, whose first column is the
+    /// task's column `offset`.
+    fn record<D: Datapath>(&mut self, k: usize, offset: usize, tile: &Tile<D>) {
+        let (at, n) = (k * self.cols.len() + offset.., tile.cols);
+        self.output[at.clone()][..n].copy_from_slice(&tile.lanes.val[..n]);
+        self.ops[at.clone()][..n].copy_from_slice(&tile.lanes.end[..n]);
+        if !self.full.is_empty() {
+            self.full[at][..n].copy_from_slice(&tile.full[..n]);
+        }
+    }
+
+    /// Copies the outcomes into a layer's `[image][kernel][window]` output
+    /// and op counts, one contiguous run per image and kernel, and folds
+    /// each window into its `(image, kernel)` pair's stats — in ascending
+    /// window order, as the tasks are scattered in ascending column order.
+    /// `pair_stats` is empty when no stats are collected.
+    // lint:allow(P2) a task's columns lie inside the layer's, so every run lies inside both layouts
+    fn scatter(
+        &self,
+        (kernels, windows, len): (usize, usize, u32),
+        output: &mut [f32],
+        ops: &mut [u32],
+        pair_stats: &mut [PredictionStats],
+    ) {
+        let (mut n, mut w) = (self.cols.start / windows, self.cols.start % windows);
+        let mut c = self.cols.start;
+        while c < self.cols.end {
+            let run = (windows - w).min(self.cols.end - c);
+            for k in 0..kernels {
+                let src = k * self.cols.len() + (c - self.cols.start)..;
+                let dst = (n * kernels + k) * windows + w..;
+                output[dst.clone()][..run].copy_from_slice(&self.output[src.clone()][..run]);
+                ops[dst][..run].copy_from_slice(&self.ops[src.clone()][..run]);
+                if let Some(st) = pair_stats.get_mut(n * kernels + k) {
+                    let outcomes = self.output[src.clone()].iter().zip(&self.ops[src.clone()]);
+                    for ((&out, &op), &full) in outcomes.zip(&self.full[src]).take(run) {
+                        account_window(st, full, termination(op, out, len));
+                    }
+                }
+            }
+            (c, n, w) = (c + run, n + 1, 0);
+        }
+    }
+}
+
+/// Walks a single convolution window as a one-column tile: probes the PAU
+/// exactly as the hardware lanes do before each MAC, terminates when it
+/// says so. `values[i]` is the input under original weight index `i`.
 ///
 /// # Panics
 ///
 /// Panics if `values` is shorter than the kernel.
 pub fn run_window(kernel: &KernelExec, values: &[f32], bias: f32) -> WindowResult {
-    // `values` is a window at base 0 whose tap deltas are the weight
-    // indices themselves.
-    let resolved: Vec<i32> = kernel
-        .reordered
-        .order()
-        .iter()
-        .map(|&i| snapea_tensor::num::idx_i32(i as usize))
-        .collect();
-    let weights = F32Datapath.weights(kernel);
-    let walk = PairWalk::new(&F32Datapath, kernel, &weights, &resolved, values, bias);
-    walk.finish(0, walk.prefix(0))
+    let len = kernel.reordered.len();
+    assert!(values.len() >= len, "a value under every weight");
+    // One window at base 0 whose tap deltas are the weight indices.
+    let plan = WindowPlan {
+        delta: (0..len).map(snapea_tensor::num::idx_i32).collect(),
+        bases: vec![0],
+    };
+    let src = TileSource {
+        plan: &plan,
+        input: values,
+        item_len: len,
+    };
+    let mut tile = Tile::new(len);
+    tile.fill(&src, 0..1);
+    tile.walk(
+        &F32Datapath,
+        &KernelWalk::new(&F32Datapath, kernel, bias),
+        false,
+    );
+    tile.result(0, snapea_tensor::num::ops_u32(len))
 }
 
-/// Walks every window of one kernel over every image of `input` in observed
-/// mode, through the executor's own walk: `obs[img * windows + w]` receives
-/// window `w` of image `img`. `input` and `plan` must be the pair
+/// Walks every window of `input` in observed mode for each of `kernels` —
+/// candidate reorderings of one kernel, sharing `bias` — through the
+/// executor's own walk, one tile fill shared by them all:
+/// `obs[(r * images + img) * windows + w]` receives window `w` of image
+/// `img` under reordering `r`. `input` and `plan` must be the pair
 /// [`WindowPlan::for_layer`] returns for the layer, the input and plan the
-/// executor itself walks. Images are walked in order on the calling
+/// executor itself walks. The tiles are walked in order on the calling
 /// thread and no `exec/*` metric is charged: Algorithm 1's Kernel Profiling
-/// pass calls this once per kernel and candidate reordering, inside its own
-/// parallel map.
+/// pass calls this once per kernel, inside its own parallel map.
 ///
 /// # Panics
 ///
-/// Panics if `obs.len()` is not `input`'s image count times the plan's
-/// window count, or the kernel's length is not the plan's window length.
+/// Panics if `obs.len()` is not the number of kernels times `input`'s image
+/// count times the plan's window count, or a kernel's length is not the
+/// plan's window length.
 pub fn observe_kernel(
     plan: &WindowPlan,
-    kernel: &KernelExec,
+    kernels: &[KernelExec],
     bias: f32,
     input: &Tensor4,
     obs: &mut [WindowObs],
 ) {
-    let windows = plan.windows();
+    let columns = input.shape().n * plan.windows();
     assert_eq!(
         obs.len(),
-        input.shape().n * windows,
-        "one record per window"
+        kernels.len() * columns,
+        "one record per kernel and window"
     );
-    if windows == 0 {
+    let len = plan.window_len();
+    assert!(
+        kernels.iter().all(|k| k.reordered.len() == len),
+        "kernel/plan window length"
+    );
+    if columns == 0 {
         return;
     }
-    let resolved = plan.resolve(&kernel.reordered);
-    let weights = F32Datapath.weights(kernel);
-    for (n, image_obs) in obs.chunks_mut(windows).enumerate() {
-        let walk = PairWalk::new(
-            &F32Datapath,
-            kernel,
-            &weights,
-            &resolved,
-            input.item(n),
-            bias,
-        );
-        walk.walk_windows(plan, &mut Observed(image_obs));
+    let walks: Vec<KernelWalk<'_, F32Datapath>> = kernels
+        .iter()
+        .map(|k| KernelWalk::new(&F32Datapath, k, bias))
+        .collect();
+    let src = TileSource {
+        plan,
+        input: input.as_slice(),
+        item_len: input.shape().item_len(),
+    };
+    let mut tile = Tile::new(len);
+    for t0 in (0..columns).step_by(TILE) {
+        tile.fill(&src, t0..(t0 + TILE).min(columns));
+        for (walk, obs) in walks.iter().zip(obs.chunks_exact_mut(columns)) {
+            tile.walk(&F32Datapath, walk, true);
+            let records = tile.observations(snapea_tensor::num::ops_u32(len));
+            for (o, rec) in obs.iter_mut().skip(t0).zip(records) {
+                *o = rec;
+            }
+        }
     }
 }
 
@@ -1021,123 +1186,93 @@ fn execute<D: Datapath>(
     collect_stats: bool,
 ) -> ExecResult {
     assert_eq!(cfg.kernels.len(), conv.c_out(), "config kernel count");
+    let len = conv.window_len();
+    assert!(
+        cfg.kernels.iter().all(|k| k.reordered.len() == len),
+        "kernel/layer window length"
+    );
     // Per-layer span (only when a sink is attached) plus an always-on
     // stopwatch feeding the `exec/layer_ms` latency histogram: one clock
     // read per layer call, never per window, so the disabled-path budget
-    // holds. Per-(image, kernel) spans are a further opt-in behind
+    // holds. Per-task spans are a further opt-in behind
     // `SNAPEA_TRACE_DETAIL` — a full repro run executes thousands of
     // layers and would swamp the log otherwise.
     let _layer_span = snapea_obs::hot_span!("exec/layer");
-    let trace_kernels = snapea_obs::enabled() && snapea_obs::detail_enabled();
+    let trace_tasks = snapea_obs::enabled() && snapea_obs::detail_enabled();
     let layer_clock = snapea_obs::Stopwatch::start();
     let s = input.shape();
     let out_shape = conv.out_shape(s);
     let (input, plan) = WindowPlan::for_layer(conv, input);
-    let windows = plan.windows();
+    let (windows, c_out) = (plan.windows(), conv.c_out());
     debug_assert_eq!(windows, out_shape.plane_len());
 
-    // Resolved taps (walk-order tap deltas) and operand weights once per
-    // kernel, operand activations once per image, shared by every pair's
-    // task. Quantisation is deterministic, so hoisting it out of the
-    // per-MAC loop changes nothing numerically.
-    let resolved: Vec<Vec<i32>> = cfg
+    // Operand weights once per kernel and operand activations once per
+    // layer call, shared by every task. Quantisation is deterministic, so
+    // hoisting it out of the per-MAC loop changes nothing numerically.
+    let walks: Vec<KernelWalk<'_, D>> = cfg
         .kernels
         .iter()
-        .map(|k| plan.resolve(&k.reordered))
+        .zip(conv.bias())
+        .map(|(k, &bias)| KernelWalk::new(dp, k, bias))
         .collect();
-    let weights: Vec<Cow<'_, [D::Operand]>> = cfg.kernels.iter().map(|k| dp.weights(k)).collect();
-    let items: Vec<Cow<'_, [D::Operand]>> =
-        (0..s.n).map(|n| dp.activations(input.item(n))).collect();
+    let operands = dp.activations(input.as_slice());
+    let src = TileSource {
+        plan: &plan,
+        input: &operands,
+        item_len: input.shape().item_len(),
+    };
 
+    // One task per run of whole tiles, sized by `chunk_for` with the walk
+    // floor: a tiny layer collapses to one inline task and never pays
+    // dispatch. Each task walks every kernel over each of its tiles and
+    // returns its outcomes, which are scattered into the `[image][kernel]
+    // [window]` layout on this thread in ascending column order. Each
+    // pair's stats fold privately in ascending window order and merge in
+    // ascending pair order — the grouping of a serial per-pair walk, for
+    // any thread count and any tile or task split, so the f64 masses are
+    // bit-identical whether the tiles ran on one worker or eight.
+    let columns = s.n * windows;
+    let tiles = columns.div_ceil(TILE);
+    let chunk = snapea_tensor::par::chunk_for(
+        tiles,
+        TILE * len * c_out,
+        snapea_tensor::par::WALK_TASK_FLOOR_OPS,
+    );
+    let tasks = snapea_tensor::par::parallel_map_chunks(tiles, chunk, |_, tiles| {
+        let cols = tiles.start * TILE..(tiles.end * TILE).min(columns);
+        let _task_span = trace_tasks.then(|| {
+            snapea_obs::span::enter_detail(
+                "exec/task",
+                Some(format!("columns {}..{}", cols.start, cols.end)),
+            )
+        });
+        walk_task(dp, &src, &walks, cols, collect_stats)
+    });
     let mut output = Tensor4::zeros(out_shape);
-    let mut ops = vec![0u32; s.n * conv.c_out() * windows];
+    let mut ops = vec![0u32; s.n * c_out * windows];
+    let mut pair_stats =
+        vec![PredictionStats::default(); if collect_stats { s.n * c_out } else { 0 }];
+    let layout = (c_out, windows, snapea_tensor::num::ops_u32(len));
+    for t in &tasks {
+        t.scatter(layout, output.as_mut_slice(), &mut ops, &mut pair_stats);
+    }
     let mut stats = PredictionStats::default();
-
-    // One task per *block* of consecutive (image, kernel) pairs. Flat pair
-    // index `n * c_out + k` addresses both the output plane
-    // (`offset(n, k, 0, 0)` = pair * windows) and the ops layout, so zipping
-    // the two block-sized chunk iterators hands every task its disjoint
-    // output/ops slices; within a block the pairs are walked ascending. The
-    // block size comes from `chunk_for` with the walk floor: an n=1 serving
-    // layer with 32 kernels still splits into per-kernel-block tasks, while
-    // a tiny layer collapses to one inline task and never pays dispatch.
-    // Each pair's stats still accumulate privately (one `PredictionStats`
-    // per pair, exactly as the serial walk folds them) and merge in
-    // ascending pair order — the same grouping for any thread count and any
-    // block size, so the f64 masses are bit-identical whether the pairs ran
-    // on one worker or eight.
-    if windows > 0 {
-        let chunk = snapea_tensor::par::chunk_for(
-            s.n * conv.c_out(),
-            windows * conv.window_len(),
-            snapea_tensor::par::WALK_TASK_FLOOR_OPS,
-        );
-        let blocks: Vec<(&mut [f32], &mut [u32])> = output
-            .as_mut_slice()
-            .chunks_mut(chunk * windows)
-            .zip(ops.chunks_mut(chunk * windows))
-            .collect();
-        let per_block: Vec<Vec<PredictionStats>> =
-            snapea_tensor::par::run_tasks(blocks, |bi, (out_blk, ops_blk)| {
-                let mut obs = vec![WindowObs::default(); if collect_stats { windows } else { 0 }];
-                out_blk
-                    .chunks_mut(windows)
-                    .zip(ops_blk.chunks_mut(windows))
-                    .enumerate()
-                    .map(|(pi, (out_slice, ops_slice))| {
-                        let pair = bi * chunk + pi;
-                        let (n, k) = (pair / conv.c_out(), pair % conv.c_out());
-                        let _kernel_span = trace_kernels.then(|| {
-                            snapea_obs::span::enter_detail(
-                                "exec/kernel",
-                                Some(format!("image {n} kernel {k}")),
-                            )
-                        });
-                        let walk = PairWalk::new(
-                            dp,
-                            &cfg.kernels[k],
-                            &weights[k],
-                            &resolved[k],
-                            &items[n],
-                            conv.bias()[k],
-                        );
-                        let mut st = PredictionStats::default();
-                        if !collect_stats {
-                            let mut sink = Results {
-                                out: out_slice,
-                                ops: ops_slice,
-                            };
-                            walk.walk_windows(&plan, &mut sink);
-                            return st;
-                        }
-                        walk.walk_windows(&plan, &mut Observed(&mut obs));
-                        // The stats fold after the walk, in ascending window
-                        // order, whatever order the windows were walked in.
-                        let slots = out_slice.iter_mut().zip(ops_slice.iter_mut());
-                        for (o, (out, op)) in obs.iter().zip(slots) {
-                            *out = o.result.output;
-                            *op = o.result.ops;
-                            account_window(&mut st, o.full, o.result.termination);
-                        }
-                        st
-                    })
-                    .collect()
-            });
-        for st in per_block.iter().flatten() {
-            stats.merge(st);
-        }
+    for st in &pair_stats {
+        stats.merge(st);
     }
 
     let profile = LayerProfile {
         images: s.n,
-        kernels: conv.c_out(),
+        kernels: c_out,
         windows,
-        window_len: conv.window_len(),
+        window_len: len,
         ops,
     };
+    let alone = tasks.iter().map(|t| t.alone).sum();
     record_layer_execution(
         &profile,
         collect_stats.then_some(&stats),
+        alone,
         layer_clock.elapsed_ms(),
     );
     ExecResult {
@@ -1154,24 +1289,20 @@ fn execute<D: Datapath>(
 /// event payload is only built behind [`snapea_obs::enabled`], keeping the
 /// disabled-path overhead within the executor bench's <2% budget.
 ///
-/// Every pair walks its windows in groups of [`BATCH`] and the last
-/// `windows % BATCH` alone (`PairWalk::walk_windows`), so the
-/// `lane_windows` / `scalar_windows` split follows from the geometry.
+/// `alone` counts the windows the walk finished one at a time after their
+/// tile thinned (`exec/windows_finished_alone`).
 fn record_layer_execution(
     profile: &LayerProfile,
     stats: Option<&PredictionStats>,
+    alone: u64,
     elapsed_ms: f64,
 ) {
     let performed = profile.total_ops();
     let dense = profile.full_macs();
-    let pairs = (profile.images() * profile.kernels()) as u64;
-    let scalar_windows = pairs * (profile.windows() % BATCH) as u64;
-    let lane_windows = pairs * profile.windows() as u64 - scalar_windows;
     snapea_obs::counter("exec/layer_calls").inc();
     snapea_obs::counter("exec/macs_performed").add(performed);
     snapea_obs::counter("exec/macs_dense").add(dense);
-    snapea_obs::counter("exec/lane_windows").add(lane_windows);
-    snapea_obs::counter("exec/scalar_windows").add(scalar_windows);
+    snapea_obs::counter("exec/windows_finished_alone").add(alone);
     snapea_obs::log_histogram("exec/layer_ms").record(elapsed_ms);
     if let Some(s) = stats {
         snapea_obs::counter("exec/windows_negative").add(s.negative_windows);
@@ -1191,8 +1322,7 @@ fn record_layer_execution(
                 full_macs = dense,
                 savings = profile.savings(),
                 elapsed_ms = elapsed_ms,
-                lane_windows = lane_windows,
-                scalar_windows = scalar_windows,
+                windows_finished_alone = alone,
                 true_negative_rate = s.true_negative_rate(),
                 false_negative_rate = s.false_negative_rate(),
                 sign_terminations = s.sign_terminations,
@@ -1207,8 +1337,7 @@ fn record_layer_execution(
                 full_macs = dense,
                 savings = profile.savings(),
                 elapsed_ms = elapsed_ms,
-                lane_windows = lane_windows,
-                scalar_windows = scalar_windows,
+                windows_finished_alone = alone,
             );
         }
     }
@@ -1563,7 +1692,7 @@ mod tests {
     fn q16_bias_is_exact_at_every_format() {
         let weight = Tensor4::zeros(Shape4::new(1, 2, 3, 3));
         let conv = Conv2d::from_parts(weight, vec![0.5], ConvGeom::square(3, 1, 0));
-        // Nine windows: eight walked as a batch, one alone.
+        // Nine windows: one tile of nine columns, padded to 16.
         let input = nonneg_input(Shape4::new(1, 2, 5, 5), 23);
         let cfg = LayerConfig::exact(&conv);
         for frac_bits in [8, 14, 15] {
@@ -1625,14 +1754,58 @@ mod tests {
         }
     }
 
-    /// Every window's executor output and op count, stats off and on, equal
-    /// [`run_window`] over the window's im2col column bit for bit, in exact
-    /// and predictive mode. Besides a plain padded layer, this holds where
-    /// a padding tap's `+0.0` MAC is not a no-op: a `-0.0` bias (`-0.0 +
-    /// 0.0` is `+0.0`) and a `+inf` weight (`0.0 · inf` is NaN).
+    /// A layer whose windows the test walks, and the configurations it
+    /// walks them under.
+    struct WalkCase {
+        name: String,
+        conv: Conv2d,
+        input: Tensor4,
+        cfgs: Vec<LayerConfig>,
+    }
+
+    /// A 1×1 conv with one kernel of `weights` (bias 0) over one 8×8 image,
+    /// 64 windows: a single full tile whose channel `c`, column `j` holds
+    /// `x(c, j)`.
+    fn one_tile_case(
+        name: &str,
+        weights: &[f32],
+        x: impl Fn(usize, usize) -> f32,
+        cfg: impl Fn(&Conv2d) -> LayerConfig,
+    ) -> WalkCase {
+        let c_in = weights.len();
+        let weight = Tensor4::from_vec(Shape4::new(1, c_in, 1, 1), weights.to_vec()).unwrap();
+        let conv = Conv2d::from_parts(weight, vec![0.0], ConvGeom::square(1, 1, 0));
+        let input = Tensor4::from_fn(Shape4::new(1, c_in, 8, 8), |_, c, y, w| x(c, y * 8 + w));
+        let cfgs = vec![cfg(&conv)];
+        WalkCase {
+            name: name.to_string(),
+            conv,
+            input,
+            cfgs,
+        }
+    }
+
+    /// Every window's executor output and op count, stats off and on, and
+    /// every window's [`WindowObs`] from [`observe_kernel`] equal
+    /// [`run_window`] over the window's im2col column bit for bit, with the
+    /// prefix and full sums of that column summed in walk order. Besides a
+    /// plain padded layer, this holds where a padding tap's `+0.0` MAC is
+    /// not a no-op — a `-0.0` bias (`-0.0 + 0.0` is `+0.0`) and a `+inf`
+    /// weight (`0.0 · inf` is NaN) — across the tile boundaries (a tile
+    /// straddling two image boundaries, layers of 63, 64, 65 and 129
+    /// columns) and across the one-column switch (a tile thinned to a
+    /// quarter by the speculative probe, and one thinned below a quarter by
+    /// sign checks).
     #[test]
     fn executor_windows_match_run_window_over_im2col_columns() {
         let mut rng = init::rng(70);
+        let both = |conv: &Conv2d| {
+            vec![
+                LayerConfig::exact(conv),
+                LayerConfig::predictive_uniform(conv, KernelParams::new(0.1, 4)),
+            ]
+        };
+        let mut cases = Vec::new();
         // A non-square kernel with an uneven stride on a non-square input,
         // so a swapped row/column anywhere in the plan shows.
         let geom = ConvGeom {
@@ -1647,38 +1820,138 @@ mod tests {
         neg_zero_bias.bias_mut()[1] = -0.0;
         let mut inf_weight = conv.clone();
         inf_weight.weight_mut()[(2, 0, 0, 0)] = f32::INFINITY;
-        let cols = snapea_tensor::im2col::im2col(&input, 0, geom);
-        let mut nan_windows = 0;
-        for (case, conv) in [
+        for (name, conv) in [
             ("plain", conv),
             ("-0.0 bias", neg_zero_bias),
             ("+inf weight", inf_weight),
         ] {
-            for cfg in [
-                LayerConfig::exact(&conv),
-                LayerConfig::predictive_uniform(&conv, KernelParams::new(0.1, 4)),
-            ] {
-                for r in [
-                    execute_conv(&conv, &input, &cfg),
-                    execute_conv_stats(&conv, &input, &cfg),
-                ] {
-                    let windows = r.profile.windows();
-                    let planes = r.output.item(0).chunks_exact(windows);
-                    for ((k, kexec), plane) in cfg.kernels().iter().enumerate().zip(planes) {
-                        for (w, got) in plane.iter().enumerate() {
-                            let column: Vec<f32> =
-                                (0..conv.window_len()).map(|i| cols[(i, w)]).collect();
-                            let want = run_window(kexec, &column, conv.bias()[k]);
-                            let at = format!("{case}: kernel {k} window {w}");
-                            assert_eq!(got.to_bits(), want.output.to_bits(), "{at}");
-                            assert_eq!(r.profile.op(0, k, w), want.ops, "{at}");
-                            nan_windows += usize::from(got.is_nan());
+            let cfgs = both(&conv);
+            let input = input.clone();
+            let name = name.to_string();
+            cases.push(WalkCase {
+                name,
+                conv,
+                input,
+                cfgs,
+            });
+        }
+        // Three images of 3×3 windows: the one tile's 27 columns straddle
+        // two image boundaries.
+        let conv = Conv2d::new(2, 3, ConvGeom::square(3, 1, 1), &mut rng);
+        let input = nonneg_input(Shape4::new(3, 2, 3, 3), 72);
+        cases.push(WalkCase {
+            name: "3 images of 9 windows".to_string(),
+            cfgs: both(&conv),
+            conv,
+            input,
+        });
+        // Tile edges: one column short of a tile, a tile, one past it, and
+        // one past two tiles.
+        for (h, w) in [(7, 9), (8, 8), (5, 13), (3, 43)] {
+            let conv = Conv2d::new(2, 3, ConvGeom::square(3, 1, 1), &mut rng);
+            let input = nonneg_input(Shape4::new(1, 2, h, w), 73);
+            cases.push(WalkCase {
+                name: format!("{} columns", h * w),
+                cfgs: both(&conv),
+                conv,
+                input,
+            });
+        }
+        // The speculative probe (N = 1, the weight 2.0 first, Th = 1)
+        // terminates the 48 columns whose channel 0 is 0 and leaves 16 of
+        // 64 live: a quarter, so they finish alone.
+        cases.push(one_tile_case(
+            "spec probe leaves a quarter",
+            &[2.0, 0.5, -0.25, -1.0],
+            |c, j| match c {
+                0 => f32::from(u8::from(j % 4 == 0)),
+                _ => 0.1 * (c + j % 5) as f32,
+            },
+            |conv| LayerConfig::predictive_uniform(conv, KernelParams::new(1.0, 1)),
+        ));
+        // Exact mode walks 0.5 first, then the negatives by descending
+        // magnitude, -1.0 and -0.25: the sign probe before -1.0 ends none,
+        // the one before -0.25 ends the 52 columns whose channel 2 is 4, and
+        // 12 of 64 finish alone.
+        cases.push(one_tile_case(
+            "sign probes thin below a quarter",
+            &[0.5, -0.25, -1.0],
+            |c, j| match c {
+                0 => 1.0,
+                1 => 0.01 * j as f32,
+                _ => 4.0 * f32::from(u8::from(j % 16 >= 3)),
+            },
+            LayerConfig::exact,
+        ));
+
+        let mut nan_windows = 0;
+        for case in &cases {
+            let (conv, input) = (&case.conv, &case.input);
+            let (n, len) = (input.shape().n, conv.window_len());
+            let cols: Vec<_> = (0..n)
+                .map(|img| snapea_tensor::im2col::im2col(input, img, conv.geom()))
+                .collect();
+            let (padded, plan) = WindowPlan::for_layer(conv, input);
+            let windows = plan.windows();
+            let column = |img: usize, w: usize| -> Vec<f32> {
+                (0..len).map(|i| cols[img][(i, w)]).collect()
+            };
+            for cfg in &case.cfgs {
+                let kernels = cfg.kernels();
+                let runs = [
+                    execute_conv(conv, input, cfg),
+                    execute_conv_stats(conv, input, cfg),
+                ];
+                for (k, kexec) in kernels.iter().enumerate() {
+                    let bias = conv.bias()[k];
+                    // Every kernel of the config walks each tile fill as a
+                    // candidate reordering under kernel `k`'s bias.
+                    let mut obs = vec![WindowObs::default(); kernels.len() * n * windows];
+                    observe_kernel(&plan, kernels, bias, &padded, &mut obs);
+                    for img in 0..n {
+                        for w in 0..windows {
+                            let col = column(img, w);
+                            let at = format!("{}: image {img} kernel {k} window {w}", case.name);
+                            let want = run_window(kexec, &col, bias);
+                            for r in &runs {
+                                let got = r.output.item(img)[k * windows + w];
+                                assert_eq!(got.to_bits(), want.output.to_bits(), "{at}");
+                                assert_eq!(r.profile.op(img, k, w), want.ops, "{at}");
+                                nan_windows += usize::from(got.is_nan());
+                            }
+                            for (r, cand) in kernels.iter().enumerate() {
+                                let walked = |upto: usize| {
+                                    let order = &cand.reordered.order()[..upto];
+                                    let steps = order.iter().zip(cand.reordered.weights());
+                                    steps.fold(bias, |a, (&i, &wt)| a + col[i as usize] * wt)
+                                };
+                                let got = obs[(r * n + img) * windows + w];
+                                let stop1 = unconditional_prefix_len(&cand.pau, len);
+                                let at = format!("{at} observed as reordering {r}");
+                                let want = run_window(cand, &col, bias);
+                                let bits =
+                                    |r: WindowResult| (r.ops, r.output.to_bits(), r.termination);
+                                assert_eq!(bits(got.result), bits(want), "{at}");
+                                assert_eq!(got.prefix.to_bits(), walked(stop1).to_bits(), "{at}");
+                                assert_eq!(got.full.to_bits(), walked(len).to_bits(), "{at}");
+                            }
                         }
                     }
                 }
             }
         }
         assert!(nan_windows > 0, "a padding tap under +inf must MAC to NaN");
+
+        // The one-column cases terminate as built.
+        let ends = |case: &WalkCase, ops: u32| {
+            let r = execute_conv(&case.conv, &case.input, &case.cfgs[0]);
+            r.profile.ops_slice().iter().filter(|&&o| o == ops).count()
+        };
+        let [.., spec, sign] = &cases[..] else {
+            unreachable!()
+        };
+        assert_eq!(ends(spec, 1), 48, "{}", spec.name);
+        assert_eq!(ends(sign, 2), 52, "{}", sign.name);
     }
 
     #[test]

@@ -121,47 +121,50 @@ pub fn profile_layer_kernels(
     // the whole profile to an inline call — when the walks are too small to
     // amortise a dispatch (tiny layers used to pay ~1.5× dispatch overhead
     // here).
-    let grid_walks = 1 + group_candidates
+    let grid: Vec<usize> = group_candidates
         .iter()
-        .filter(|&&n| n > 0 && n < window_len)
-        .count();
-    let kernel_cost = grid_walks * images * windows * window_len;
+        .copied()
+        .filter(|&n| n > 0 && n < window_len)
+        .collect();
+    let kernel_cost = (1 + grid.len()) * images * windows * window_len;
     let chunk = snapea_tensor::par::chunk_for(
         conv.c_out(),
         kernel_cost,
         snapea_tensor::par::WALK_TASK_FLOOR_OPS,
     );
     snapea_tensor::par::parallel_map(conv.c_out(), chunk, |k| {
-        let mut obs = vec![WindowObs::default(); images * windows];
         let weights = conv.weight().item(k);
-        let bias = conv.bias()[k];
-        let mut candidates: Vec<KernelCandidate> = Vec::new();
-
-        // Exact-mode candidate: the executor's exact walk.
+        // The exact reordering under `Pau::exact`, then each in-range N's
+        // predictive reordering under a threshold no partial sum is below,
+        // so only sign checks fire: a window's `ops` is its sign-check op
+        // count, its `prefix` the speculative partial sum every threshold
+        // is compared against. All of them walk each tile fill together.
         let exact = sign_reorder(weights);
         let pau = Pau::exact(&exact);
-        observe_kernel(&plan, &KernelExec::new(exact, pau), bias, &input, &mut obs);
-        candidates.push(KernelCandidate {
-            mode: KernelMode::Exact,
-            ops: obs.iter().map(|o| u64::from(o.result.ops)).sum(),
-            surrogate_err: 0.0,
-        });
-
-        // Predictive candidates. Each reordering is walked once with a
-        // threshold no partial sum is below, so only sign checks fire: a
-        // window's `ops` is its sign-check op count, its `prefix` the
-        // speculative partial sum every threshold is compared against.
-        for &n in group_candidates {
-            if n == 0 || n >= window_len {
-                continue;
-            }
+        let mut walks = vec![KernelExec::new(exact, pau)];
+        for &n in &grid {
             let r = predictive_reorder(weights, n);
             let pau = Pau::predictive(&r, KernelParams::new(f32::NEG_INFINITY, n));
-            observe_kernel(&plan, &KernelExec::new(r, pau), bias, &input, &mut obs);
+            walks.push(KernelExec::new(r, pau));
+        }
+        let columns = images * windows;
+        let mut obs = vec![WindowObs::default(); walks.len() * columns];
+        observe_kernel(&plan, &walks, conv.bias()[k], &input, &mut obs);
+        let walk_obs = |r: usize| &obs[r * columns..(r + 1) * columns];
+
+        // Exact-mode candidate: the executor's exact walk.
+        let mut candidates = vec![KernelCandidate {
+            mode: KernelMode::Exact,
+            ops: walk_obs(0).iter().map(|o| u64::from(o.result.ops)).sum(),
+            surrogate_err: 0.0,
+        }];
+
+        for (r, &n) in grid.iter().enumerate() {
+            let obs = walk_obs(r + 1);
             // Threshold grid: quantiles of the speculative partial sums of
             // truly-negative windows. No negative windows → nothing for this
             // kernel to gain from speculating at this N.
-            let neg_prefixes = negative_prefixes(&obs);
+            let neg_prefixes = negative_prefixes(obs);
             let positive_mass: f64 = obs.iter().map(|o| o.full.max(0.0) as f64).sum();
             for th in threshold_quantiles
                 .iter()
@@ -169,7 +172,7 @@ pub fn profile_layer_kernels(
             {
                 let mut ops = 0u64;
                 let mut squashed = 0.0f64;
-                for o in &obs {
+                for o in obs {
                     if o.prefix < th {
                         ops += n as u64;
                         if o.full >= 0.0 {

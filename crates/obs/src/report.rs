@@ -41,12 +41,10 @@ pub struct ExecSummary {
     pub full_macs: u64,
     /// MACs actually performed under early termination.
     pub performed_macs: u64,
-    /// Windows that ran through the eight-wide lane-blocked batch path
-    /// (`lane_windows` on the event; 0 on logs from older builds).
-    pub lane_windows: u64,
-    /// Windows walked one at a time: those left over after a pair's last
-    /// batch of eight.
-    pub scalar_windows: u64,
+    /// Windows the executor finished one at a time after their tile of
+    /// windows thinned (`windows_finished_alone` on the event; 0 on logs
+    /// from older builds).
+    pub windows_finished_alone: u64,
 }
 
 impl ExecSummary {
@@ -56,17 +54,6 @@ impl ExecSummary {
             0.0
         } else {
             1.0 - self.performed_macs as f64 / self.full_macs as f64
-        }
-    }
-
-    /// Fraction of windows taking the lane-blocked path (0 when the log
-    /// carries no lane counters).
-    pub fn lane_fraction(&self) -> f64 {
-        let total = self.lane_windows + self.scalar_windows;
-        if total == 0 {
-            0.0
-        } else {
-            self.lane_windows as f64 / total as f64
         }
     }
 }
@@ -169,14 +156,12 @@ impl Report {
                         layers: 0,
                         full_macs: 0,
                         performed_macs: 0,
-                        lane_windows: 0,
-                        scalar_windows: 0,
+                        windows_finished_alone: 0,
                     });
                     x.layers += 1;
                     x.full_macs += u(&e, "full_macs").unwrap_or(0);
                     x.performed_macs += u(&e, "performed_macs").unwrap_or(0);
-                    x.lane_windows += u(&e, "lane_windows").unwrap_or(0);
-                    x.scalar_windows += u(&e, "scalar_windows").unwrap_or(0);
+                    x.windows_finished_alone += u(&e, "windows_finished_alone").unwrap_or(0);
                 }
                 "sim/layer" => {
                     let s = report.sim.get_or_insert(SimSummary {
@@ -275,9 +260,10 @@ impl Report {
                     ("full_macs", Json::U64(x.full_macs)),
                     ("performed_macs", Json::U64(x.performed_macs)),
                     ("saved_fraction", Json::F64(x.saved_fraction())),
-                    ("lane_windows", Json::U64(x.lane_windows)),
-                    ("scalar_windows", Json::U64(x.scalar_windows)),
-                    ("lane_fraction", Json::F64(x.lane_fraction())),
+                    (
+                        "windows_finished_alone",
+                        Json::U64(x.windows_finished_alone),
+                    ),
                 ]),
             ));
         }
@@ -334,14 +320,10 @@ impl Report {
                 x.performed_macs,
                 x.saved_fraction() * 100.0
             ));
-            if x.lane_windows + x.scalar_windows > 0 {
-                out.push_str(&format!(
-                    "  lane engine: {} windows lane-blocked, {} scalar ({:.1}% lane)\n",
-                    x.lane_windows,
-                    x.scalar_windows,
-                    x.lane_fraction() * 100.0
-                ));
-            }
+            out.push_str(&format!(
+                "  {} windows finished alone after their tile thinned\n",
+                x.windows_finished_alone
+            ));
         }
         if let Some(s) = &self.sim {
             out.push_str(&format!(
@@ -367,8 +349,8 @@ mod tests {
             r#"{"seq":2,"t_ms":0.3,"kind":"span","span_id":2,"parent_id":1,"name":"optimizer/local","path":"optimizer > optimizer/local","depth":2,"ms":4.0}"#,
             r#"{"seq":3,"t_ms":0.3,"kind":"span","span_id":1,"parent_id":0,"name":"optimizer","path":"optimizer","depth":1,"ms":10.0}"#,
             r#"{"seq":8,"t_ms":0.4,"kind":"span","span_id":3,"parent_id":0,"name":"optimizer","path":"optimizer","depth":1,"ms":5.0}"#,
-            r#"{"seq":4,"t_ms":0.5,"kind":"exec/layer","layer":"conv1","full_macs":1000,"performed_macs":600,"lane_windows":24,"scalar_windows":8}"#,
-            r#"{"seq":5,"t_ms":0.6,"kind":"exec/layer","layer":"conv2","full_macs":1000,"performed_macs":400,"lane_windows":16,"scalar_windows":0}"#,
+            r#"{"seq":4,"t_ms":0.5,"kind":"exec/layer","layer":"conv1","full_macs":1000,"performed_macs":600,"windows_finished_alone":24}"#,
+            r#"{"seq":5,"t_ms":0.6,"kind":"exec/layer","layer":"conv2","full_macs":1000,"performed_macs":400,"windows_finished_alone":16}"#,
             r#"{"seq":6,"t_ms":0.7,"kind":"sim/layer","layer":"conv1","cycles":100,"utilization":0.5,"imbalance":1.5}"#,
             r#"{"seq":7,"t_ms":0.8,"kind":"sim/layer","layer":"conv2","cycles":300,"utilization":0.9,"imbalance":1.1}"#,
             "",
@@ -391,9 +373,7 @@ mod tests {
         assert_eq!(x.full_macs, 2000);
         assert_eq!(x.performed_macs, 1000);
         assert!((x.saved_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(x.lane_windows, 40);
-        assert_eq!(x.scalar_windows, 8);
-        assert!((x.lane_fraction() - 40.0 / 48.0).abs() < 1e-12);
+        assert_eq!(x.windows_finished_alone, 40);
 
         let s = r.sim.as_ref().expect("sim summary");
         assert_eq!(s.cycles, 400);
@@ -434,7 +414,7 @@ mod tests {
         assert!(text.contains("self ms"));
         assert!(text.contains("optimizer"));
         assert!(text.contains("50.0% saved"));
-        assert!(text.contains("lane engine: 40 windows lane-blocked, 8 scalar (83.3% lane)"));
+        assert!(text.contains("40 windows finished alone after their tile thinned"));
         assert!(text.contains("mean PE utilization 80.0%"));
 
         let j = r.to_json();
@@ -449,7 +429,7 @@ mod tests {
             .is_some());
         assert_eq!(
             j.get("exec")
-                .and_then(|x| x.get("lane_windows"))
+                .and_then(|x| x.get("windows_finished_alone"))
                 .and_then(Json::as_u64),
             Some(40)
         );

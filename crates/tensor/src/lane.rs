@@ -1,17 +1,15 @@
-//! Eight-wide lane layer: an explicit SIMD-shaped `f32` type and the GEMM
-//! microkernel built on it.
+//! Eight-wide lane layer: an explicit SIMD-shaped `f32` type and the two
+//! kernels built on it.
 //!
 //! [`f32x8`] wraps `[f32; 8]` with `#[inline]` elementwise ops that LLVM
-//! turns into vector instructions; [`lane_axpy8`], the body of every dense
-//! GEMM, carries its output dimension in [`f32x8`] chunks, and
-//! `scripts/asm_check.sh` asserts structurally that its `#[inline(never)]`
-//! body is vectorized (check the asm, not just the timing). [`seq_dot`] is
-//! the check's planted scalar negative.
-//!
-//! The SnaPEA window walk needs no lane type: a window sums in walk order,
-//! one `acc + x·w` per position, as a PE lane does, and the executor gets
-//! its throughput from eight windows in flight, each its own accumulator
-//! chain (`snapea::exec`).
+//! turns into vector instructions. [`lane_axpy8`], the body of every dense
+//! GEMM, carries its output dimension in [`f32x8`] chunks; [`tile_mac`],
+//! the MAC of the SnaPEA window walk, carries a tile of windows (im2col
+//! columns) in [`f32x8`] chunks and multiplies them by one broadcast weight
+//! per walk position, as a PE broadcasts one reordered weight to its lanes.
+//! `scripts/asm_check.sh` asserts structurally that both `#[inline(never)]`
+//! bodies are vectorized (check the asm, not just the timing). [`seq_dot`]
+//! is the check's planted scalar negative.
 
 /// Lane width of the engine (the paper's eight-MAC PE rows).
 pub const LANES: usize = 8;
@@ -115,6 +113,72 @@ pub fn lane_axpy8(out: &mut [f32], a: &[f32; LANES], b: [&[f32]; LANES]) {
     }
 }
 
+/// The window walk's MAC over a tile of `acc.len()` columns, one window
+/// per column: for each walk position `p`, in order, `acc[j] = acc[j] +
+/// rows[order[p]·width + j] · weights[p]` for every column `j`, where
+/// `width = acc.len()` and row `i` of `rows` holds tap `i` of every column.
+/// The multiply and the add stay two operations, so each column sums
+/// exactly as a one-window walk does, position by position.
+///
+/// The columns are carried in [`f32x8`] chunks, four chunks at a time:
+/// each block's accumulators stay in registers across the positions, as
+/// independent chains, and a width that is no multiple of the block
+/// finishes chunk by chunk. `#[inline(never)]` keeps a standalone symbol
+/// for `scripts/asm_check.sh`; the internal loop over the positions
+/// amortises the call.
+///
+/// # Panics
+///
+/// Panics if `acc.len()` is not a multiple of [`LANES`], or a row `order`
+/// names lies outside `rows`.
+#[inline(never)]
+pub fn tile_mac(acc: &mut [f32], rows: &[f32], order: &[u32], weights: &[f32]) {
+    let width = acc.len();
+    let (chunks, tail) = acc.as_chunks_mut::<LANES>();
+    assert!(tail.is_empty(), "tile width is a multiple of {LANES}");
+    let (blocks, rest) = chunks.as_chunks_mut::<TILE_BLOCK>();
+    let mut col = 0;
+    for block in blocks {
+        mac_block(block, rows, width, col, order, weights);
+        col += TILE_BLOCK * LANES;
+    }
+    for chunk in rest {
+        mac_block(
+            std::array::from_mut(chunk),
+            rows,
+            width,
+            col,
+            order,
+            weights,
+        );
+        col += LANES;
+    }
+}
+
+/// Chunks of [`LANES`] columns [`tile_mac`] carries together.
+const TILE_BLOCK: usize = 4;
+
+/// [`tile_mac`] on the `B` chunks of columns from `col` on.
+#[inline(always)]
+fn mac_block<const B: usize>(
+    block: &mut [[f32; LANES]; B],
+    rows: &[f32],
+    width: usize,
+    col: usize,
+    order: &[u32],
+    weights: &[f32],
+) {
+    let mut v = block.map(f32x8);
+    for (&i, &w) in order.iter().zip(weights) {
+        let (x, _) = rows[i as usize * width + col..][..B * LANES].as_chunks::<LANES>();
+        let w = f32x8::splat(w);
+        for (v, &x) in v.iter_mut().zip(x) {
+            *v = *v + f32x8(x) * w;
+        }
+    }
+    *block = v.map(|v| v.0);
+}
+
 /// Strictly sequential scalar dot product — **deliberately not
 /// vectorizable** (the single accumulator chain forbids reassociation).
 /// This is the planted-scalarization symbol `scripts/asm_check.sh
@@ -165,6 +229,29 @@ mod tests {
             lane_axpy8(&mut out, &a, b);
             for (g, w) in out.iter().zip(&want) {
                 assert_eq!(g.to_bits(), w.to_bits(), "n {n}");
+            }
+        }
+    }
+
+    /// Every column of a tile sums `acc + x·w` in walk order, bit for bit
+    /// as a scalar loop, at every tile width the walk uses.
+    #[test]
+    fn tile_mac_matches_the_scalar_walk() {
+        let taps = 11;
+        let order: Vec<u32> = (0..taps as u32).rev().step_by(2).chain([0, 3]).collect();
+        let weights = lcg(3, order.len());
+        for width in [8usize, 16, 24, 40, 64] {
+            let rows = lcg(width as u64, taps * width);
+            let mut acc = lcg(width as u64 + 1, width);
+            let mut want = acc.clone();
+            for (&i, &w) in order.iter().zip(&weights) {
+                for (j, a) in want.iter_mut().enumerate() {
+                    *a += rows[i as usize * width + j] * w;
+                }
+            }
+            tile_mac(&mut acc, &rows, &order, &weights);
+            for (g, w) in acc.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "width {width}");
             }
         }
     }

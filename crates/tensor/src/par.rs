@@ -19,9 +19,10 @@
 //! shaped to make them easy:
 //!
 //! 1. **Ownership-partitioned writes** — each task owns a disjoint `&mut`
-//!    slice of the output (rows of a matrix, batch items of a tensor,
-//!    `(image, kernel)` planes of an executor run). Safe Rust enforces the
-//!    disjointness; no task ever observes another task's writes.
+//!    slice of the output (rows of a matrix, batch items of a tensor) or
+//!    returns its results for the caller to place (an executor task's
+//!    outcomes over its tiles). Safe Rust enforces the disjointness; no
+//!    task ever observes another task's writes.
 //! 2. **Deterministic reduction order** — floating-point reductions are
 //!    accumulated per *item* (never fused across a task's items) and merged
 //!    on the caller's thread in ascending item order, so the fold is the
@@ -350,8 +351,8 @@ pub const GEMM_TASK_FLOOR_MACS: usize = 256 * 1024;
 ///
 /// The speculative walks run nearer 1 ns per tap (probe state machines,
 /// gathers) than the GEMM's ~0.1 ns per MAC, so 32 Ki taps buys the same
-/// ~30 µs of work per task. Used by the executor's `(image, kernel)` pair
-/// blocks and the profiling pass's kernel blocks via [`chunk_for`].
+/// ~30 µs of work per task. Used by the executor's runs of tiles and the
+/// profiling pass's kernel blocks via [`chunk_for`].
 pub const WALK_TASK_FLOOR_OPS: usize = 32 * 1024;
 
 /// A chunk size for `n` items of `cost_per_item` work units each such that

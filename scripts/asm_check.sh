@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Structural vectorization proof for the GEMM microkernel (DESIGN.md §11).
+# Structural vectorization proof for the lane kernels (DESIGN.md §11).
 #
-#   ./scripts/asm_check.sh                  # assert lane_axpy8 vectorizes
+#   ./scripts/asm_check.sh                  # assert lane_axpy8 and tile_mac vectorize
 #   ./scripts/asm_check.sh --negative-smoke # assert the check CAN fail (seq_dot)
 #
-# The lane layer's kernel (`snapea_tensor::lane::lane_axpy8`) is
-# `#[inline(never)]` precisely so its machine code survives as a standalone
-# symbol in the release rlib. This script disassembles the newest
-# `libsnapea_tensor` rlib and asserts that the body contains packed vector
+# The lane layer's kernels — the GEMM microkernel
+# (`snapea_tensor::lane::lane_axpy8`) and the window walk's tile MAC
+# (`snapea_tensor::lane::tile_mac`) — are `#[inline(never)]` and
+# non-generic precisely so their machine code survives as standalone
+# symbols in the release rlib. This script disassembles the newest
+# `libsnapea_tensor` rlib and asserts that each body contains packed vector
 # float ops and zero scalar float multiplies — a structural proof that the
-# compiler vectorized the eight-wide loop, immune to benchmark noise.
+# compiler vectorized the eight-wide loops, immune to benchmark noise.
 #
-# The executor's window walk is not gated: it sums each window in walk
-# order, so its speed comes from eight windows' independent accumulator
-# chains in flight, not from packed multiplies.
+# The window walk multiplies a tile of windows (im2col columns) by one
+# broadcast weight per walk position, so every MAC of it runs in
+# `tile_mac`; a tile is padded to a multiple of eight columns, so the
+# kernel has no scalar tail.
 #
 # The negative smoke runs the same assertion against `seq_dot` — a
 # deliberately sequential scalar reduction (its loop-carried dependency
@@ -105,4 +108,5 @@ fi
 
 echo "==> asm vectorization gate on $RLIB ($ARCH)"
 check_kernel lane_axpy8 '4lane.*lane_axpy817h' pass
-echo "OK: lane_axpy8 carries packed vector float ops and no scalar multiplies"
+check_kernel tile_mac '4lane.*tile_mac17h' pass
+echo "OK: lane_axpy8 and tile_mac carry packed vector float ops and no scalar multiplies"

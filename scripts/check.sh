@@ -11,10 +11,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
-# Asm vectorization gate (DESIGN.md §11): the GEMM microkernel must survive
-# as packed vector code in the release rlib, and — same prove-it-can-fail
-# protocol as the lint and selfcheck smokes — the deliberately sequential
-# seq_dot must FAIL the identical assertion.
+# Asm vectorization gate (DESIGN.md §11): the GEMM microkernel and the
+# window walk's tile MAC must survive as packed vector code in the release
+# rlib, and — same prove-it-can-fail protocol as the lint and selfcheck
+# smokes — the deliberately sequential seq_dot must FAIL the identical
+# assertion.
 echo "==> scripts/asm_check.sh"
 ./scripts/asm_check.sh
 echo "==> scripts/asm_check.sh --negative-smoke"

@@ -90,7 +90,7 @@ fn executor_stats_are_bit_identical_across_thread_counts() {
                 assert_eq!(serial.profile, parallel.profile, "{t} threads");
                 // PredictionStats carries f64 masses: per-pair accumulation
                 // merged in pair order makes even those bit-identical, for
-                // any pair-block size the chunk floor picks.
+                // any task split the chunk floor picks.
                 assert_eq!(serial.stats, parallel.stats, "{t} threads");
             },
         );
