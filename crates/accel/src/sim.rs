@@ -231,13 +231,27 @@ pub fn map_layer(
     (total, cycles)
 }
 
+/// The per-PE balance of one simulated layer, as its `sim/layer` event
+/// reports it.
+struct PeBalance {
+    /// Mean end-of-layer barrier wait as a fraction of the layer's cycles
+    /// (as in `LayerTrace::imbalance`).
+    imbalance: f64,
+    pes: u64,
+    busiest: u64,
+    idlest: u64,
+}
+
+/// Simulates one layer; with a sink installed it also returns the per-PE
+/// balance its `sim/layer` event reports. A pure function of its layer, so
+/// layers simulate on any thread in any order.
 fn simulate_layer(
     cfg: &AccelConfig,
     model: &EnergyModel,
     layer: &LayerWorkload,
     is_first: bool,
     is_last: bool,
-) -> LayerReport {
+) -> (LayerReport, Option<PeBalance>) {
     let p = &layer.profile;
     let (images, kernels, windows) = (p.images(), p.kernels(), p.windows());
     // With a sink installed, accumulate per-PE activity inside the same
@@ -316,48 +330,68 @@ fn simulate_layer(
     snapea_obs::counter("sim/layers").inc();
     snapea_obs::counter("sim/cycles").add(cycles);
     snapea_obs::counter("sim/macs").add(total.macs);
-    if obs_on {
-        // Imbalance as in `LayerTrace::imbalance`: mean end-of-layer barrier
-        // wait as a fraction of the layer's cycles.
+    let balance = obs_on.then(|| {
+        let finish = || per_pe.iter().map(|pe| pe.finish_cycle());
         let imbalance = if cycles == 0 || per_pe.is_empty() {
             0.0
         } else {
-            let waits: u64 = per_pe.iter().map(|pe| cycles - pe.finish_cycle()).sum();
+            let waits: u64 = finish().map(|f| cycles - f).sum();
             waits as f64 / (cycles as f64 * per_pe.len() as f64)
         };
-        let busiest = per_pe.iter().map(|pe| pe.finish_cycle()).max().unwrap_or(0);
-        let idlest = per_pe.iter().map(|pe| pe.finish_cycle()).min().unwrap_or(0);
-        snapea_obs::event!(
-            "sim/layer",
-            layer = report.name.clone(),
-            cycles = cycles,
-            macs = total.macs,
-            utilization = report.utilization(cfg),
-            imbalance = imbalance,
-            idle_lane_cycles = total.idle_lane_cycles,
-            pes = per_pe.len() as u64,
-            busiest_pe_cycles = busiest,
-            idlest_pe_cycles = idlest,
-            energy_pj = report.energy.total_pj(),
-            spilled = report.spilled,
-        );
-    }
-    report
+        PeBalance {
+            imbalance,
+            pes: per_pe.len() as u64,
+            busiest: finish().max().unwrap_or(0),
+            idlest: finish().min().unwrap_or(0),
+        }
+    });
+    (report, balance)
 }
 
 /// Simulates a whole network on the configured accelerator.
+///
+/// Layers simulate on the worker pool (`snapea_tensor::par`), in blocks of
+/// at least `WALK_TASK_FLOOR_OPS` op-count entries, so a network whose
+/// whole simulation is below the floor runs inline. Totals fold on the
+/// caller in layer order, so every `f64` of the report has the bits of a
+/// serial run, and the caller emits the `sim/layer` events in layer order
+/// inside the `sim/simulate` span (span paths are per thread).
 pub fn simulate(cfg: &AccelConfig, model: &EnergyModel, net: &NetworkWorkload) -> SimReport {
     let _span = snapea_obs::span!("sim/simulate", net.name.clone());
     let n = net.layers.len();
+    let entries: usize = net.layers.iter().map(|l| l.profile.ops_slice().len()).sum();
+    let chunk = snapea_tensor::par::chunk_for(
+        n,
+        entries / n.max(1),
+        snapea_tensor::par::WALK_TASK_FLOOR_OPS,
+    );
+    let layers = snapea_tensor::par::parallel_map(n, chunk, |i| {
+        simulate_layer(cfg, model, &net.layers[i], i == 0, i + 1 == n)
+    });
     let mut per_layer = Vec::with_capacity(n);
     let mut cycles = 0u64;
     let mut energy = EnergyBreakdown::default();
     let mut events = EnergyEvents::default();
-    for (i, layer) in net.layers.iter().enumerate() {
-        let r = simulate_layer(cfg, model, layer, i == 0, i + 1 == n);
+    for (r, balance) in layers {
         cycles += r.cycles;
         energy.merge(&r.energy);
         events.merge(&r.events);
+        if let Some(b) = balance {
+            snapea_obs::event!(
+                "sim/layer",
+                layer = r.name.clone(),
+                cycles = r.cycles,
+                macs = r.macs,
+                utilization = r.utilization(cfg),
+                imbalance = b.imbalance,
+                idle_lane_cycles = r.idle_lane_cycles,
+                pes = b.pes,
+                busiest_pe_cycles = b.busiest,
+                idlest_pe_cycles = b.idlest,
+                energy_pj = r.energy.total_pj(),
+                spilled = r.spilled,
+            );
+        }
         per_layer.push(r);
     }
     let report = SimReport {

@@ -8,16 +8,18 @@
 //! ```
 //!
 //! Times the parallelised hot paths — conv forward/backward (full batch and
-//! an `n=1` serving shape), executor exact/predictive/q16, and one optimizer
-//! profiling pass — and writes a **scaling curve** per path into
-//! `BENCH_parallel.json` (schema 2): serial wall time (min-of-reps after
-//! warmup) plus one `{threads, ms, speedup, bit_identical}` point per thread
-//! count in the grid. The default grid is `[1, --threads]`; `--scaling`
-//! records the full `[1, 2, 4, 8]` grid. Every point's output is asserted
-//! bit-identical to the serial run. A GEMM section compares the dense
-//! `matmul` kernel against `matmul_sparse_lhs` on dense and half-zero LHS
-//! matrices, which is the before/after number justifying the removal of the
-//! zero-skip branch from the dense path.
+//! an `n=1` serving shape), executor exact/predictive/q16, one optimizer
+//! profiling pass, and one evaluate op (profile, workload and both
+//! simulations of a zoo net's batch) — and writes a **scaling curve** per
+//! path into `BENCH_parallel.json` (schema 2): serial wall time
+//! (min-of-reps after warmup) plus one `{threads, ms, speedup,
+//! bit_identical}` point per thread count in the grid. The default grid
+//! is `[1, --threads]`; `--scaling` records the full `[1, 2, 4, 8]` grid.
+//! Every point's output is asserted bit-identical to the serial run. A
+//! GEMM section compares the dense `matmul` kernel against
+//! `matmul_sparse_lhs` on dense and half-zero LHS matrices, which is the
+//! before/after number justifying the removal of the zero-skip branch from
+//! the dense path.
 //!
 //! On a machine where `available_parallelism == 1` both reports carry a
 //! top-level `"degraded": true`: the curves measure pool overhead under
@@ -43,8 +45,16 @@
 
 use snapea::exec::{execute_conv, execute_conv_q16, execute_conv_stats, ExecResult, LayerConfig};
 use snapea::optimizer::profiling::profile_layer_kernels;
+use snapea::params::{LayerParams, NetworkParams};
+use snapea::spec_net::profile_network;
 use snapea::KernelParams;
+use snapea_accel::sim::simulate;
+use snapea_accel::workload::network_workload;
+use snapea_accel::{AccelConfig, EnergyModel};
+use snapea_nn::data::SynthShapes;
+use snapea_nn::graph::Op;
 use snapea_nn::ops::Conv2d;
+use snapea_nn::zoo::{Workload, INPUT_SIZE};
 use snapea_obs::Json;
 use snapea_tensor::im2col::ConvGeom;
 use snapea_tensor::lane::{lane_axpy8, LANES};
@@ -364,6 +374,32 @@ fn main() {
         &mut init::rng(11),
     )
     .map(f32::abs);
+    // One evaluate op: `profile_network` with statistics, `network_workload`
+    // and both simulations on an untrained zoo net's batch, every ReLU-fed
+    // conv speculating at one uniform setting.
+    let (eval_workload, eval_images) = if args.smoke {
+        (Workload::AlexNet, 2)
+    } else {
+        (Workload::GoogLeNet, 8)
+    };
+    let eval_net = eval_workload.build(10);
+    let eval_batch =
+        SynthShapes::batch(&SynthShapes::new(INPUT_SIZE, 10).generate(eval_images, 41));
+    let mut eval_params = NetworkParams::new();
+    for id in eval_net.conv_ids() {
+        if let Op::Conv(c) = &eval_net.node(id).op {
+            let p = KernelParams::new(0.05, 4.min(c.window_len()));
+            eval_params.set(id, LayerParams::uniform(c.c_out(), p));
+        }
+    }
+    let evaluate_op = || {
+        let profile = profile_network(&eval_net, &eval_params, &eval_batch, true);
+        let wl = network_workload("evaluate_op", &eval_net, &eval_batch, &profile);
+        let model = EnergyModel::default();
+        let sn = simulate(&AccelConfig::snapea(), &model, &wl);
+        let ey = simulate(&AccelConfig::eyeriss(), &model, &wl.to_dense());
+        (profile.layers, profile.stats, sn, ey)
+    };
     let detail = format!("n{batch} c{c_in}->{c_out} {hw}x{hw} k3");
     let serve_detail = format!("n1 c{c_in}->{c_out} {hw}x{hw} k3");
     let fmt = Q16Format::default();
@@ -448,6 +484,14 @@ fn main() {
                 reps,
                 &grid,
                 || profile_layer_kernels(&conv, &prof_input, &[1, 2, 4, 8], &[0.25, 0.5, 0.9], 1.0),
+                |a, b| a == b,
+            ),
+            bench_scaling(
+                "evaluate_op",
+                &format!("{eval_workload} n{eval_images} untrained"),
+                reps,
+                &grid,
+                evaluate_op,
                 |a, b| a == b,
             ),
         ];

@@ -46,19 +46,13 @@ pub struct LayerConfig {
 impl LayerConfig {
     /// Exact-mode configuration: sign-based reordering for every kernel.
     pub fn exact(conv: &Conv2d) -> Self {
-        let kernels = (0..conv.c_out())
-            .map(|k| {
-                let r = sign_reorder(conv.weight().item(k));
-                let pau = Pau::exact(&r);
-                KernelExec::new(r, pau)
-            })
-            .collect();
-        Self { kernels }
+        Self::predictive(conv, &vec![KernelMode::Exact; conv.c_out()])
     }
 
     /// Predictive-mode configuration with per-kernel modes (speculating
     /// kernels carry their `(Th, N)`; exact kernels fall back to sign-based
-    /// reordering).
+    /// reordering). Kernels derive on the worker pool, in blocks of at least
+    /// `REORDER_TASK_FLOOR_WEIGHTS` weights.
     ///
     /// # Panics
     ///
@@ -66,22 +60,26 @@ impl LayerConfig {
     /// window length.
     pub fn predictive(conv: &Conv2d, modes: &[KernelMode]) -> Self {
         assert_eq!(modes.len(), conv.c_out(), "one mode per kernel");
-        let kernels = modes
-            .iter()
-            .enumerate()
-            .map(|(k, mode)| match mode {
+        let chunk = snapea_tensor::par::chunk_for(
+            conv.c_out(),
+            conv.window_len(),
+            snapea_tensor::par::REORDER_TASK_FLOOR_WEIGHTS,
+        );
+        let kernels = snapea_tensor::par::parallel_map(conv.c_out(), chunk, |k| {
+            let w = conv.weight().item(k);
+            match modes[k] {
                 KernelMode::Exact => {
-                    let r = sign_reorder(conv.weight().item(k));
+                    let r = sign_reorder(w);
                     let pau = Pau::exact(&r);
                     KernelExec::new(r, pau)
                 }
                 KernelMode::Speculate(p) => {
-                    let r = predictive_reorder(conv.weight().item(k), p.groups);
-                    let pau = Pau::predictive(&r, *p);
+                    let r = predictive_reorder(w, p.groups);
+                    let pau = Pau::predictive(&r, p);
                     KernelExec::new(r, pau)
                 }
-            })
-            .collect();
+            }
+        });
         Self { kernels }
     }
 

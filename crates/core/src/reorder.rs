@@ -66,26 +66,34 @@ impl ReorderedKernel {
     /// 0.0`; every other weight, `±0.0` and NaN included, is non-negative,
     /// so every weight lands in exactly one region.
     ///
+    /// `sorted` holds ascending [`total_key`]s of at least every negative
+    /// weight outside `spec`; the negative region is taken from it in that
+    /// order.
+    ///
     /// Within-subset order does not affect exactness (the sign check is only
     /// sound once *all* positives are done), but processing the
     /// largest-magnitude negatives first drives the partial sum below zero
     /// soonest, maximising the number of skipped MACs. This is the natural
     /// implementation choice for the paper's "negative subset".
-    fn from_spec(weights: &[f32], spec: Vec<u32>) -> Self {
-        let in_spec: std::collections::BTreeSet<u32> = spec.iter().copied().collect();
-        let (mut negs, nonneg): (Vec<u32>, Vec<u32>) = (0..weights.len() as u32)
-            .filter(|i| !in_spec.contains(i))
-            .partition(|&i| weights[i as usize] < 0.0);
-        negs.sort_by(|&a, &b| {
-            weights[a as usize]
-                .total_cmp(&weights[b as usize])
-                .then(a.cmp(&b))
-        });
+    fn from_spec(weights: &[f32], spec: Vec<u32>, sorted: &[u64]) -> Self {
+        let mut in_spec = vec![false; weights.len()];
+        for &i in &spec {
+            in_spec[i as usize] = true;
+        }
+        let rest = |i: &u32| !in_spec[*i as usize];
+        let is_negative = |i: &u32| weights[*i as usize] < 0.0;
         let spec_len = spec.len();
         let mut order = spec;
-        order.extend(nonneg);
+        order.reserve(weights.len() - spec_len);
+        order.extend((0..weights.len() as u32).filter(|i| rest(i) && !is_negative(i)));
         let neg_start = order.len();
-        order.extend(negs);
+        // The low 32 bits of a key are its weight's index.
+        order.extend(
+            sorted
+                .iter()
+                .map(|&key| key as u32)
+                .filter(|i| rest(i) && is_negative(i)),
+        );
         let reordered: Vec<f32> = order.iter().map(|&i| weights[i as usize]).collect();
         Self {
             order,
@@ -96,11 +104,42 @@ impl ReorderedKernel {
     }
 }
 
+/// A weight's packed sort key: the high 32 bits order weights as
+/// `f32::total_cmp` does (every bit flipped for a sign-set weight, the sign
+/// bit set otherwise) and the low 32 bits hold its index, so ascending keys
+/// are `total_cmp` order with ties broken by index — one integer sort
+/// instead of a comparator sort.
+fn total_key(w: f32, index: u32) -> u64 {
+    let bits = w.to_bits();
+    let ord = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    u64::from(ord) << 32 | u64::from(index)
+}
+
+/// Ascending [`total_key`]s of `key(w)`, each with its weight's index,
+/// over the weights `w` for which `key` gives a value.
+fn sorted_keys(weights: &[f32], key: impl Fn(f32) -> Option<f32>) -> Vec<u64> {
+    let mut keys: Vec<u64> = (0u32..)
+        .zip(weights)
+        .filter_map(|(i, &w)| key(w).map(|k| total_key(k, i)))
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// The key of a negative weight: the weight itself.
+fn negative(w: f32) -> Option<f32> {
+    (w < 0.0).then_some(w)
+}
+
 /// Exact-mode reordering: non-negative weights first (original relative
 /// order preserved), then negative weights in descending magnitude order
 /// (earliest possible sign-check termination).
 pub fn sign_reorder(weights: &[f32]) -> ReorderedKernel {
-    ReorderedKernel::from_spec(weights, Vec::new())
+    ReorderedKernel::from_spec(weights, Vec::new(), &sorted_keys(weights, negative))
 }
 
 /// Predictive-mode reordering (paper §IV-A): sort the weights in ascending
@@ -128,12 +167,7 @@ pub fn predictive_reorder(weights: &[f32], groups: usize) -> ReorderedKernel {
     );
     // Ascending sort of the weight *values* (ties broken by index for
     // determinism).
-    let mut sorted: Vec<u32> = (0..weights.len() as u32).collect();
-    sorted.sort_by(|&a, &b| {
-        weights[a as usize]
-            .total_cmp(&weights[b as usize])
-            .then(a.cmp(&b))
-    });
+    let sorted = sorted_keys(weights, Some);
     // Partition into `groups` near-equal contiguous chunks; from each take
     // the largest-magnitude element.
     let mut spec: Vec<u32> = Vec::with_capacity(groups);
@@ -143,7 +177,7 @@ pub fn predictive_reorder(weights: &[f32], groups: usize) -> ReorderedKernel {
         let hi = ((g + 1) * len / groups).max(lo + 1);
         let pick = sorted[lo..hi]
             .iter()
-            .copied()
+            .map(|&key| key as u32)
             .max_by(|&a, &b| {
                 weights[a as usize]
                     .abs()
@@ -154,7 +188,7 @@ pub fn predictive_reorder(weights: &[f32], groups: usize) -> ReorderedKernel {
             .expect("non-empty group");
         spec.push(pick);
     }
-    ReorderedKernel::from_spec(weights, spec)
+    ReorderedKernel::from_spec(weights, spec, &sorted)
 }
 
 /// Ablation reordering (paper §IV-A's rejected alternative): speculative set
@@ -169,15 +203,10 @@ pub fn magnitude_reorder(weights: &[f32], count: usize) -> ReorderedKernel {
         count >= 1 && count <= weights.len(),
         "bad speculative count"
     );
-    let mut by_mag: Vec<u32> = (0..weights.len() as u32).collect();
-    by_mag.sort_by(|&a, &b| {
-        weights[b as usize]
-            .abs()
-            .total_cmp(&weights[a as usize].abs())
-            .then(a.cmp(&b))
-    });
-    by_mag.truncate(count);
-    ReorderedKernel::from_spec(weights, by_mag)
+    // Descending magnitude, ties by index: the keys of `-|w|`.
+    let by_mag = sorted_keys(weights, |w| Some(-w.abs()));
+    let spec = by_mag[..count].iter().map(|&key| key as u32).collect();
+    ReorderedKernel::from_spec(weights, spec, &sorted_keys(weights, negative))
 }
 
 #[cfg(test)]
@@ -315,6 +344,115 @@ mod tests {
                 for (p, &orig) in r.order().iter().enumerate() {
                     assert_eq!(r.weights()[p].to_bits(), w[orig as usize].to_bits());
                 }
+            }
+        }
+    }
+
+    /// A weight from raw bits: the pattern itself, or the pattern steered
+    /// into a class uniform bits almost never hit — `±0.0`, `±inf`, NaNs of
+    /// either sign and any payload, subnormals, and repeats of two values
+    /// (so ties on value and on magnitude occur).
+    fn steered(class: u8, bits: u32) -> f32 {
+        let sign = bits & 0x8000_0000;
+        let payload = bits & 0x007f_ffff;
+        f32::from_bits(match class % 7 {
+            0 | 1 => bits,
+            2 => sign,
+            3 => sign | 0x7f80_0000,
+            4 => sign | 0x7f80_0000 | payload.max(1),
+            5 => sign | payload,
+            _ => sign | [0x3f80_0000, 0x3e80_0000][(bits & 1) as usize],
+        })
+    }
+
+    /// The comparator every reordering sorted by before packed keys:
+    /// `total_cmp`, then index.
+    fn by_value(w: &[f32]) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + '_ {
+        |&a, &b| w[a as usize].total_cmp(&w[b as usize]).then(a.cmp(&b))
+    }
+
+    /// Reference layout for the speculative set `spec`: the rest split by
+    /// `< 0.0`, non-negatives in index order, negatives by [`by_value`].
+    /// Returns `(order, neg_start)`.
+    fn reference_layout(w: &[f32], spec: Vec<u32>) -> (Vec<u32>, usize) {
+        let (mut negs, nonneg): (Vec<u32>, Vec<u32>) = (0..w.len() as u32)
+            .filter(|i| !spec.contains(i))
+            .partition(|&i| w[i as usize] < 0.0);
+        negs.sort_by(by_value(w));
+        let mut order = spec;
+        order.extend(nonneg);
+        let neg_start = order.len();
+        order.extend(negs);
+        (order, neg_start)
+    }
+
+    /// Reference speculative set of [`predictive_reorder`].
+    fn reference_groups(w: &[f32], groups: usize) -> Vec<u32> {
+        let mut sorted: Vec<u32> = (0..w.len() as u32).collect();
+        sorted.sort_by(by_value(w));
+        (0..groups)
+            .map(|g| {
+                let lo = g * w.len() / groups;
+                let hi = ((g + 1) * w.len() / groups).max(lo + 1);
+                sorted[lo..hi]
+                    .iter()
+                    .copied()
+                    .max_by(|&a, &b| {
+                        w[a as usize]
+                            .abs()
+                            .total_cmp(&w[b as usize].abs())
+                            .then(a.cmp(&b))
+                    })
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Reference speculative set of [`magnitude_reorder`].
+    fn reference_largest(w: &[f32], count: usize) -> Vec<u32> {
+        let mut by_mag: Vec<u32> = (0..w.len() as u32).collect();
+        by_mag.sort_by(|&a, &b| {
+            w[b as usize]
+                .abs()
+                .total_cmp(&w[a as usize].abs())
+                .then(a.cmp(&b))
+        });
+        by_mag.truncate(count);
+        by_mag
+    }
+
+    /// Whether `r` is the reference layout of `spec`, weights by bits.
+    fn matches_reference(r: &ReorderedKernel, w: &[f32], spec: Vec<u32>) -> bool {
+        let spec_len = spec.len();
+        let (order, neg_start) = reference_layout(w, spec);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want: Vec<f32> = order.iter().map(|&i| w[i as usize]).collect();
+        r.order() == order.as_slice()
+            && r.spec_len() == spec_len
+            && r.neg_start() == neg_start
+            && bits(r.weights()) == bits(&want)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn packed_keys_reproduce_the_comparator_orders(
+            drawn in proptest::prelude::prop::collection::vec((0u8..7, 0u32..=u32::MAX), 1..40),
+        ) {
+            let w: Vec<f32> = drawn.iter().map(|&(class, bits)| steered(class, bits)).collect();
+            proptest::prop_assert!(
+                matches_reference(&sign_reorder(&w), &w, Vec::new()),
+                "sign_reorder on {:?}", w
+            );
+            for n in 1..=w.len() {
+                proptest::prop_assert!(
+                    matches_reference(&predictive_reorder(&w, n), &w, reference_groups(&w, n)),
+                    "predictive_reorder(N = {}) on {:?}", n, w
+                );
+                proptest::prop_assert!(
+                    matches_reference(&magnitude_reorder(&w, n), &w, reference_largest(&w, n)),
+                    "magnitude_reorder({}) on {:?}", n, w
+                );
             }
         }
     }

@@ -167,13 +167,7 @@ impl Conv2d {
             item_cost,
             snapea_tensor::par::GEMM_TASK_FLOOR_MACS,
         );
-        let blocks: Vec<(usize, &mut [f32])> = out
-            .as_mut_slice()
-            .chunks_mut(chunk * item_len)
-            .enumerate()
-            .map(|(bi, slab)| (bi * chunk, slab))
-            .collect();
-        snapea_tensor::par::run_tasks(blocks, |_, (n0, slab)| {
+        snapea_tensor::par::map_item_blocks(out.as_mut_slice(), item_len, chunk, |n0, slab| {
             for (di, dst) in slab.chunks_mut(item_len).enumerate() {
                 self.with_cols(input, n0 + di, |cols| {
                     matmul_into(self.weight.as_slice(), w_shape, cols, cols_shape, dst)
@@ -226,14 +220,11 @@ impl Conv2d {
                 item_cost,
                 snapea_tensor::par::GEMM_TASK_FLOOR_MACS,
             );
-            let blocks: Vec<(usize, &mut [f32])> = grad_in
-                .as_mut_slice()
-                .chunks_mut(chunk * in_item)
-                .enumerate()
-                .map(|(bi, slab)| (bi * chunk, slab))
-                .collect();
-            let per_block: Vec<Vec<(Tensor2, Vec<f32>)>> =
-                snapea_tensor::par::run_tasks(blocks, |_, (n0, slab)| {
+            let per_block: Vec<Vec<(Tensor2, Vec<f32>)>> = snapea_tensor::par::map_item_blocks(
+                grad_in.as_mut_slice(),
+                in_item,
+                chunk,
+                |n0, slab| {
                     slab.chunks_mut(in_item)
                         .enumerate()
                         .map(|(di, gi_item)| {
@@ -271,7 +262,8 @@ impl Conv2d {
                             })
                         })
                         .collect()
-                });
+                },
+            );
             for (dw, db) in per_block.into_iter().flatten() {
                 // lint:allow(P1) every per-item dW was allocated with grad_w's own shape
                 grad_w.add_assign(&dw).expect("same shape");

@@ -1,6 +1,6 @@
 //! Cross-channel Local Response Normalization (AlexNet / GoogLeNet style).
 
-use snapea_tensor::Tensor4;
+use snapea_tensor::{par, Tensor4};
 
 /// Local Response Normalization across channels:
 ///
@@ -51,39 +51,46 @@ impl Lrn {
         (lo, hi)
     }
 
-    /// Computes the per-element scale `S = k + (alpha/size) * Σ x²`. For each
-    /// (image, channel) the squares of the window's channel planes are summed
-    /// in ascending channel order into that channel's output plane, so every
-    /// element sees the operations of the per-element formula in its order.
-    fn scales(&self, input: &Tensor4) -> Tensor4 {
-        let s = input.shape();
-        let plane = s.plane_len();
+    /// Computes the per-element scale `S = k + (alpha/size) * Σ x²` of the
+    /// whole items in `src` into the zeroed `dst`, each item `channels`
+    /// planes of `plane` elements. For each (image, channel) the squares of
+    /// the window's channel planes are summed in ascending channel order
+    /// into that channel's output plane, so every element sees the
+    /// operations of the per-element formula in its order.
+    fn scales(&self, src: &[f32], dst: &mut [f32], channels: usize, plane: usize) {
         let scale = self.alpha / self.size as f32;
-        let mut out = Tensor4::zeros(s);
-        let (src, dst) = (input.as_slice(), out.as_mut_slice());
-        for n in 0..s.n {
-            for c in 0..s.c {
-                let (lo, hi) = self.window(c, s.c);
-                let acc = &mut dst[(n * s.c + c) * plane..][..plane];
-                for cc in lo..hi {
-                    for (a, &v) in acc.iter_mut().zip(&src[(n * s.c + cc) * plane..][..plane]) {
-                        *a += v * v;
-                    }
-                }
-                for a in acc {
-                    *a = self.k + scale * *a;
+        // `p` counts planes across items: channel `c` of the item whose
+        // first plane is `p - c`.
+        for (p, acc) in dst.chunks_exact_mut(plane.max(1)).enumerate() {
+            let c = p % channels;
+            let (lo, hi) = self.window(c, channels);
+            for cc in lo..hi {
+                for (a, &v) in acc.iter_mut().zip(&src[(p - c + cc) * plane..][..plane]) {
+                    *a += v * v;
                 }
             }
+            for a in acc {
+                *a = self.k + scale * *a;
+            }
         }
-        out
     }
 
-    /// Forward pass: `x / S^beta`, one `powf` per element.
+    /// Forward pass: `x / S^beta`, one `powf` per element. Images split
+    /// across the worker pool (`snapea_tensor::par`): a task owns a block of
+    /// whole output items, at least `WALK_TASK_FLOOR_OPS` channel taps
+    /// (`size` per element) of them, so a single image runs inline.
     pub fn forward(&self, input: &Tensor4) -> Tensor4 {
-        let mut out = self.scales(input);
-        for (o, &x) in out.iter_mut().zip(input.iter()) {
-            *o = x / o.powf(self.beta);
-        }
+        let s = input.shape();
+        let item = s.item_len();
+        let mut out = Tensor4::zeros(s);
+        let chunk = par::chunk_for(s.n, item * self.size, par::WALK_TASK_FLOOR_OPS);
+        par::map_item_blocks(out.as_mut_slice(), item, chunk, |first, dst| {
+            let src = &input.as_slice()[first * item..][..dst.len()];
+            self.scales(src, dst, s.c, s.plane_len());
+            for (o, &x) in dst.iter_mut().zip(src) {
+                *o = x / o.powf(self.beta);
+            }
+        });
         out
     }
 
@@ -91,7 +98,8 @@ impl Lrn {
     pub fn backward(&self, input: &Tensor4, grad_out: &Tensor4) -> Tensor4 {
         let s = input.shape();
         let plane = s.plane_len();
-        let scales = self.scales(input);
+        let mut scales = Tensor4::zeros(s);
+        self.scales(input.as_slice(), scales.as_mut_slice(), s.c, plane);
         // Precompute t[n,c,h,w] = g * x * S^{-beta-1}; then
         // grad_x[j] = g[j] * S[j]^{-beta} - (2*alpha*beta/size) * x[j] * Σ_{c ∈ window(j)} t[c]
         let mut t = Tensor4::zeros(s);
@@ -193,7 +201,8 @@ mod tests {
             let mut r = init::rng(channels as u64);
             let x = init::uniform4(Shape4::new(2, channels, 3, 4), 2.0, &mut r);
             let g = init::uniform4(x.shape(), 1.0, &mut r);
-            let s = lrn.scales(&x);
+            let mut s = Tensor4::zeros(x.shape());
+            lrn.scales(x.as_slice(), s.as_mut_slice(), channels, 3 * 4);
             let t = Tensor4::from_fn(x.shape(), |n, c, h, w| {
                 g[(n, c, h, w)] * x[(n, c, h, w)] * s[(n, c, h, w)].powf(-lrn.beta - 1.0)
             });

@@ -1,6 +1,6 @@
 //! Max and average pooling layers.
 
-use snapea_tensor::{Shape4, Tensor4};
+use snapea_tensor::{par, Shape4, Tensor4};
 use std::ops::Range;
 
 /// Pooling geometry: square window, stride, zero padding.
@@ -100,26 +100,33 @@ impl MaxPool {
         }
     }
 
-    /// Forward pass (inference): the pooled output alone.
+    /// Forward pass (inference): the pooled output alone. Images split
+    /// across the worker pool (`snapea_tensor::par`): a task owns a block of
+    /// whole output items, at least `WALK_TASK_FLOOR_OPS` window taps of
+    /// them, so a single image runs inline.
     pub fn forward(&self, input: &Tensor4) -> Tensor4 {
         let s = input.shape();
         let os = self.geom.out_shape(s);
         let mut out = Tensor4::zeros(os);
         let (pin, pout) = (s.plane_len(), os.plane_len());
-        let (src, dst) = (input.as_slice(), out.as_mut_slice());
-        for p in 0..s.n * s.c {
-            let plane = &src[p * pin..(p + 1) * pin];
-            let out_plane = &mut dst[p * pout..(p + 1) * pout];
-            self.geom.for_each_window(s.h, s.w, |o, ys, xs| {
-                let mut best = f32::NEG_INFINITY;
-                for iy in ys {
-                    for &v in &plane[iy * s.w + xs.start..iy * s.w + xs.end] {
-                        best = if v > best { v } else { best };
+        let taps = os.item_len() * self.geom.k * self.geom.k;
+        let chunk = par::chunk_for(s.n, taps, par::WALK_TASK_FLOOR_OPS);
+        let src = input.as_slice();
+        par::map_item_blocks(out.as_mut_slice(), os.item_len(), chunk, |first, dst| {
+            for (q, out_plane) in dst.chunks_exact_mut(pout).enumerate() {
+                let p = first * s.c + q;
+                let plane = &src[p * pin..(p + 1) * pin];
+                self.geom.for_each_window(s.h, s.w, |o, ys, xs| {
+                    let mut best = f32::NEG_INFINITY;
+                    for iy in ys {
+                        for &v in &plane[iy * s.w + xs.start..iy * s.w + xs.end] {
+                            best = if v > best { v } else { best };
+                        }
                     }
-                }
-                out_plane[o] = if best > f32::NEG_INFINITY { best } else { 0.0 };
-            });
-        }
+                    out_plane[o] = if best > f32::NEG_INFINITY { best } else { 0.0 };
+                });
+            }
+        });
         out
     }
 

@@ -144,12 +144,7 @@ pub fn matmul_into(
     // Each output row costs k·n MACs; the floor keeps every task above the
     // pool's dispatch-overhead crossover (small GEMMs run inline).
     let chunk = crate::par::chunk_for(m, k * n, crate::par::GEMM_TASK_FLOOR_MACS);
-    let row_blocks: Vec<(usize, &mut [f32])> = out
-        .chunks_mut(chunk * n)
-        .enumerate()
-        .map(|(ci, slab)| (ci * chunk, slab))
-        .collect();
-    crate::par::run_tasks(row_blocks, |_, (row0, slab)| {
+    crate::par::map_item_blocks(out, n, chunk, |row0, slab| {
         for (di, out_row) in slab.chunks_mut(n).enumerate() {
             let a_row = &lhs[(row0 + di) * k..][..k];
             for j0 in (0..n).step_by(GEMM_COL_TILE) {
@@ -199,12 +194,7 @@ pub fn t_matmul_into(
     // k·n MACs per output row, floored like matmul_into so sub-crossover
     // gradient GEMMs stay inline.
     let chunk = crate::par::chunk_for(m, k * n, crate::par::GEMM_TASK_FLOOR_MACS);
-    let row_blocks: Vec<(usize, &mut [f32])> = out
-        .chunks_mut(chunk * n)
-        .enumerate()
-        .map(|(ci, slab)| (ci * chunk, slab))
-        .collect();
-    crate::par::run_tasks(row_blocks, |_, (row0, slab)| {
+    crate::par::map_item_blocks(out, n, chunk, |row0, slab| {
         // k-outer so each RHS row block stays hot across every output row of
         // the slab; blocks of AXPY_K_UNROLL keep per-element accumulation in
         // ascending-k order while touching each out row once per block.
@@ -272,12 +262,7 @@ pub fn matmul_t_into(
     }
     // k·n MACs per output row (each element one k-long dot product).
     let chunk = crate::par::chunk_for(m, k * n, crate::par::GEMM_TASK_FLOOR_MACS);
-    let row_blocks: Vec<(usize, &mut [f32])> = out
-        .chunks_mut(chunk * n)
-        .enumerate()
-        .map(|(ci, slab)| (ci * chunk, slab))
-        .collect();
-    crate::par::run_tasks(row_blocks, |_, (row0, slab)| {
+    crate::par::map_item_blocks(out, n, chunk, |row0, slab| {
         for (di, out_row) in slab.chunks_mut(n).enumerate() {
             let a_row = &lhs[(row0 + di) * k..][..k];
             for (j, o) in out_row.iter_mut().enumerate().take(n) {

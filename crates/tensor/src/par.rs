@@ -325,6 +325,32 @@ where
     out
 }
 
+/// Cuts `out` into blocks of `chunk` whole items of `item_len` elements each
+/// (the last block may be shorter) and runs `f(first_item, block)` on every
+/// block as one task, returning the results in block order. Each task owns
+/// its block's writes (rule 1 of the determinism contract); with
+/// `item_len == 0` there is nothing to own and no task runs.
+///
+/// # Panics
+///
+/// Panics if `chunk == 0` while `item_len > 0`.
+pub fn map_item_blocks<T, R, F>(out: &mut [T], item_len: usize, chunk: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    if item_len == 0 {
+        return Vec::new();
+    }
+    let blocks: Vec<(usize, &mut [T])> = out
+        .chunks_mut(chunk * item_len)
+        .enumerate()
+        .map(|(b, block)| (b * chunk, block))
+        .collect();
+    run_tasks(blocks, |_, (first, block)| f(first, block))
+}
+
 /// A chunk size that yields a few tasks per participant:
 /// `ceil(n / (4 × effective_threads))`, at least 1. Smaller chunks balance
 /// better; larger chunks amortise queue traffic — 4 tasks per participant
@@ -354,6 +380,15 @@ pub const GEMM_TASK_FLOOR_MACS: usize = 256 * 1024;
 /// ~30 µs of work per task. Used by the executor's runs of tiles and the
 /// profiling pass's kernel blocks via [`chunk_for`].
 pub const WALK_TASK_FLOOR_OPS: usize = 32 * 1024;
+
+/// Minimum useful task size for kernel reordering (deriving a conv layer's
+/// `LayerConfig`), in weights.
+///
+/// Reordering a kernel — one packed-key sort plus the region passes —
+/// measured 16–19 ns per weight on the recording machine (see
+/// `DESIGN.md` §6), so 2 Ki weights buys the ~30 µs per task the other
+/// floors target. Used by the config's kernel blocks via [`chunk_for`].
+pub const REORDER_TASK_FLOOR_WEIGHTS: usize = 2 * 1024;
 
 /// A chunk size for `n` items of `cost_per_item` work units each such that
 /// every task carries at least `floor_cost` units: the larger of

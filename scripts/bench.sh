@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf benchmark harness: records scaling curves for the parallel hot paths
 # (conv forward/backward incl. n=1 serving shapes, executor exact/predictive/
-# q16, optimizer profiling), verifies every curve point bit-identical to the
-# serial run, and writes BENCH_parallel.json (schema 2) + BENCH_kernels.json.
+# q16, optimizer profiling, one evaluate op), verifies every curve point
+# bit-identical to the serial run, and writes BENCH_parallel.json (schema 2)
+# + BENCH_kernels.json.
 #
 #   ./scripts/bench.sh                 # full shapes, BENCH_parallel.json
 #   ./scripts/bench.sh --smoke         # tiny shapes (seconds), same checks

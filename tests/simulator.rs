@@ -6,6 +6,8 @@ use snapea_suite::accel::sim::simulate;
 use snapea_suite::accel::workload::{LayerWorkload, NetworkWorkload};
 use snapea_suite::accel::{AccelConfig, EnergyModel};
 use snapea_suite::core::exec::LayerProfile;
+use snapea_suite::obs::{Json, MemorySink};
+use snapea_suite::tensor::par;
 
 fn workload_from(
     ops: Vec<u32>,
@@ -130,4 +132,90 @@ fn network_level_speedup_holds() {
         sn.cycles,
         sn.per_layer.iter().map(|l| l.cycles).sum::<u64>()
     );
+}
+
+/// One event's fields without its envelope (`seq`, `t_ms`, `tid`,
+/// `span_id`).
+type Payload = Vec<(String, Json)>;
+
+/// For each `sim/simulate` span on `net`, in log order, the payloads of the
+/// `sim/layer` events whose enclosing span it is.
+fn layer_events_by_call(events: &[Json], net: &str) -> Vec<Vec<Payload>> {
+    let text = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).map(str::to_owned);
+    let span_id = |e: &Json| e.get("span_id").and_then(Json::as_u64);
+    let is = |e: &Json, kind: &str| text(e, "kind").as_deref() == Some(kind);
+    events
+        .iter()
+        .filter(|e| {
+            is(e, "span")
+                && text(e, "name").as_deref() == Some("sim/simulate")
+                && text(e, "detail").as_deref() == Some(net)
+        })
+        .map(|span| {
+            events
+                .iter()
+                .filter(|e| is(e, "sim/layer") && span_id(e) == span_id(span))
+                .map(|e| {
+                    let fields = e.as_object().unwrap_or_default().iter();
+                    fields
+                        .filter(|(k, _)| !matches!(k.as_str(), "seq" | "t_ms" | "tid" | "span_id"))
+                        .cloned()
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn sim_layer_events_keep_layer_order_on_the_pool() {
+    // Six layers of 131,072 op-count entries each: one pool task per
+    // layer at four threads, each long enough that the workers take some.
+    let name = "event-order";
+    let layers = (0..6u32)
+        .map(|l| {
+            let window_len = 18 + 9 * l as usize;
+            let ops = (0..2 * 16 * 4096u32)
+                .map(|i| (i.wrapping_mul(2_246_822_519) >> (5 + l)) % window_len as u32 + 1)
+                .collect();
+            let profile = LayerProfile::from_ops(2, 16, 4096, window_len, ops);
+            LayerWorkload::new(format!("l{l}"), profile, 4096).with_spatial(64, 64)
+        })
+        .collect();
+    let net = NetworkWorkload {
+        name: name.into(),
+        layers,
+    };
+    let m = EnergyModel::default();
+    let (prev, prev_oversubscribe) = (par::threads(), par::oversubscribe_enabled());
+    let invocations = snapea_suite::obs::counter("par/invocations");
+    // Start the pool's workers before the sink sees anything.
+    par::set_oversubscribe(true);
+    par::set_threads(4);
+    simulate(&AccelConfig::snapea(), &m, &net);
+    let mem = MemorySink::new();
+    snapea_suite::obs::sink::install(Box::new(mem.clone()));
+    par::set_threads(1);
+    let serial = simulate(&AccelConfig::snapea(), &m, &net);
+    par::set_threads(4);
+    let before = invocations.get();
+    let threaded = simulate(&AccelConfig::snapea(), &m, &net);
+    let dispatched = invocations.get() > before;
+    par::set_threads(prev);
+    par::set_oversubscribe(prev_oversubscribe);
+    snapea_suite::obs::sink::clear();
+
+    assert!(dispatched, "the 4-thread simulation never reached the pool");
+    assert_eq!(serial, threaded);
+    // Each call's span encloses all six events, in layer order, with
+    // identical payloads: an event emitted on a worker would miss its span.
+    let calls = layer_events_by_call(&mem.events(), name);
+    assert_eq!(calls.len(), 2, "one sim/simulate span per call");
+    let layer_names: Vec<Option<&Json>> = calls[0]
+        .iter()
+        .map(|e| e.iter().find(|(k, _)| k == "layer").map(|(_, v)| v))
+        .collect();
+    let want: Vec<Json> = (0..6).map(|l| Json::from(format!("l{l}"))).collect();
+    assert_eq!(layer_names, want.iter().map(Some).collect::<Vec<_>>());
+    assert_eq!(calls[0], calls[1]);
 }
