@@ -66,9 +66,9 @@ impl ReorderedKernel {
     /// 0.0`; every other weight, `±0.0` and NaN included, is non-negative,
     /// so every weight lands in exactly one region.
     ///
-    /// `sorted` holds ascending [`total_key`]s of at least every negative
-    /// weight outside `spec`; the negative region is taken from it in that
-    /// order.
+    /// `sorted` holds ascending [`total_key`]s in which every negative weight
+    /// outside `spec` appears keyed by its own value (other entries may carry
+    /// any key); the negative region is taken from it in that order.
     ///
     /// Within-subset order does not affect exactness (the sign check is only
     /// sound once *all* positives are done), but processing the
@@ -203,10 +203,12 @@ pub fn magnitude_reorder(weights: &[f32], count: usize) -> ReorderedKernel {
         count >= 1 && count <= weights.len(),
         "bad speculative count"
     );
-    // Descending magnitude, ties by index: the keys of `-|w|`.
+    // Descending magnitude, ties by index: the keys of `-|w|`. For a weight
+    // `< 0.0`, `-|w|` is `w` bit for bit, so the same keys order the
+    // negative region.
     let by_mag = sorted_keys(weights, |w| Some(-w.abs()));
     let spec = by_mag[..count].iter().map(|&key| key as u32).collect();
-    ReorderedKernel::from_spec(weights, spec, &sorted_keys(weights, negative))
+    ReorderedKernel::from_spec(weights, spec, &by_mag)
 }
 
 #[cfg(test)]

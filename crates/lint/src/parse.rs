@@ -94,11 +94,12 @@ pub(crate) struct FileItems {
 
 /// The `snapea-tensor::par` entry points that take a closure and fan it
 /// out across worker threads (the R3 dispatch set).
-pub(crate) const PAR_DISPATCHERS: [&str; 4] = [
+pub(crate) const PAR_DISPATCHERS: [&str; 5] = [
     "run_tasks",
     "parallel_map",
     "parallel_map_chunks",
     "parallel_for",
+    "map_item_blocks",
 ];
 
 /// Collection-mutating method names the R3 capture pass treats as

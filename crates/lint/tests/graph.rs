@@ -277,6 +277,27 @@ fn r3_mutator_method_on_captured_collection() {
 }
 
 #[test]
+fn r3_mutating_capture_in_item_block_closure() {
+    // `map_item_blocks` fans its closure out over the pool like the other
+    // entry points: writing the owned block is fine, touching a capture is
+    // not.
+    let a = spec(
+        "crates/nn/src/lib.rs",
+        "nn",
+        "pub fn fanout(out: &mut [f32], mut log: Vec<usize>) {\n    \
+         snapea_tensor::par::map_item_blocks(out, 4, 2, |first, block| {\n        \
+         block.fill(0.0);\n        log.push(first);\n    });\n}\n",
+    );
+    let findings = lint_sources(&[a], &graph());
+    let r3: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::R3).collect();
+    assert_eq!(r3.len(), 1, "findings: {findings:?}");
+    assert!(r3[0].chain_summary().contains("map_item_blocks"));
+    assert!(r3[0]
+        .chain_summary()
+        .ends_with("mutates captured `log` (.push())"));
+}
+
+#[test]
 fn r3_locals_and_params_are_fine() {
     // Mutating closure params and closure-local state is the pool's
     // whole design (each worker owns its task slab): no finding.
