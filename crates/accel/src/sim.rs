@@ -4,6 +4,7 @@
 use crate::config::AccelConfig;
 use crate::energy::{EnergyBreakdown, EnergyEvents, EnergyModel};
 use crate::engine::{run_pe, PeRun};
+use crate::trace::{barrier_imbalance, PeActivity};
 use crate::workload::{LayerWorkload, NetworkWorkload};
 
 /// Simulation result for one layer.
@@ -234,8 +235,7 @@ pub fn map_layer(
 /// The per-PE balance of one simulated layer, as its `sim/layer` event
 /// reports it.
 struct PeBalance {
-    /// Mean end-of-layer barrier wait as a fraction of the layer's cycles
-    /// (as in `LayerTrace::imbalance`).
+    /// [`barrier_imbalance`] of the layer's PEs.
     imbalance: f64,
     pes: u64,
     busiest: u64,
@@ -258,19 +258,14 @@ fn simulate_layer(
     // mapping pass that produces the simulator totals (one iteration, so the
     // emitted utilization/imbalance cannot diverge from the report).
     let obs_on = snapea_obs::enabled();
-    let mut per_pe: Vec<crate::trace::PeActivity> = if obs_on {
-        vec![crate::trace::PeActivity::default(); cfg.pe_count()]
+    let mut per_pe: Vec<PeActivity> = if obs_on {
+        vec![PeActivity::default(); cfg.pe_count()]
     } else {
         Vec::new()
     };
     let (total, cycles) = map_layer(cfg, layer, |u| {
         if obs_on {
-            let pe = &mut per_pe[u.pe];
-            pe.units += 1;
-            pe.fill_cycles += u.fill_cycles;
-            pe.busy_cycles += u.busy_cycles;
-            pe.macs += u.macs;
-            pe.idle_lane_cycles += u.idle_lane_cycles;
+            per_pe[u.pe].add(u);
         }
     });
 
@@ -331,15 +326,9 @@ fn simulate_layer(
     snapea_obs::counter("sim/cycles").add(cycles);
     snapea_obs::counter("sim/macs").add(total.macs);
     let balance = obs_on.then(|| {
-        let finish = || per_pe.iter().map(|pe| pe.finish_cycle());
-        let imbalance = if cycles == 0 || per_pe.is_empty() {
-            0.0
-        } else {
-            let waits: u64 = finish().map(|f| cycles - f).sum();
-            waits as f64 / (cycles as f64 * per_pe.len() as f64)
-        };
+        let finish = || per_pe.iter().map(PeActivity::finish_cycle);
         PeBalance {
-            imbalance,
+            imbalance: barrier_imbalance(&per_pe, cycles),
             pes: per_pe.len() as u64,
             busiest: finish().max().unwrap_or(0),
             idlest: finish().min().unwrap_or(0),

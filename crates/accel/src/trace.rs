@@ -33,6 +33,25 @@ impl PeActivity {
     pub fn finish_cycle(&self) -> u64 {
         self.fill_cycles + self.busy_cycles
     }
+
+    /// Adds one unit dispatched to this PE.
+    pub fn add(&mut self, u: &UnitDispatch) {
+        self.units += 1;
+        self.fill_cycles += u.fill_cycles;
+        self.busy_cycles += u.busy_cycles;
+        self.macs += u.macs;
+        self.idle_lane_cycles += u.idle_lane_cycles;
+    }
+}
+
+/// Load imbalance of a layer of `cycles` (its barrier): the PEs' mean
+/// barrier wait as a fraction of `cycles`, 0 with no cycles or no PEs.
+pub fn barrier_imbalance(per_pe: &[PeActivity], cycles: u64) -> f64 {
+    if cycles == 0 || per_pe.is_empty() {
+        return 0.0;
+    }
+    let waits: u64 = per_pe.iter().map(|a| cycles - a.finish_cycle()).sum();
+    waits as f64 / (cycles as f64 * per_pe.len() as f64)
 }
 
 /// The event log of one layer.
@@ -57,11 +76,7 @@ impl LayerTrace {
     /// Load imbalance: mean barrier wait over all PEs, as a fraction of the
     /// layer's cycles.
     pub fn imbalance(&self) -> f64 {
-        if self.cycles == 0 || self.per_pe.is_empty() {
-            return 0.0;
-        }
-        let waits: u64 = (0..self.per_pe.len()).map(|pe| self.barrier_wait(pe)).sum();
-        waits as f64 / (self.cycles as f64 * self.per_pe.len() as f64)
+        barrier_imbalance(&self.per_pe, self.cycles)
     }
 
     /// Exports the trace through the obs sinks: one `sim/trace` summary for
@@ -171,12 +186,7 @@ pub fn trace_layer(cfg: &AccelConfig, layer: &LayerWorkload) -> LayerTrace {
     let mut units = Vec::new();
     let mut per_pe = vec![PeActivity::default(); cfg.pe_count()];
     let (_, cycles) = map_layer(cfg, layer, |u| {
-        let pe = &mut per_pe[u.pe];
-        pe.units += 1;
-        pe.fill_cycles += u.fill_cycles;
-        pe.busy_cycles += u.busy_cycles;
-        pe.macs += u.macs;
-        pe.idle_lane_cycles += u.idle_lane_cycles;
+        per_pe[u.pe].add(u);
         units.push(u.clone());
     });
     LayerTrace {

@@ -15,11 +15,7 @@
 //! (min-of-reps after warmup) plus one `{threads, ms, speedup,
 //! bit_identical}` point per thread count in the grid. The default grid
 //! is `[1, --threads]`; `--scaling` records the full `[1, 2, 4, 8]` grid.
-//! Every point's output is asserted bit-identical to the serial run. A
-//! GEMM section compares the dense `matmul` kernel against
-//! `matmul_sparse_lhs` on dense and half-zero LHS matrices, which is the
-//! before/after number justifying the removal of the zero-skip branch from
-//! the dense path.
+//! Every point's output is asserted bit-identical to the serial run.
 //!
 //! On a machine where `available_parallelism == 1` both reports carry a
 //! top-level `"degraded": true`: the curves measure pool overhead under
@@ -38,7 +34,7 @@
 //! oracle integration test, and the lane/GEMM property tests.
 //!
 //! `--kernels-only` runs and writes *only* the kernels report: the scaling
-//! curves, strict gate, and GEMM comparison are skipped, and `--out` is not
+//! curves and strict gate are skipped, and `--out` is not
 //! written — the quick loop for iterating on the single-core kernels.
 //!
 //! Usually invoked through `scripts/bench.sh`.
@@ -118,22 +114,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Median wall time of `reps` runs of `f`, in milliseconds. The first result
-/// is returned so callers can compare outputs across variants.
-#[allow(clippy::disallowed_methods)] // benchmark timing is this binary's job
-fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut out = None;
-    let mut times: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-        out.get_or_insert(r);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    (times[times.len() / 2], out.expect("at least one rep"))
-}
-
 fn exec_results_identical(a: &ExecResult, b: &ExecResult) -> bool {
     a.output.as_slice() == b.output.as_slice()
         && a.profile.ops_slice() == b.profile.ops_slice()
@@ -168,15 +148,6 @@ fn exec_results_identical(a: &ExecResult, b: &ExecResult) -> bool {
 /// on the same container: the median keeps residual noise in, and sharing
 /// the t1 samples as denominator correlates the error across a bench's
 /// points.)
-///
-/// Finally, grid points whose **effective participant count** coincides
-/// (`par::effective_threads` — e.g. every point on a one-core machine, or
-/// t8 alongside t4 on a four-core one) execute byte-identical code by
-/// construction of the clamp, so their samples are exchangeable: they are
-/// pooled, and the points report one shared min. Without pooling, identical
-/// configurations would differ by container noise (±3% even at 32 rounds)
-/// and the curve would fabricate overhead — or speedup — where the executed
-/// code cannot have any.
 #[allow(clippy::disallowed_methods)] // benchmark timing is this binary's job
 fn bench_scaling<R>(
     name: &str,
@@ -211,29 +182,14 @@ fn bench_scaling<R>(
             }
         }
     }
-    // Pool samples across grid points that the clamp makes byte-identical
-    // (same effective participant count — see the doc comment above).
-    let effective: Vec<usize> = grid
-        .iter()
-        .map(|&t| {
-            par::set_threads(t);
-            par::effective_threads()
-        })
-        .collect();
     par::set_threads(1);
-    let group_min = |gi: usize| {
-        grid.iter()
-            .enumerate()
-            .filter(|&(gj, _)| effective[gj] == effective[gi])
-            .flat_map(|(gj, _)| times[gj].iter().copied())
-            .fold(f64::MAX, f64::min)
-    };
-    let serial_ms = group_min(0);
+    let point_min = |gi: usize| times[gi].iter().copied().fold(f64::MAX, f64::min);
+    let serial_ms = point_min(0);
     let mut curve: Vec<Json> = Vec::new();
     let mut summary = String::new();
     for (gi, &t) in grid.iter().enumerate() {
         assert!(identical[gi], "{name}: outputs differ at {t} threads");
-        let ms = group_min(gi);
+        let ms = point_min(gi);
         let speedup = serial_ms / ms;
         summary.push_str(&format!("  t{t} {speedup:4.2}x"));
         curve.push(Json::Obj(vec![
@@ -282,8 +238,8 @@ fn bench_kernel<R>(name: &str, detail: &str, reps: usize, mut f: impl FnMut() ->
     ])
 }
 
-/// Deterministic LHS with `zero_frac` of its entries exactly zero —
-/// post-ReLU-style sparsity for the GEMM branch comparison.
+/// Deterministic pseudo-random matrix with `zero_frac` of its entries
+/// exactly zero.
 fn sparse_lhs(shape: Shape2, zero_frac: f64, seed: u64) -> Tensor2 {
     let mut state = seed;
     Tensor2::from_fn(shape, |_, _| {
@@ -411,7 +367,7 @@ fn main() {
         .unwrap_or(Json::Null);
 
     let parallel_sections = if args.kernels_only {
-        println!("kernels-only: skipping the scaling curves, strict gate, and GEMM comparison");
+        println!("kernels-only: skipping the scaling curves and strict gate");
         None
     } else {
         let benches = vec![
@@ -530,34 +486,7 @@ fn main() {
             }
         }
 
-        // GEMM branch comparison (serial, to isolate the per-element zero test
-        // from scheduling effects): dense LHS and a half-zero LHS.
-        par::set_threads(1);
-        let (gm, gk, gn) = if args.smoke {
-            (32, 64, 128)
-        } else {
-            (128, 288, 1024)
-        };
-        let rhs = sparse_lhs(Shape2::new(gk, gn), 0.0, 3);
-        let mut gemm_rows: Vec<Json> = Vec::new();
-        for (label, zero_frac) in [("dense_lhs", 0.0), ("half_zero_lhs", 0.5)] {
-            let lhs = sparse_lhs(Shape2::new(gm, gk), zero_frac, 5);
-            let (dense_ms, dense_out) = time_median(kernel_reps, || lhs.matmul(&rhs).unwrap());
-            let (skip_ms, skip_out) =
-                time_median(kernel_reps, || lhs.matmul_sparse_lhs(&rhs).unwrap());
-            assert_eq!(dense_out, skip_out, "gemm variants disagree ({label})");
-            println!(
-            "gemm {label:<18} {gm}x{gk}x{gn}  dense {dense_ms:8.2} ms   zero-skip {skip_ms:8.2} ms"
-        );
-            gemm_rows.push(Json::Obj(vec![
-                ("lhs".to_string(), label.into()),
-                ("zero_frac".to_string(), zero_frac.into()),
-                ("shape".to_string(), format!("{gm}x{gk}x{gn}").into()),
-                ("matmul_ms".to_string(), dense_ms.into()),
-                ("matmul_sparse_lhs_ms".to_string(), skip_ms.into()),
-            ]));
-        }
-        Some((benches, gemm_rows))
+        Some(benches)
     };
 
     // --- Kernels section: the single-core kernel engine at 1 thread. ---
@@ -615,7 +544,7 @@ fn main() {
     ];
     par::set_threads(args.threads);
 
-    if let Some((benches, gemm_rows)) = parallel_sections {
+    if let Some(benches) = parallel_sections {
         let thread_grid = Json::Arr(grid.iter().map(|&t| Json::from(t as u64)).collect());
         let report = Json::Obj(vec![
             ("generated_by".to_string(), "perfbench".into()),
@@ -628,7 +557,6 @@ fn main() {
             ("available_parallelism".to_string(), avail.into()),
             ("degraded".to_string(), degraded.into()),
             ("benches".to_string(), Json::Arr(benches)),
-            ("gemm".to_string(), Json::Arr(gemm_rows)),
         ]);
         if let Err(e) = std::fs::write(&args.out, format!("{report}\n")) {
             eprintln!("perfbench: cannot write {}: {e}", args.out);

@@ -63,7 +63,7 @@ pub(crate) struct CaptureViolation {
 /// A call that hands a closure to the `snapea-tensor::par` pool.
 #[derive(Debug, Clone)]
 pub(crate) struct Dispatch {
-    /// The pool entry point (`run_tasks`, `parallel_for`, …).
+    /// The pool entry point (`run_tasks`, `parallel_map`, …).
     pub(crate) callee: String,
     pub(crate) line: usize,
     pub(crate) violations: Vec<CaptureViolation>,
@@ -94,11 +94,10 @@ pub(crate) struct FileItems {
 
 /// The `snapea-tensor::par` entry points that take a closure and fan it
 /// out across worker threads (the R3 dispatch set).
-pub(crate) const PAR_DISPATCHERS: [&str; 5] = [
+pub(crate) const PAR_DISPATCHERS: [&str; 4] = [
     "run_tasks",
     "parallel_map",
     "parallel_map_chunks",
-    "parallel_for",
     "map_item_blocks",
 ];
 

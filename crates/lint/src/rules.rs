@@ -258,8 +258,7 @@ impl RuleId {
             RuleId::R3 => {
                 "R3 parallel-capture — scope: closure arguments at every \
                  snapea_tensor::par dispatch site (run_tasks, parallel_map, \
-                 parallel_map_chunks, parallel_for, map_item_blocks), \
-                 workspace-wide.\n\
+                 parallel_map_chunks, map_item_blocks), workspace-wide.\n\
                  The pool's bit-identity contract requires tasks to write only \
                  per-task state: a dispatched closure must not capture `&mut` \
                  aliased outer state, assign to captured bindings, or call mutating \

@@ -248,8 +248,8 @@ fn r3_assignment_to_captured_state() {
         "crates/nn/src/lib.rs",
         "nn",
         "pub fn fanout(tasks: Vec<u32>, mut total: u32) {\n    \
-         snapea_tensor::par::parallel_for(8, 1, |lo, hi| {\n        \
-         total = lo as u32;\n    });\n}\n",
+         snapea_tensor::par::parallel_map(8, 1, |i| {\n        \
+         total = i as u32;\n    });\n}\n",
     );
     let findings = lint_sources(&[a], &graph());
     let r3: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::R3).collect();

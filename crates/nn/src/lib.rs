@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod augment;
 pub mod data;
 pub mod graph;
 pub mod loss;

@@ -412,54 +412,6 @@ impl Tensor2 {
         Ok(out)
     }
 
-    /// Matrix product `self × rhs` that skips zero entries of the LHS.
-    ///
-    /// For finite inputs this returns the same values as [`Tensor2::matmul`]
-    /// (the skipped contributions are exact zeros). It shares the dense
-    /// path's column tiling and single-`k` `axpy` loop; the per-`k` zero
-    /// test means it cannot use the fused `axpy_k8` blocks the dense path
-    /// runs, so the dense-vs-sparse crossover keeps moving as the dense
-    /// kernel improves. The `gemm` section of `BENCH_parallel.json` records
-    /// the current trade (re-measured after the lane engine, DESIGN.md §11):
-    /// a half-zero, post-ReLU-style LHS still wins ~1.4×, but a
-    /// mostly-dense LHS loses the k-blocking for nothing. The
-    /// default [`matmul`] stays branch-free, parallel, and data-independent;
-    /// reach for this variant explicitly where heavy sparsity is
-    /// established — and remember that computation-skipping for the SnaPEA
-    /// data path itself lives in the executor, not the tensor crate. Serial.
-    ///
-    /// [`matmul`]: Tensor2::matmul
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `self.cols != rhs.rows`.
-    // lint:allow(P2) tile bounds j0..j1 clamp to n and p < k = rhs rows by the shape check above
-    pub fn matmul_sparse_lhs(&self, rhs: &Tensor2) -> Result<Tensor2, ShapeError> {
-        if self.shape.cols != rhs.shape.rows {
-            return Err(ShapeError::new(format!(
-                "matmul_sparse_lhs: {} × {}",
-                self.shape, rhs.shape
-            )));
-        }
-        let (m, k, n) = (self.shape.rows, self.shape.cols, rhs.shape.cols);
-        let mut out = Tensor2::zeros(Shape2::new(m, n));
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for j0 in (0..n).step_by(GEMM_COL_TILE) {
-                let j1 = (j0 + GEMM_COL_TILE).min(n);
-                let out_tile = &mut out_row[j0..j1];
-                for (p, &a) in a_row.iter().enumerate().take(k) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    axpy(out_tile, a, &rhs.row(p)[j0..j1]);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Matrix product `selfᵀ × rhs` without materialising the transpose.
     ///
     /// Parallelised over blocks of output rows (columns of `self`) with the
@@ -647,7 +599,6 @@ mod tests {
                 crate::par::set_threads(t);
                 assert_eq!(a.matmul(&b).unwrap(), reference, "m={m} k={k} n={n} t={t}");
             }
-            assert_eq!(a.matmul_sparse_lhs(&b).unwrap(), reference);
         }
         crate::par::set_threads(prev);
     }

@@ -74,16 +74,8 @@
 //! next dispatch, lowering it caps how many parked workers may join future
 //! batches, and `1` restores the exact inline serial path.
 //!
-//! A dispatch never uses more *participants* than the machine has cores:
-//! extra runnable compute-bound threads cannot add throughput, but the OS
-//! round-robins them at millisecond timeslices, destroying cache locality
-//! (measured 20–30% slowdowns on this repo's conv shapes). The configured
-//! count above the core count therefore only affects chunk boundaries
-//! (which must stay a pure function of it — see the determinism contract),
-//! not how many threads actually run. `SNAPEA_OVERSUBSCRIBE=1` (or
-//! [`set_oversubscribe`]) lifts the clamp; the thread-grid CI stages use it
-//! so determinism and pool-machinery tests exercise real concurrency even
-//! on single-core runners.
+//! A dispatch runs [`threads`] participants (the caller plus
+//! `threads() - 1` workers), capped only by its task count.
 //!
 //! Nested parallelism is flattened: a thread that is already running pool
 //! tasks (a worker, or the caller while it participates in its own batch)
@@ -110,12 +102,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Cached thread count; 0 means "not resolved yet".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Cached machine parallelism; 0 means "not resolved yet".
-static MACHINE: AtomicUsize = AtomicUsize::new(0);
-
-/// Oversubscription policy: 0 unresolved, 1 clamp to the machine, 2 allow.
-static OVERSUB: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// True while a thread is running pool tasks (persistent workers always,
     /// the caller during its own dispatch): nested pool calls run inline.
@@ -128,7 +114,7 @@ thread_local! {
 /// available parallelism. A malformed environment variable must degrade to
 /// the default, never panic — the pool is initialised lazily from arbitrary
 /// call sites, including inside tests and benches.
-pub fn parse_thread_count(value: &str) -> Option<usize> {
+fn parse_thread_count(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
 
@@ -176,59 +162,10 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// The machine's available parallelism, resolved once and cached.
-fn machine_parallelism() -> usize {
-    match MACHINE.load(Ordering::Relaxed) {
-        0 => {
-            let n = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            MACHINE.store(n, Ordering::Relaxed);
-            n
-        }
-        n => n,
-    }
-}
-
-/// Whether dispatches may run more participants than the machine has cores.
-/// Defaults to the `SNAPEA_OVERSUBSCRIBE` environment variable (`"1"`
-/// enables), resolved once; [`set_oversubscribe`] overrides at runtime.
-pub fn oversubscribe_enabled() -> bool {
-    match OVERSUB.load(Ordering::Relaxed) {
-        0 => {
-            // lint:allow(R1) sanctioned config site: SNAPEA_OVERSUBSCRIBE is
-            // resolved once and only gates dispatch width, never results
-            #[allow(clippy::disallowed_methods)]
-            let on = std::env::var("SNAPEA_OVERSUBSCRIBE").is_ok_and(|v| v.trim() == "1");
-            OVERSUB.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        n => n == 2,
-    }
-}
-
-/// Overrides the oversubscription policy (see the module docs): `true`
-/// lets a dispatch run up to `threads()` participants even beyond the core
-/// count — pool and determinism tests use it so single-core CI still
-/// exercises real worker concurrency. Never affects results: chunk
-/// boundaries follow [`effective_threads`], and the determinism contract
-/// (per-item accumulation, ascending merge) makes results independent of
-/// chunk boundaries in the first place.
-pub fn set_oversubscribe(enabled: bool) {
-    OVERSUB.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// The participant count a dispatch will actually use: [`threads`], clamped
-/// to the machine's cores unless oversubscription is enabled. Chunk sizing
-/// uses this too, so a thread count the clamp voids does not fragment tasks
-/// — on a one-core machine every `SNAPEA_THREADS` value executes the exact
-/// serial loop with the exact serial chunking.
+/// The participant count a dispatch uses, which is [`threads`]; kept as a
+/// name the end-to-end benchmark's diagnostics read.
 pub fn effective_threads() -> usize {
-    if oversubscribe_enabled() {
-        threads()
-    } else {
-        threads().min(machine_parallelism())
-    }
+    threads()
 }
 
 /// Runs `f(index, task)` for every task and returns the results **in task
@@ -257,7 +194,7 @@ where
     let participants = if nested {
         1
     } else {
-        effective_threads().min(tasks.len())
+        threads().min(tasks.len())
     };
     if participants <= 1 {
         return tasks
@@ -290,20 +227,6 @@ where
         .map(|start| start..(start + chunk).min(n))
         .collect();
     run_tasks(ranges, f)
-}
-
-/// Runs `f(i)` for every `i` in `0..n`, dispatched in chunks of `chunk`
-/// indices. `f` must only perform independent work (interior mutability,
-/// disjoint outputs resolved by index); no result is collected.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn parallel_for<F>(n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_map_chunks(n, chunk, |_, range| range.for_each(&f));
 }
 
 /// Maps `f` over `0..n` returning the results in index order, dispatched in
@@ -352,14 +275,11 @@ where
 }
 
 /// A chunk size that yields a few tasks per participant:
-/// `ceil(n / (4 × effective_threads))`, at least 1. Smaller chunks balance
-/// better; larger chunks amortise queue traffic — 4 tasks per participant
-/// is a reasonable middle for the coarse tasks this workspace dispatches.
-/// Uses [`effective_threads`] so a clamped-away thread count does not
-/// fragment chunks (results are boundary-independent either way — per-item
-/// accumulation merged ascending — so this is purely a cost question).
-pub fn chunk_hint(n: usize) -> usize {
-    n.div_ceil(4 * effective_threads().max(1)).max(1)
+/// `ceil(n / (4 × threads))`, at least 1. Smaller chunks balance better;
+/// larger chunks amortise queue traffic — 4 tasks per participant is a
+/// reasonable middle for the coarse tasks this workspace dispatches.
+fn chunk_hint(n: usize) -> usize {
+    n.div_ceil(4 * threads()).max(1)
 }
 
 /// Minimum useful task size for GEMM-shaped work, in f32 MACs.
@@ -392,11 +312,12 @@ pub const REORDER_TASK_FLOOR_WEIGHTS: usize = 2 * 1024;
 
 /// A chunk size for `n` items of `cost_per_item` work units each such that
 /// every task carries at least `floor_cost` units: the larger of
-/// [`chunk_hint`]`(n)` and `ceil(floor_cost / cost_per_item)`, clamped to
-/// `n`. Depends only on the problem size and the (fixed) thread count —
-/// never on scheduling — so chunk boundaries, and therefore reduction
-/// groupings, stay deterministic. When the whole problem is below the
-/// floor this returns `n`: one task, which `run_tasks` runs inline.
+/// `ceil(n / (4 × threads))` (a few tasks per participant) and
+/// `ceil(floor_cost / cost_per_item)`, clamped to `n`. Depends only on the
+/// problem size and the (fixed) thread count — never on scheduling — so
+/// chunk boundaries, and therefore reduction groupings, stay deterministic.
+/// When the whole problem is below the floor this returns `n`: one task,
+/// which `run_tasks` runs inline.
 pub fn chunk_for(n: usize, cost_per_item: usize, floor_cost: usize) -> usize {
     if n == 0 {
         return 1;
@@ -839,15 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_visits_every_index_once() {
-        let hits: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(50, 7, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn nested_calls_run_inline() {
         // A pool task that calls back into the pool must not deadlock or
         // oversubscribe; the nested call runs serially on the same thread
@@ -892,17 +804,6 @@ mod tests {
             let c = chunk_hint(n);
             assert!(c >= 1 && c <= n.max(1));
         }
-    }
-
-    #[test]
-    fn oversubscribe_override_round_trips() {
-        // Results never depend on the policy (only which threads run the
-        // identically chunked tasks), so toggling it mid-process is safe;
-        // this pins the programmatic override used by the pool tests.
-        set_oversubscribe(true);
-        assert!(oversubscribe_enabled());
-        set_oversubscribe(false);
-        assert!(!oversubscribe_enabled());
     }
 
     #[test]

@@ -19,8 +19,6 @@ use snapea_tensor::par;
 
 #[test]
 fn worker_lanes_are_emitted_under_detail_tracing() {
-    // Exercise real workers even on a single-core runner.
-    par::set_oversubscribe(true);
     par::set_threads(3);
     let mem = snapea_obs::MemorySink::new();
     snapea_obs::sink::install(Box::new(mem.clone()));

@@ -1,8 +1,9 @@
 //! Behavioral contract of the persistent worker pool that the in-crate unit
 //! tests cannot cover (they run at whatever `SNAPEA_THREADS` the harness
-//! set): panic containment, reconfiguration after the pool has started,
-//! nested flattening observed from inside pool tasks, and concurrent
-//! dispatch from independent caller threads.
+//! set): the configured count is the participant count, panic containment,
+//! reconfiguration after the pool has started, nested flattening observed
+//! from inside pool tasks, and concurrent dispatch from independent caller
+//! threads.
 //!
 //! `set_threads` is process-global, so every test takes the same mutex and
 //! restores the previous count before releasing it.
@@ -20,12 +21,9 @@ fn thread_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Runs `f` with the pool at `n` threads, restoring the previous count even
-/// if `f` panics. Oversubscription is enabled so these tests exercise real
-/// worker concurrency even on a single-core runner (the pool otherwise
-/// clamps participants to the machine's cores).
+/// if `f` panics.
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let _g = thread_lock();
-    par::set_oversubscribe(true);
     let prev = par::threads();
     par::set_threads(n);
     let restore = Restore(prev);
@@ -39,6 +37,31 @@ impl Drop for Restore {
     fn drop(&mut self) {
         par::set_threads(self.0);
     }
+}
+
+#[test]
+fn set_threads_runs_that_many_participants() {
+    // Four tasks that each wait for all four to arrive can only finish if
+    // four threads run them at once, whatever the machine's core count. The
+    // deadline turns a pool that runs fewer into a failure, not a hang.
+    const N: usize = 4;
+    let ids = with_threads(N, || {
+        let arrived = AtomicUsize::new(0);
+        par::run_tasks(vec![(); N], |_, ()| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let clock = snapea_obs::Stopwatch::start();
+            while arrived.load(Ordering::SeqCst) < N && clock.elapsed_secs() < 5.0 {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        })
+    });
+    let distinct = ids
+        .iter()
+        .enumerate()
+        .filter(|&(i, id)| !ids[..i].contains(id))
+        .count();
+    assert_eq!(distinct, N, "set_threads({N}) ran on {distinct} threads");
 }
 
 #[test]
@@ -90,7 +113,6 @@ fn set_threads_after_pool_start_is_safe_and_exact() {
     // how many may join, and 1 restores the exact inline serial path. All
     // four transitions produce identical results.
     let _g = thread_lock();
-    par::set_oversubscribe(true);
     let prev = par::threads();
     let restore = Restore(prev);
 

@@ -25,16 +25,14 @@ echo "==> scripts/asm_check.sh --negative-smoke"
 # the whole suite runs serial and at 4 threads, and the determinism suite
 # additionally at 2 (the smallest count where the persistent pool's claim
 # racing is live — a distinct interleaving regime from 4).
-# SNAPEA_OVERSUBSCRIBE=1 lifts the pool's participants-per-core clamp so the
-# threaded stages exercise real worker concurrency even on a 1-core runner.
 echo "==> cargo test -q --offline (SNAPEA_THREADS=1)"
 SNAPEA_THREADS=1 cargo test --workspace -q --offline
 
-echo "==> cargo test -q --offline (SNAPEA_THREADS=4, oversubscribed)"
-SNAPEA_THREADS=4 SNAPEA_OVERSUBSCRIBE=1 cargo test --workspace -q --offline
+echo "==> cargo test -q --offline (SNAPEA_THREADS=4)"
+SNAPEA_THREADS=4 cargo test --workspace -q --offline
 
-echo "==> cargo test -q --offline --test determinism (SNAPEA_THREADS=2, oversubscribed)"
-SNAPEA_THREADS=2 SNAPEA_OVERSUBSCRIBE=1 cargo test -q --offline --test determinism
+echo "==> cargo test -q --offline --test determinism (SNAPEA_THREADS=2)"
+SNAPEA_THREADS=2 cargo test -q --offline --test determinism
 
 # The end-to-end benchmark (e2ebench/, its own workspace) builds against the
 # library's public API, so a library change that breaks it must fail here
@@ -171,10 +169,10 @@ rm -rf "$FIXTURE/crates"
 SELFCHECK=./target/release/snapea-tool
 echo "==> snapea-tool selfcheck --cases 500 --seed 1 (SNAPEA_THREADS=1)"
 SNAPEA_THREADS=1 "$SELFCHECK" selfcheck --cases 500 --seed 1
-echo "==> snapea-tool selfcheck --cases 500 --seed 1 (SNAPEA_THREADS=2, oversubscribed)"
-SNAPEA_THREADS=2 SNAPEA_OVERSUBSCRIBE=1 "$SELFCHECK" selfcheck --cases 500 --seed 1
-echo "==> snapea-tool selfcheck --cases 500 --seed 1 (SNAPEA_THREADS=4, oversubscribed)"
-SNAPEA_THREADS=4 SNAPEA_OVERSUBSCRIBE=1 "$SELFCHECK" selfcheck --cases 500 --seed 1
+echo "==> snapea-tool selfcheck --cases 500 --seed 1 (SNAPEA_THREADS=2)"
+SNAPEA_THREADS=2 "$SELFCHECK" selfcheck --cases 500 --seed 1
+echo "==> snapea-tool selfcheck --cases 500 --seed 1 (SNAPEA_THREADS=4)"
+SNAPEA_THREADS=4 "$SELFCHECK" selfcheck --cases 500 --seed 1
 
 # The harness must also *detect* divergence: with a deliberately injected
 # bug it has to fail and print a replayable case.
@@ -209,8 +207,8 @@ if [ -z "$written" ] || [ "$written" != "$reloaded" ]; then
 fi
 serial=$(SNAPEA_LOG=off SNAPEA_THREADS=1 "$SELFCHECK" run "$ART/tuned.snapea" \
   --images 4 --seed 7 --json | grep -o '"output_digest":"0x[0-9a-f]*"')
-threaded=$(SNAPEA_LOG=off SNAPEA_THREADS=4 SNAPEA_OVERSUBSCRIBE=1 "$SELFCHECK" run \
-  "$ART/tuned.snapea" --images 4 --seed 7 --json | grep -o '"output_digest":"0x[0-9a-f]*"')
+threaded=$(SNAPEA_LOG=off SNAPEA_THREADS=4 "$SELFCHECK" run "$ART/tuned.snapea" \
+  --images 4 --seed 7 --json | grep -o '"output_digest":"0x[0-9a-f]*"')
 if [ -z "$serial" ] || [ "$serial" != "$threaded" ]; then
   echo "ERROR: run digest at 4 threads ${threaded:-<none>} != serial ${serial:-<none>}"
   exit 1

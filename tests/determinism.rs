@@ -53,10 +53,6 @@ fn against_serial<R>(mut f: impl FnMut() -> R, mut check: impl FnMut(&R, &R, usi
     // serial run lowers the count under another's threaded run.
     static GRID: Mutex<()> = Mutex::new(());
     let _grid = GRID.lock().unwrap_or_else(PoisonError::into_inner);
-    // Real worker concurrency even on a single-core runner: without this
-    // the pool clamps participants to the machine and the grid runs would
-    // pass vacuously.
-    par::set_oversubscribe(true);
     let prev = par::threads();
     par::set_threads(1);
     let serial = f();
@@ -179,11 +175,53 @@ fn artifact_round_trip_is_bit_identical_across_thread_counts() {
     // The compiled-artifact contract: an executor fed a loaded artifact
     // produces byte-for-byte the outputs of one fed the freshly-compiled
     // model, at any thread count. Seeded random models (geometry ×
-    // speculation parameters × weights) come from the oracle's generator.
+    // speculation parameters × weights) come from the oracle's generator;
+    // they are too small to split, so a zoo net carries the threaded case.
     use snapea_suite::core::artifact::CompiledModel;
-    use snapea_suite::core::params::NetworkParams;
     use snapea_suite::nn::graph::GraphBuilder;
+    use snapea_suite::nn::zoo::mini_squeezenet;
     use snapea_suite::oracle::CaseConfig;
+
+    let net = mini_squeezenet(4);
+    let mut params = NetworkParams::new();
+    for id in net.conv_ids() {
+        if let snapea_suite::nn::graph::Op::Conv(conv) = &net.node(id).op {
+            if net.feeds_only_relu(id) {
+                params.set(
+                    id,
+                    LayerParams::uniform(conv.c_out(), KernelParams::new(0.1, 2)),
+                );
+            }
+        }
+    }
+    let compiled = CompiledModel::compile(
+        &net,
+        &params,
+        (3, INPUT_SIZE, INPUT_SIZE),
+        q16::Q16Format::default(),
+    );
+    let loaded = CompiledModel::from_bytes(&compiled.to_bytes())
+        .unwrap_or_else(|e| panic!("SqueezeNet: valid artifact rejected: {e}"));
+    let batch = SynthShapes::batch(&SynthShapes::new(INPUT_SIZE, 4).generate(8, 0xA27));
+    against_serial_split(
+        || (compiled.forward(&batch), loaded.forward(&batch)),
+        |(serial_fresh, serial_loaded), (par_fresh, par_loaded), t| {
+            for (label, serial, parallel) in [
+                ("fresh", serial_fresh, par_fresh),
+                ("loaded", serial_loaded, par_loaded),
+                ("loaded vs fresh", par_fresh, par_loaded),
+            ] {
+                assert_eq!(serial.len(), parallel.len());
+                for (node, (a, b)) in serial.iter().zip(parallel).enumerate() {
+                    assert_eq!(
+                        bits(a.as_slice()),
+                        bits(b.as_slice()),
+                        "SqueezeNet {label} node {node} at {t} threads"
+                    );
+                }
+            }
+        },
+    );
 
     for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
         let cfg = CaseConfig::generate(seed);

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use snapea_suite::accel::sim::simulate;
+use snapea_suite::accel::trace::{trace_layer, PeActivity};
 use snapea_suite::accel::workload::{LayerWorkload, NetworkWorkload};
 use snapea_suite::accel::{AccelConfig, EnergyModel};
 use snapea_suite::core::exec::LayerProfile;
@@ -187,10 +188,9 @@ fn sim_layer_events_keep_layer_order_on_the_pool() {
         layers,
     };
     let m = EnergyModel::default();
-    let (prev, prev_oversubscribe) = (par::threads(), par::oversubscribe_enabled());
+    let prev = par::threads();
     let invocations = snapea_suite::obs::counter("par/invocations");
     // Start the pool's workers before the sink sees anything.
-    par::set_oversubscribe(true);
     par::set_threads(4);
     simulate(&AccelConfig::snapea(), &m, &net);
     let mem = MemorySink::new();
@@ -202,7 +202,6 @@ fn sim_layer_events_keep_layer_order_on_the_pool() {
     let threaded = simulate(&AccelConfig::snapea(), &m, &net);
     let dispatched = invocations.get() > before;
     par::set_threads(prev);
-    par::set_oversubscribe(prev_oversubscribe);
     snapea_suite::obs::sink::clear();
 
     assert!(dispatched, "the 4-thread simulation never reached the pool");
@@ -211,11 +210,34 @@ fn sim_layer_events_keep_layer_order_on_the_pool() {
     // identical payloads: an event emitted on a worker would miss its span.
     let calls = layer_events_by_call(&mem.events(), name);
     assert_eq!(calls.len(), 2, "one sim/simulate span per call");
-    let layer_names: Vec<Option<&Json>> = calls[0]
-        .iter()
-        .map(|e| e.iter().find(|(k, _)| k == "layer").map(|(_, v)| v))
-        .collect();
+    let field = |e: &Payload, key: &str| e.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+    let layer_names: Vec<Option<Json>> = calls[0].iter().map(|e| field(e, "layer")).collect();
     let want: Vec<Json> = (0..6).map(|l| Json::from(format!("l{l}"))).collect();
-    assert_eq!(layer_names, want.iter().map(Some).collect::<Vec<_>>());
+    assert_eq!(layer_names, want.into_iter().map(Some).collect::<Vec<_>>());
     assert_eq!(calls[0], calls[1]);
+    // Each event's per-PE balance is the trace's fold of the same layer.
+    for (event, layer) in calls[0].iter().zip(&net.layers) {
+        let trace = trace_layer(&AccelConfig::snapea(), layer);
+        let finish = trace.per_pe.iter().map(PeActivity::finish_cycle);
+        let imbalance = field(event, "imbalance").and_then(|v| v.as_f64());
+        assert_eq!(
+            imbalance.map(f64::to_bits),
+            Some(trace.imbalance().to_bits()),
+            "{} imbalance",
+            layer.name
+        );
+        let pe_cycles = |key| field(event, key).and_then(|v| v.as_u64());
+        assert_eq!(
+            pe_cycles("busiest_pe_cycles"),
+            finish.clone().max(),
+            "{}",
+            layer.name
+        );
+        assert_eq!(
+            pe_cycles("idlest_pe_cycles"),
+            finish.min(),
+            "{}",
+            layer.name
+        );
+    }
 }
